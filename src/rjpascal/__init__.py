@@ -35,11 +35,9 @@ from .ring import (
 )
 from .spectral import (
     DiagonalizationReport,
-    EigenPair,
     PowerResult,
     default_tolerance,
     eigen_distinctness,
-    eigen_pair,
     eigenbasis_det_numeric,
     eigenvalue,
     eigenvalue_power,
@@ -58,7 +56,6 @@ __all__ = [
     "A",
     "DEFAULT_BOXES",
     "DiagonalizationReport",
-    "EigenPair",
     "ExactDivisionError",
     "Identity",
     "IdentityCase",
@@ -87,7 +84,6 @@ __all__ = [
     "check_vandermonde",
     "default_tolerance",
     "eigen_distinctness",
-    "eigen_pair",
     "eigenbasis_det_numeric",
     "eigenvalue",
     "eigenvalue_power",

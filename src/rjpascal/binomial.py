@@ -202,23 +202,6 @@ class IdentityReport:
             "skipped": [s.to_json() for s in self.skipped],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> IdentityReport:
-        ident = Identity(obj["identity"])
-        return cls(
-            identity=ident,
-            box={name: (rng[0], rng[1]) for name, rng in obj["box"].items()},
-            cases_checked=obj["cases_checked"],
-            failures=[
-                IdentityCase(ident, dict(f["params"]), f["lhs"], f["rhs"])
-                for f in obj["failures"]
-            ],
-            skipped=[
-                SkippedCase(dict(s["params"]), s["reason"])
-                for s in obj.get("skipped", [])
-            ],
-        )
-
 
 def _validate_box(identity: Identity, box: Mapping[str, tuple[int, int]]) -> None:
     names = identity.param_names

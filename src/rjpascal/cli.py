@@ -27,6 +27,7 @@ import sys
 from . import spectral
 from .binomial import DEFAULT_BOXES, Identity, sweep_identity
 from .pascal import build_r, build_rx, build_u, build_w
+from .ring import X, IntPoly
 
 
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
@@ -158,9 +159,8 @@ def _cmd_show(args) -> int:
 
 
 def _cmd_eigen(args) -> int:
-    lams = [spectral.eigenvalue(args.n, j) for j in range(1, args.n + 1)]
-    if args.x is not None:
-        lams = [lam.specialize(args.x) for lam in lams]
+    x_image = X if args.x is None else IntPoly.const(args.x)
+    lams = [spectral.eigenvalue(args.n, j, x_image) for j in range(1, args.n + 1)]
     gap = None if args.x is None else spectral.eigen_distinctness(args.n, args.x)
     if args.format == "json":
         obj = {

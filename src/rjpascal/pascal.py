@@ -4,8 +4,8 @@
 entry (i, j) is C(i-1, n-j) with 1-based indices, so row i carries
 Pascal row i-1 pushed against the right edge.  ``build_rx`` is the
 one-parameter generalization whose (i, j) entry is C(i-1, n-j) x^(i+j-n-1);
-``build_u`` stacks its eigenvectors as columns and ``build_w`` is the
-rescaling of those columns whose square is a scalar matrix.
+``build_u`` stacks its eigenvectors as columns and ``build_w`` scales
+column j of U by (-1)^j a^(n-j), which makes its square a scalar matrix.
 
 Matrices are immutable after construction, multiplication is the naive
 cubic algorithm (coefficient growth dominates at these sizes), and all
@@ -19,18 +19,24 @@ from typing import Iterable, Sequence
 from .binomial import binom
 from .ring import IntPoly, RingElem, X, a_pow
 
+#: Dimensions kept by each builder's cache.
+BUILD_CACHE_SIZE = 64
+
 
 def _check_dimension(n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"matrix dimension must be a positive integer, got {n!r}")
 
 
-class IntMatrix:
-    """Square matrix of arbitrary-precision integers, row-major."""
+class _SquareMatrix:
+    """Shape, indexing, equality and display shared by both matrix types.
+
+    Equality is type-strict: an IntMatrix never equals a RingMatrix.
+    """
 
     __slots__ = ("n", "rows")
 
-    def __init__(self, rows: Iterable[Iterable[int]]):
+    def __init__(self, rows: Iterable[Iterable]):
         rs = tuple(tuple(row) for row in rows)
         _check_dimension(len(rs))
         for row in rs:
@@ -39,21 +45,35 @@ class IntMatrix:
         self.n = len(rs)
         self.rows = rs
 
-    @classmethod
-    def identity(cls, n: int) -> IntMatrix:
-        _check_dimension(n)
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def entry(self, i: int, j: int) -> int:
+    def entry(self, i: int, j: int):
         """Entry at 1-based position (i, j)."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexError(f"({i}, {j}) outside 1..{self.n}")
         return self.rows[i - 1][j - 1]
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, IntMatrix):
+        if type(other) is not type(self):
             return NotImplemented
         return self.rows == other.rows
+
+    def __str__(self) -> str:
+        cells = [[str(e) for e in row] for row in self.rows]
+        widths = [max(len(cells[i][j]) for i in range(self.n)) for j in range(self.n)]
+        return "\n".join(
+            "[ " + "  ".join(cells[i][j].rjust(widths[j]) for j in range(self.n)) + " ]"
+            for i in range(self.n)
+        )
+
+
+class IntMatrix(_SquareMatrix):
+    """Square matrix of arbitrary-precision integers, row-major."""
+
+    __slots__ = ()
+
+    @classmethod
+    def identity(cls, n: int) -> IntMatrix:
+        _check_dimension(n)
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __hash__(self):
         return hash(self.rows)
@@ -137,41 +157,23 @@ class IntMatrix:
             "entries": [[str(e) for e in row] for row in self.rows],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> IntMatrix:
-        m = cls([[int(e) for e in row] for row in obj["entries"]])
-        if m.n != obj["n"]:
-            raise ValueError("dimension field does not match entries")
-        return m
-
     def to_csv(self) -> str:
         """Plain decimal CSV, one row per line, trailing newline."""
         return "".join(",".join(str(e) for e in row) + "\n" for row in self.rows)
-
-    def __str__(self) -> str:
-        cells = [[str(e) for e in row] for row in self.rows]
-        widths = [max(len(cells[i][j]) for i in range(self.n)) for j in range(self.n)]
-        return "\n".join(
-            "[ " + "  ".join(cells[i][j].rjust(widths[j]) for j in range(self.n)) + " ]"
-            for i in range(self.n)
-        )
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
 
 
-class RingMatrix:
+class RingMatrix(_SquareMatrix):
     """Square matrix of RingElem entries sharing one coefficient ring."""
 
-    __slots__ = ("n", "rows", "x_image")
+    __slots__ = ("x_image",)
 
     def __init__(self, rows: Iterable[Iterable[RingElem]]):
-        rs = tuple(tuple(row) for row in rows)
-        _check_dimension(len(rs))
+        super().__init__(rows)
         x_image = None
-        for row in rs:
-            if len(row) != len(rs):
-                raise ValueError("matrix must be square")
+        for row in self.rows:
             for e in row:
                 if not isinstance(e, RingElem):
                     raise TypeError(f"entries must be RingElem, got {type(e).__name__}")
@@ -179,8 +181,6 @@ class RingMatrix:
                     x_image = e.x_image
                 elif e.x_image != x_image:
                     raise ValueError("entries mix different x images")
-        self.n = len(rs)
-        self.rows = rs
         self.x_image = x_image
 
     @classmethod
@@ -190,31 +190,11 @@ class RingMatrix:
         zero = RingElem(0, 0, x_image)
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def diagonal(cls, elems: Sequence[RingElem]) -> RingMatrix:
-        n = len(elems)
-        _check_dimension(n)
-        zero = RingElem(0, 0, elems[0].x_image)
-        return cls(
-            [[elems[i] if i == j else zero for j in range(n)] for i in range(n)]
-        )
-
-    def entry(self, i: int, j: int) -> RingElem:
-        """Entry at 1-based position (i, j)."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexError(f"({i}, {j}) outside 1..{self.n}")
-        return self.rows[i - 1][j - 1]
-
     def column(self, j: int) -> tuple[RingElem, ...]:
         """Column j (1-based) as a vector."""
         if not (1 <= j <= self.n):
             raise IndexError(f"column {j} outside 1..{self.n}")
         return tuple(row[j - 1] for row in self.rows)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RingMatrix):
-            return NotImplemented
-        return self.rows == other.rows
 
     def _dot(self, row, col) -> RingElem:
         acc = RingElem(0, 0, self.x_image)
@@ -240,6 +220,12 @@ class RingMatrix:
     def scalar_mul(self, c) -> RingMatrix:
         return RingMatrix([[e * c for e in row] for row in self.rows])
 
+    def scale_columns(self, factors: Sequence[RingElem]) -> RingMatrix:
+        """Multiply column j by factors[j-1]: self @ diag(factors)."""
+        return RingMatrix(
+            [[e * f for e, f in zip(row, factors)] for row in self.rows]
+        )
+
     def trace(self) -> RingElem:
         acc = RingElem(0, 0, self.x_image)
         for i in range(self.n):
@@ -263,28 +249,11 @@ class RingMatrix:
             "entries": [[e.to_json() for e in row] for row in self.rows],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict, x_image: IntPoly = X) -> RingMatrix:
-        m = cls(
-            [[RingElem.from_json(e, x_image) for e in row] for row in obj["entries"]]
-        )
-        if m.n != obj["n"]:
-            raise ValueError("dimension field does not match entries")
-        return m
-
-    def __str__(self) -> str:
-        cells = [[str(e) for e in row] for row in self.rows]
-        widths = [max(len(cells[i][j]) for i in range(self.n)) for j in range(self.n)]
-        return "\n".join(
-            "[ " + "  ".join(cells[i][j].rjust(widths[j]) for j in range(self.n)) + " ]"
-            for i in range(self.n)
-        )
-
     def __repr__(self) -> str:
         return f"RingMatrix(n={self.n})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BUILD_CACHE_SIZE)
 def build_r(n: int) -> IntMatrix:
     """The right-justified Pascal matrix: entry (i, j) = C(i-1, n-j)."""
     _check_dimension(n)
@@ -293,7 +262,7 @@ def build_r(n: int) -> IntMatrix:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BUILD_CACHE_SIZE)
 def build_rx(n: int) -> RingMatrix:
     """One-parameter family: entry (i, j) = C(i-1, n-j) x^(i+j-n-1).
 
@@ -316,7 +285,7 @@ def build_rx(n: int) -> RingMatrix:
     return RingMatrix(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BUILD_CACHE_SIZE)
 def build_u(n: int) -> RingMatrix:
     """Eigenvector columns: u(i,j) = sum_{k=1..j} (-1)^(i-k) C(i-1,k-1) C(n-i,j-k) a^(2k-i-1)."""
     _check_dimension(n)
@@ -337,30 +306,12 @@ def build_u(n: int) -> RingMatrix:
     return RingMatrix(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BUILD_CACHE_SIZE)
 def build_w(n: int) -> RingMatrix:
-    """Scaled eigenvector matrix with entry
-    w(i,j) = (-1)^j a^(n-j) sum_{r=1..j} (-1)^(i-r) C(i-1,r-1) C(n-i,j-r) a^(2r-i-1).
+    """Scaled eigenvector matrix: column j of build_u(n) times (-1)^j a^(n-j).
 
-    Built from its own formula rather than by scaling build_u columns, so
-    the two constructions cross-check each other; its square is
-    (1 + a^2)^(n-1) times the identity.
+    Its square is (1 + a^2)^(n-1) times the identity.
     """
-    _check_dimension(n)
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            acc = RingElem(0, 0)
-            for r in range(1, j + 1):
-                c = binom(i - 1, r - 1) * binom(n - i, j - r)
-                if c == 0:
-                    continue
-                if (i - r) % 2:
-                    c = -c
-                acc = acc + a_pow(2 * r - i - 1) * c
-            if j % 2:
-                acc = -acc
-            row.append(a_pow(n - j) * acc)
-        rows.append(row)
-    return RingMatrix(rows)
+    return build_u(n).scale_columns(
+        [-a_pow(n - j) if j % 2 else a_pow(n - j) for j in range(1, n + 1)]
+    )

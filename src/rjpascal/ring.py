@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class ExactDivisionError(ArithmeticError):
@@ -167,10 +167,6 @@ class IntPoly:
         """Coefficients as decimal strings, ascending degree (JSON form)."""
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_strings(cls, items: Sequence) -> IntPoly:
-        return cls(int(s) for s in items)
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -216,10 +212,6 @@ class RingElem:
     @property
     def is_zero(self) -> bool:
         return self.c0.is_zero and self.c1.is_zero
-
-    @property
-    def is_specialized(self) -> bool:
-        return self.x_image != X
 
     def _coerce(self, other):
         if isinstance(other, RingElem):
@@ -348,14 +340,6 @@ class RingElem:
         """JSON form {"c0": [...], "c1": [...]}, decimal strings ascending."""
         return {"c0": self.c0.coeff_strings(), "c1": self.c1.coeff_strings()}
 
-    @classmethod
-    def from_json(cls, obj: dict, x_image: IntPoly = X) -> RingElem:
-        return cls(
-            IntPoly.from_strings(obj["c0"]),
-            IntPoly.from_strings(obj["c1"]),
-            x_image,
-        )
-
     def _a_part_str(self) -> str:
         """Render c1*a, e.g. 'a', '-3·a', '(x + 1)·a'."""
         cs = self.c1.coeffs
@@ -393,7 +377,12 @@ ONE = RingElem(1, 0)
 A = RingElem(0, 1)
 
 
-@lru_cache(maxsize=None)
+#: Entries kept by the a_pow cache.  Every exponent is a distinct key, so
+#: an unbounded cache would grow with each new power that is asked for.
+A_POW_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=A_POW_CACHE_SIZE)
 def _a_pow_cached(e: int, x_image: IntPoly) -> RingElem:
     if e >= 0:
         base = RingElem(0, 1, x_image)

@@ -3,10 +3,16 @@
 The eigenvalue attached to column j of an n-dimensional family member is
 (-1)^(n+j) a^(2j-n-1), an exact unit of the coefficient ring.  Because
 the scaled eigenvector matrix W satisfies W^2 = (1+a^2)^(n-1) I, integer
-powers of the Pascal matrix come out of W diag(lambda^m) W divided by
-(1+a^2)^(n-1); the division is performed exactly in the ring and any
-remainder or leftover a-component is a hard error, which makes the power
-routine a self-test of the whole formula chain.
+powers of the Pascal matrix are W diag(lambda^m) W divided by
+(1+a^2)^(n-1).  The diagonal factor is applied by scaling column j of W
+by lambda_j^m, so one matrix product remains.  The division is performed
+exactly in the ring and any remainder or leftover a-component is a hard
+error, which makes the power routine a self-test of the whole formula
+chain.
+
+Eigenvalues and the involution scale take the image of x in the target
+ring (X for Z[x], a constant for an integer x) and are computed there
+directly; specializing the Z[x] value gives the same element.
 
 Numeric checks evaluate everything in double precision at the positive
 root and report max-norm residuals; exact checks carry zero tolerance.
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pascal import IntMatrix, RingMatrix, build_r, build_rx, build_u, build_w
-from .ring import A, ONE, RingElem, a_pow, metallic_ratio
+from .ring import X, IntPoly, RingElem, a_pow, metallic_ratio
 
 
 def default_tolerance(n: int) -> float:
@@ -32,31 +38,17 @@ def _check_index(n: int, j: int) -> None:
         raise IndexError(f"index {j} outside 1..{n}")
 
 
-def eigenvalue(n: int, j: int) -> RingElem:
-    """The j-th eigenvalue (-1)^(n+j) a^(2j-n-1), 1 <= j <= n."""
-    _check_index(n, j)
-    lam = a_pow(2 * j - n - 1)
-    return -lam if (n + j) % 2 else lam
+def eigenvalue(n: int, j: int, x_image: IntPoly = X) -> RingElem:
+    """The j-th eigenvalue (-1)^(n+j) a^(2j-n-1), 1 <= j <= n, in the ring
+    where x maps to ``x_image``."""
+    return eigenvalue_power(n, j, 1, x_image)
 
 
-def eigenvalue_power(n: int, j: int, m: int) -> RingElem:
+def eigenvalue_power(n: int, j: int, m: int, x_image: IntPoly = X) -> RingElem:
     """lambda_j^m for any integer m; negative m negates the a-exponent."""
     _check_index(n, j)
-    lam = a_pow(m * (2 * j - n - 1))
+    lam = a_pow(m * (2 * j - n - 1), x_image)
     return -lam if ((n + j) % 2 and m % 2) else lam
-
-
-@dataclass
-class EigenPair:
-    """Eigenvalue and eigenvector for one column index (1-based)."""
-
-    index: int
-    value: RingElem
-    vector: tuple[RingElem, ...]
-
-
-def eigen_pair(n: int, j: int) -> EigenPair:
-    return EigenPair(j, eigenvalue(n, j), build_u(n).column(j))
 
 
 def verify_eigenpair(n: int, p: int, x: int | None = 1) -> bool:
@@ -68,20 +60,20 @@ def verify_eigenpair(n: int, p: int, x: int | None = 1) -> bool:
     _check_index(n, p)
     r = build_rx(n)
     u = build_u(n)
-    lam = eigenvalue(n, p)
     if x is not None:
         r = r.specialize(x)
         u = u.specialize(x)
-        lam = lam.specialize(x)
+    lam = eigenvalue(n, p, u.x_image)
     col = u.column(p)
     lhs = r.mul_vector(col)
     rhs = tuple(lam * e for e in col)
     return lhs == rhs
 
 
-def involution_scale(n: int) -> RingElem:
-    """(1 + a^2)^(n-1), the scalar square of the W matrix."""
-    return (ONE + A * A) ** (n - 1)
+def involution_scale(n: int, x_image: IntPoly = X) -> RingElem:
+    """(1 + a^2)^(n-1), the scalar square of the W matrix, in the ring
+    where x maps to ``x_image``."""
+    return (a_pow(2, x_image) + 1) ** (n - 1)
 
 
 def verify_involution(n: int, x: int | None = 1) -> bool:
@@ -91,10 +83,9 @@ def verify_involution(n: int, x: int | None = 1) -> bool:
     stronger polynomial-entry form of the statement.
     """
     w = build_w(n)
-    scale = involution_scale(n)
     if x is not None:
         w = w.specialize(x)
-        scale = scale.specialize(x)
+    scale = involution_scale(n, w.x_image)
     lhs = w @ w
     rhs = RingMatrix.identity(n, w.x_image).scalar_mul(scale)
     return lhs == rhs
@@ -113,17 +104,16 @@ class PowerResult:
 def matrix_power_closed_form(n: int, m: int) -> PowerResult:
     """m-th power of the n x n Pascal matrix via the spectral identity.
 
-    Computes W diag(lambda_j^m) W at x = 1 and divides each entry by
+    Computes W diag(lambda_j^m) W at x = 1, with the diagonal factor
+    applied as a column scaling of W, and divides each entry by
     (1 + a^2)^(n-1).  Every quotient must be a plain integer; a failed
     division or a leftover a-component raises (ExactDivisionError or
     ValueError) and would signal a formula bug, never an expected state.
     """
     w = build_w(n).specialize(1)
-    diag = RingMatrix.diagonal(
-        [eigenvalue_power(n, j, m).specialize(1) for j in range(1, n + 1)]
-    )
-    raw = w @ diag @ w
-    scale = involution_scale(n).specialize(1)
+    lams = [eigenvalue_power(n, j, m, w.x_image) for j in range(1, n + 1)]
+    raw = w.scale_columns(lams) @ w
+    scale = involution_scale(n, w.x_image)
     entries = [
         [e.divide_exact(scale).as_int() for e in row] for row in raw.rows
     ]

@@ -1,5 +1,4 @@
 """Unit tests for generalized binomials and the identity sweep engine."""
-import json
 import math
 
 import pytest
@@ -7,7 +6,6 @@ import pytest
 from rjpascal.binomial import (
     DEFAULT_BOXES,
     Identity,
-    IdentityReport,
     InfiniteSupportError,
     binom,
     check_alternating_delta,
@@ -187,17 +185,6 @@ class TestSweep:
     def test_default_boxes_match_identities(self):
         for ident, box in DEFAULT_BOXES.items():
             assert set(box) == set(ident.param_names)
-
-    def test_report_json_roundtrip(self):
-        rep = sweep_identity(Identity.DOUBLE_DELTA, {"N": (-2, 2), "L": (0, 3)})
-        packed = json.loads(json.dumps(rep.to_json()))
-        again = IdentityReport.from_json(packed)
-        assert again.identity == rep.identity
-        assert again.box == rep.box
-        assert again.cases_checked == rep.cases_checked
-        assert again.failures == rep.failures
-        assert again.skipped == rep.skipped
-        assert again.to_json() == packed
 
     def test_report_records_failures(self):
         # a sweep that bypasses the domain filter must expose disagreements,

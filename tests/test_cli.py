@@ -2,8 +2,8 @@
 import json
 
 from rjpascal import cli
-from rjpascal.pascal import IntMatrix, RingMatrix
-from rjpascal.ring import IntPoly
+from rjpascal.binomial import Identity, sweep_identity
+from rjpascal.pascal import build_r, build_u, build_w
 
 
 def run(capsys, *argv):
@@ -26,9 +26,7 @@ class TestShow:
     def test_show_r_json_roundtrip(self, capsys):
         code, out, _ = run(capsys, "show-r", "--n", "4", "--format", "json")
         assert code == 0
-        obj = json.loads(out)
-        again = IntMatrix.from_json(obj)
-        assert again.to_json() == obj
+        assert json.loads(out) == build_r(4).to_json()
 
     def test_show_r_other_x(self, capsys):
         code, out, _ = run(capsys, "show-r", "--n", "2", "--x", "3", "--format", "csv")
@@ -50,15 +48,12 @@ class TestShow:
         code, out, _ = run(capsys, "show-w", "--n", "3", "--x", "symbolic",
                            "--format", "json")
         assert code == 0
-        obj = json.loads(out)
-        assert RingMatrix.from_json(obj).to_json() == obj
+        assert json.loads(out) == build_w(3).to_json()
 
     def test_show_u_json_roundtrip_at_one(self, capsys):
         code, out, _ = run(capsys, "show-u", "--n", "3", "--format", "json")
         assert code == 0
-        obj = json.loads(out)
-        again = RingMatrix.from_json(obj, x_image=IntPoly.const(1))
-        assert again.to_json() == obj
+        assert json.loads(out) == build_u(3).specialize(1).to_json()
 
     def test_show_w_csv_rejected_by_parser(self, capsys):
         code, _, err = run(capsys, "show-w", "--n", "2", "--format", "csv")
@@ -241,13 +236,11 @@ class TestIdentities:
         assert "N >= 0" in err
 
     def test_report_roundtrip(self, capsys):
-        from rjpascal.binomial import IdentityReport
-
+        box = {"M": (-2, 2), "N": (-2, 2), "L": (0, 2)}
         code, out, _ = run(capsys, "identities", "--only", "vandermonde",
                            "--M", "-2..2", "--N", "-2..2", "--L", "0..2")
         assert code == 0
-        obj = json.loads(out)[0]
-        assert IdentityReport.from_json(obj).to_json() == obj
+        assert json.loads(out) == [sweep_identity(Identity.VANDERMONDE, box).to_json()]
 
     def test_pretty(self, capsys):
         code, out, _ = run(capsys, "identities", "--only", "trinomial",

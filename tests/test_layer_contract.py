@@ -1,0 +1,37 @@
+"""The benchmark's traced run must still find every layer it wraps.
+
+``perfbench/tracer.py`` wraps methods of rjpascal by name.  A rename in
+the package would leave a wrapper that never fires, so the per-layer
+counts would silently read zero.  This runs the tracer on a tiny verify
+and checks that the oracle and specialization layers fire at x = 1 and
+stay bypassed over Z[x].
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = ("pascal.int_matmul", "pascal.det", "pascal.inverse", "ring.specialize")
+
+
+def traced_counts(tmp_path, x):
+    out = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(out), "t", "--",
+         "verify", "--n", "3", "--check", "all", "--x", x],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {name: stat[0] for name, stat in json.loads(out.read_text())["stats"].items()}
+
+
+@pytest.mark.parametrize("x", ["1", "symbolic"])
+def test_tracer_layers(tmp_path, x):
+    counts = traced_counts(tmp_path, x)
+    for name in LAYERS:
+        assert (counts[name] > 0) == (x == "1"), (name, counts[name])

@@ -8,7 +8,6 @@ from rjpascal.ring import A, ONE, IntPoly, RingElem, X
 from rjpascal.spectral import (
     default_tolerance,
     eigen_distinctness,
-    eigen_pair,
     eigenbasis_det_numeric,
     eigenvalue,
     eigenvalue_power,
@@ -72,19 +71,41 @@ class TestEigenvaluePower:
                     assert prod == ONE
 
 
+class TestSpecializeCommutes:
+    """Computing in the target ring equals specializing the Z[x] value."""
+
+    @pytest.mark.parametrize("c", range(-3, 4))
+    def test_eigenvalue(self, c):
+        for n in range(1, 9):
+            for j in range(1, n + 1):
+                assert eigenvalue(n, j, IntPoly.const(c)) == eigenvalue(n, j).specialize(c)
+
+    @pytest.mark.parametrize("c", range(-3, 4))
+    def test_eigenvalue_power(self, c):
+        for n in range(1, 9):
+            for j in range(1, n + 1):
+                for m in range(-3, 7):
+                    got = eigenvalue_power(n, j, m, IntPoly.const(c))
+                    assert got == eigenvalue_power(n, j, m).specialize(c)
+
+    @pytest.mark.parametrize("c", range(-3, 4))
+    def test_involution_scale(self, c):
+        for n in range(1, 9):
+            assert involution_scale(n, IntPoly.const(c)) == involution_scale(n).specialize(c)
+
+
 class TestEigenPair:
     def test_components(self):
-        pair = eigen_pair(3, 2)
-        assert pair.index == 2
-        assert pair.value == eigenvalue(3, 2)
-        assert pair.vector == build_u(3).column(2)
+        # hand computation: R(x) (2, x, -2) = (-2, -x, 2) at n = 3
+        assert eigenvalue(3, 2) == -ONE
+        assert build_u(3).column(2) == (RingElem(2), RingElem(X), RingElem(-2))
 
     def test_pair_satisfies_eigen_equation(self):
         for n in range(1, 6):
             for j in range(1, n + 1):
-                pair = eigen_pair(n, j)
-                lhs = build_rx(n).mul_vector(pair.vector)
-                assert lhs == tuple(pair.value * e for e in pair.vector)
+                lam, vec = eigenvalue(n, j), build_u(n).column(j)
+                lhs = build_rx(n).mul_vector(vec)
+                assert lhs == tuple(lam * e for e in vec)
 
 
 class TestVerifyEigenpair:
@@ -173,6 +194,10 @@ class TestMatrixPower:
     def test_oracle_equivalence(self, n):
         for m in range(-2, 5):
             assert matrix_power_closed_form(n, m).matrix == matrix_power_oracle(n, m)
+
+    @pytest.mark.parametrize("n, m", [(4, 2000), (4, -2000), (8, 500), (8, -500)])
+    def test_oracle_equivalence_large_exponent(self, n, m):
+        assert matrix_power_closed_form(n, m).matrix == matrix_power_oracle(n, m)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_inverse_consistency(self, n):
