@@ -7,13 +7,17 @@ one-parameter generalization whose (i, j) entry is C(i-1, n-j) x^(i+j-n-1);
 ``build_u`` stacks its eigenvectors as columns and ``build_w`` scales
 column j of U by (-1)^j a^(n-j), which makes its square a scalar matrix.
 
-Matrices are immutable after construction, multiplication is the naive
-cubic algorithm (coefficient growth dominates at these sizes), and all
-public index contracts are 1-based to match the entry formulas.
+Matrices are immutable after construction and all public index
+contracts are 1-based to match the entry formulas.  Products of ring
+matrices share one dot-product kernel: each entry is three sums over
+bare coefficients, reduced with a^2 = x a + 1 once per entry rather
+than once per term; at an integer x those sums run on plain ints.  The
+integer inverse is a fraction-free Gauss-Jordan elimination, O(n^3).
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .binomial import binom
@@ -83,11 +87,8 @@ class IntMatrix(_SquareMatrix):
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        n = self.n
         cols = tuple(zip(*other.rows))
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
+        return IntMatrix([[sum(map(mul, row, col)) for col in cols] for row in self.rows])
 
     def __pow__(self, e: int) -> IntMatrix:
         if e < 0:
@@ -127,28 +128,33 @@ class IntMatrix(_SquareMatrix):
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
 
-    def _minor(self, i: int, j: int) -> IntMatrix:
-        return IntMatrix(
-            [
-                [self.rows[r][c] for c in range(self.n) if c != j]
-                for r in range(self.n) if r != i
-            ]
-        )
-
     def inverse_unimodular(self) -> IntMatrix:
-        """Exact integer inverse via the adjugate; requires det = +/-1."""
+        """Exact integer inverse; requires det = +/-1.
+
+        Fraction-free Gauss-Jordan elimination (Bareiss) on [self | I]:
+        step k replaces every row i != k by (p_k row_i - a_ik row_k) / p_(k-1),
+        an exact division, where p_k is the k-th pivot.  The left half ends
+        as d I and the right half as d times the inverse, with d = +/-1.
+        """
         d = self.det()
         if d not in (1, -1):
             raise ValueError(f"matrix is not unimodular (det = {d})")
         n = self.n
-        if n == 1:
-            return IntMatrix([[d]])
-        inv = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                cof = (-1) ** ((i + j) % 2) * self._minor(i, j).det()
-                inv[j][i] = cof * d
-        return IntMatrix(inv)
+        m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.rows)]
+        prev = 1
+        for k in range(n):
+            if m[k][k] == 0:
+                # det != 0, so a later row has a nonzero entry in column k
+                i = next(i for i in range(k + 1, n) if m[i][k])
+                m[k], m[i] = m[i], m[k]
+            top = m[k]
+            pivot = top[k]
+            for i in range(n):
+                if i != k:
+                    f = m[i][k]
+                    m[i] = [(pivot * a - f * b) // prev for a, b in zip(m[i], top)]
+            prev = pivot
+        return IntMatrix([row[n:] if prev == 1 else [-e for e in row[n:]] for row in m])
 
     def to_json(self) -> dict:
         """JSON form {"n": n, "entries": [[...]]} with decimal-string entries."""
@@ -196,26 +202,27 @@ class RingMatrix(_SquareMatrix):
             raise IndexError(f"column {j} outside 1..{self.n}")
         return tuple(row[j - 1] for row in self.rows)
 
-    def _dot(self, row, col) -> RingElem:
-        acc = RingElem(0, 0, self.x_image)
-        for a, b in zip(row, col):
-            acc = acc + a * b
-        return acc
+    def _check_ring(self, x_image: IntPoly) -> None:
+        if x_image != self.x_image:
+            raise ValueError(
+                "cannot combine ring elements with different x images: "
+                f"{self.x_image} vs {x_image}"
+            )
 
     def __matmul__(self, other: RingMatrix) -> RingMatrix:
         if not isinstance(other, RingMatrix):
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        cols = tuple(zip(*other.rows))
-        return RingMatrix(
-            [[self._dot(row, col) for col in cols] for row in self.rows]
-        )
+        self._check_ring(other.x_image)
+        return RingMatrix(_dot_products(self.rows, tuple(zip(*other.rows)), self.x_image))
 
     def mul_vector(self, vec: Sequence[RingElem]) -> tuple[RingElem, ...]:
         if len(vec) != self.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {len(vec)}")
-        return tuple(self._dot(row, vec) for row in self.rows)
+        for e in vec:
+            self._check_ring(e.x_image)
+        return tuple(row[0] for row in _dot_products(self.rows, (vec,), self.x_image))
 
     def scalar_mul(self, c) -> RingMatrix:
         return RingMatrix([[e * c for e in row] for row in self.rows])
@@ -251,6 +258,41 @@ class RingMatrix(_SquareMatrix):
 
     def __repr__(self) -> str:
         return f"RingMatrix(n={self.n})"
+
+
+def _coefficients(vectors, unwrap) -> list[tuple[list, list]]:
+    """The c0 and c1 parts of each vector's entries, passed through unwrap."""
+    return [([unwrap(e.c0) for e in v], [unwrap(e.c1) for e in v]) for v in vectors]
+
+
+def _same(c):
+    return c
+
+
+def _dot_products(rows, cols, x_image: IntPoly) -> list[list[RingElem]]:
+    """sum_k row[k] * col[k] for every row and column, all in one ring.
+
+    With p = p0 + p1 a and q = q0 + q1 a, each entry sums p0 q0, p1 q1 and
+    p0 q1 + p1 q0 over k on bare coefficients, then applies a^2 = x a + 1
+    once.  At an integer x the coefficients are taken out of their
+    constant polynomials as ints and wrapped back afterwards; over Z[x]
+    the same sums run on the polynomials themselves.
+    """
+    if x_image.degree() < 1:
+        x, unwrap, wrap = x_image.constant_value(), IntPoly.constant_value, IntPoly.const
+    else:
+        x, unwrap, wrap = x_image, _same, _same
+    cols = _coefficients(cols, unwrap)
+    out = []
+    for p0, p1 in _coefficients(rows, unwrap):
+        out_row = []
+        for q0, q1 in cols:
+            cross = sum(map(mul, p1, q1))
+            c0 = sum(map(mul, p0, q0)) + cross
+            c1 = sum(map(mul, p0, q1)) + sum(map(mul, p1, q0)) + x * cross
+            out_row.append(RingElem(wrap(c0), wrap(c1), x_image))
+        out.append(out_row)
+    return out
 
 
 @lru_cache(maxsize=BUILD_CACHE_SIZE)

@@ -301,8 +301,15 @@ class RingElem:
         return n.c0
 
     def divide_exact(self, divisor: RingElem) -> RingElem:
-        """Exact quotient self / divisor; ExactDivisionError if not exact."""
+        """Exact quotient self / divisor; ExactDivisionError if not exact.
+
+        A divisor in the coefficient ring (zero a-part) divides both parts
+        directly; any other divisor goes through its conjugate and norm.
+        """
         divisor = self._coerce(divisor)
+        if divisor.c1.is_zero:
+            den = divisor.c0
+            return RingElem(self.c0.exact_div(den), self.c1.exact_div(den), self.x_image)
         num = self * divisor.conjugate()
         den = divisor.norm()
         return RingElem(num.c0.exact_div(den), num.c1.exact_div(den), self.x_image)

@@ -16,15 +16,17 @@ directly; specializing the Z[x] value gives the same element.
 
 Numeric checks evaluate everything in double precision at the positive
 root and report max-norm residuals; exact checks carry zero tolerance.
+numpy is imported inside the numeric checks only, so the exact paths
+never load it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-import numpy as np
-
-from .pascal import IntMatrix, RingMatrix, build_r, build_rx, build_u, build_w
+from .pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, build_r, build_rx,
+                     build_u, build_w)
 from .ring import X, IntPoly, RingElem, a_pow, metallic_ratio
 
 
@@ -51,6 +53,13 @@ def eigenvalue_power(n: int, j: int, m: int, x_image: IntPoly = X) -> RingElem:
     return -lam if ((n + j) % 2 and m % 2) else lam
 
 
+@lru_cache(maxsize=BUILD_CACHE_SIZE)
+def _specialized(build, n: int, x: int | None) -> RingMatrix:
+    """build(n) with x specialized to the integer ``x``; over Z[x] when None."""
+    m = build(n)
+    return m if x is None else m.specialize(x)
+
+
 def verify_eigenpair(n: int, p: int, x: int | None = 1) -> bool:
     """Exact check that the matrix maps column p of U to lambda_p times it.
 
@@ -58,11 +67,8 @@ def verify_eigenpair(n: int, p: int, x: int | None = 1) -> bool:
     (default 1, the golden-ratio case), None keeps Z[x] coefficients.
     """
     _check_index(n, p)
-    r = build_rx(n)
-    u = build_u(n)
-    if x is not None:
-        r = r.specialize(x)
-        u = u.specialize(x)
+    r = _specialized(build_rx, n, x)
+    u = _specialized(build_u, n, x)
     lam = eigenvalue(n, p, u.x_image)
     col = u.column(p)
     lhs = r.mul_vector(col)
@@ -82,9 +88,7 @@ def verify_involution(n: int, x: int | None = 1) -> bool:
     With ``x=None`` the comparison is over Z[x] coefficients, the
     stronger polynomial-entry form of the statement.
     """
-    w = build_w(n)
-    if x is not None:
-        w = w.specialize(x)
+    w = _specialized(build_w, n, x)
     scale = involution_scale(n, w.x_image)
     lhs = w @ w
     rhs = RingMatrix.identity(n, w.x_image).scalar_mul(scale)
@@ -106,23 +110,27 @@ def matrix_power_closed_form(n: int, m: int) -> PowerResult:
 
     Computes W diag(lambda_j^m) W at x = 1, with the diagonal factor
     applied as a column scaling of W, and divides each entry by
-    (1 + a^2)^(n-1).  Every quotient must be a plain integer; a failed
-    division or a leftover a-component raises (ExactDivisionError or
-    ValueError) and would signal a formula bug, never an expected state.
+    (1 + a^2)^(n-1): it multiplies by the conjugate of that scale and
+    divides by its norm, (x^2 + 4)^(n-1) = 5^(n-1), both computed once.
+    Every quotient must be a plain integer; a failed division or a
+    leftover a-component raises (ExactDivisionError or ValueError) and
+    would signal a formula bug, never an expected state.
     """
-    w = build_w(n).specialize(1)
+    w = _specialized(build_w, n, 1)
     lams = [eigenvalue_power(n, j, m, w.x_image) for j in range(1, n + 1)]
     raw = w.scale_columns(lams) @ w
     scale = involution_scale(n, w.x_image)
+    conj, norm = scale.conjugate(), scale.norm()
     entries = [
-        [e.divide_exact(scale).as_int() for e in row] for row in raw.rows
+        [(e * conj).divide_exact(norm).as_int() for e in row] for row in raw.rows
     ]
     return PowerResult(n, m, IntMatrix(entries), raw)
 
 
 def matrix_power_oracle(n: int, m: int) -> IntMatrix:
     """Independent m-th power: repeated integer multiplication, and for
-    negative m the adjugate inverse (the determinant is +/-1)."""
+    negative m the fraction-free Gauss-Jordan inverse (the determinant
+    is +/-1)."""
     r = build_r(n)
     if m >= 0:
         return r ** m
@@ -150,6 +158,8 @@ def eigen_distinctness(n: int, x_value: float = 1.0) -> float:
 
 def eigenbasis_det_numeric(n: int, x_value: float = 1.0) -> float:
     """Determinant of the numeric eigenvector matrix (independence check)."""
+    import numpy as np
+
     return float(np.linalg.det(np.array(build_u(n).eval_float(x_value))))
 
 
@@ -186,6 +196,8 @@ def verify_diagonalization_numeric(
 ) -> DiagonalizationReport:
     """Build V = W / (1+a^2)^((n-1)/2) numerically and report
     max-norm residuals of V@V - I and V@R@V - diag(lambda)."""
+    import numpy as np
+
     if tol is None:
         tol = default_tolerance(n)
     a = metallic_ratio(x_value)

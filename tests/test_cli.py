@@ -1,5 +1,9 @@
 """CLI tests: flag surface, output formats, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from rjpascal import cli
 from rjpascal.binomial import Identity, sweep_identity
@@ -292,3 +296,13 @@ class TestUsageErrors:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "identities" in out
+
+
+def test_cli_import_does_not_load_numpy():
+    # only the numeric checks need numpy; the exact commands start without it
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, rjpascal.cli; sys.exit('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr or "numpy was imported"

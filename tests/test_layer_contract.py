@@ -3,8 +3,9 @@
 ``perfbench/tracer.py`` wraps methods of rjpascal by name.  A rename in
 the package would leave a wrapper that never fires, so the per-layer
 counts would silently read zero.  This runs the tracer on a tiny verify
-and checks that the oracle and specialization layers fire at x = 1 and
-stay bypassed over Z[x].
+and checks that the oracle, specialization and division layers fire at
+x = 1 and stay bypassed over Z[x], and that the ring arithmetic and
+matrix product layers fire in both modes.
 """
 import json
 import os
@@ -15,7 +16,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("pascal.int_matmul", "pascal.det", "pascal.inverse", "ring.specialize")
+LAYERS = ("pascal.int_matmul", "pascal.det", "pascal.inverse", "ring.specialize",
+          "ring.divide_exact")
+BOTH_MODES = ("ring.elem_mul", "ring.poly_mul", "pascal.ring_matmul")
 
 
 def traced_counts(tmp_path, x):
@@ -35,3 +38,5 @@ def test_tracer_layers(tmp_path, x):
     counts = traced_counts(tmp_path, x)
     for name in LAYERS:
         assert (counts[name] > 0) == (x == "1"), (name, counts[name])
+    for name in BOTH_MODES:
+        assert counts[name] > 0, name

@@ -4,9 +4,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rjpascal.pascal import IntMatrix, RingMatrix, build_r, build_rx, build_u, build_w
 from rjpascal.ring import A, ONE, IntPoly, RingElem, X, _a_pow_cached, a_pow, metallic_ratio
+from rjpascal.spectral import _specialized
 
 ONE_AT_1 = IntPoly.const(1)
 
@@ -184,11 +187,77 @@ class TestMatrixAlgebra:
         with pytest.raises(ValueError):
             RingMatrix([[A, A.specialize(1)], [A, A]])
 
+    def test_mixed_x_images_in_product_rejected(self):
+        w = build_w(2)
+        with pytest.raises(ValueError):
+            w @ w.specialize(1)
+        with pytest.raises(ValueError):
+            w.specialize(1) @ w.specialize(2)
+        with pytest.raises(ValueError):
+            w.mul_vector(w.specialize(1).column(1))
+        with pytest.raises(ValueError):
+            w.specialize(1).mul_vector((RingElem(1, 0, ONE_AT_1), A))
+
     def test_equality_is_type_strict(self):
         ring_r = build_rx(2).specialize(1)
         assert ring_r.to_int_matrix() == build_r(2)
         assert ring_r != build_r(2)
         assert build_r(2) != ring_r
+
+
+#: Images of x the product kernel is checked at: Z[x], then integers.
+X_IMAGES = [X] + [IntPoly.const(c) for c in (1, 0, -2, 3)]
+
+
+@st.composite
+def ring_elems(draw, x_image):
+    """Small elements of the ring where x maps to x_image."""
+    degree = 2 if x_image == X else 0
+    coeff = st.integers(-9, 9)
+    parts = [IntPoly(draw(st.lists(coeff, max_size=degree + 1))) for _ in range(2)]
+    return RingElem(*parts, x_image)
+
+
+@st.composite
+def operands(draw):
+    """A square matrix, a second one and a vector, all in one random ring."""
+    x_image = draw(st.sampled_from(X_IMAGES))
+    n = draw(st.integers(1, 4))
+    elems = st.lists(ring_elems(x_image), min_size=n, max_size=n)
+    a, b = (RingMatrix(draw(st.lists(elems, min_size=n, max_size=n))) for _ in range(2))
+    return a, b, tuple(draw(elems))
+
+
+def dot_by_definition(row, col):
+    """sum_k row[k] * col[k] with RingElem arithmetic, term by term."""
+    acc = row[0] * col[0]
+    for p, q in zip(row[1:], col[1:]):
+        acc = acc + p * q
+    return acc
+
+
+class TestProductKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(operands())
+    def test_matmul_matches_definition(self, ops):
+        a, b, _ = ops
+        n = a.n
+        want = [[dot_by_definition(a.rows[i], b.column(j)) for j in range(1, n + 1)]
+                for i in range(n)]
+        assert a @ b == RingMatrix(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(operands())
+    def test_mul_vector_matches_definition(self, ops):
+        a, _, v = ops
+        assert a.mul_vector(v) == tuple(dot_by_definition(row, v) for row in a.rows)
+
+    @pytest.mark.parametrize("x_image", X_IMAGES, ids=str)
+    def test_result_stays_in_the_ring(self, x_image):
+        w = build_w(3) if x_image == X else build_w(3).specialize(x_image.constant_value())
+        for e in (w @ w).rows[0] + w.mul_vector(w.column(1)):
+            assert e.x_image == x_image
+            assert isinstance(e.c0, IntPoly) and isinstance(e.c1, IntPoly)
 
 
 def det_by_cofactor_expansion(rows):
@@ -235,9 +304,26 @@ class TestDetAndInverse:
         assert r @ inv == IntMatrix.identity(n)
         assert inv @ r == IntMatrix.identity(n)
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_gauss_jordan_inverse_of_r(self, n):
+        r = build_r(n)
+        inv = r.inverse_unimodular()
+        assert inv @ r == IntMatrix.identity(n)
+        assert r @ inv == IntMatrix.identity(n)
+
+    def test_inverse_with_row_swaps(self):
+        # zero leading pivots force swaps; det = -1 and +1
+        for rows in ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 1], [-1, 3]],
+                     [[0, 0, 1], [0, 1, 4], [1, 5, 2]]):
+            m = IntMatrix(rows)
+            inv = m.inverse_unimodular()
+            assert m @ inv == IntMatrix.identity(m.n) == inv @ m
+
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
             IntMatrix([[2, 0], [0, 2]]).inverse_unimodular()
+        with pytest.raises(ValueError, match="det = 2"):
+            IntMatrix([[1, 1, 0], [0, 1, 1], [1, 0, 1]]).inverse_unimodular()
 
 
 class TestAccessAndValidation:
@@ -276,7 +362,7 @@ class TestSerialization:
 
 
 @pytest.mark.parametrize(
-    "cached", [build_r, build_rx, build_u, build_w, _a_pow_cached],
+    "cached", [build_r, build_rx, build_u, build_w, _a_pow_cached, _specialized],
     ids=lambda f: f.__name__,
 )
 def test_caches_are_bounded(cached):

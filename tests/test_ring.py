@@ -249,6 +249,20 @@ class TestDivisionAndExtraction:
         with pytest.raises(ExactDivisionError):
             A.divide_exact(RingElem(2))
 
+    def test_divide_by_coefficient(self):
+        # a zero a-part divides both parts directly, here by 5 = N(2 + a) at x = 1
+        one = IntPoly.const(1)
+        u = RingElem(10, -15, one)
+        assert u.divide_exact(5) == RingElem(2, -3, one)
+        assert u.divide_exact(IntPoly.const(-5)) == RingElem(-2, 3, one)
+        assert RingElem(X * X + 4 * X, 2 * X).divide_exact(X) == RingElem(X + 4, 2)
+
+    def test_divide_by_coefficient_inexact_raises(self):
+        with pytest.raises(ExactDivisionError):
+            RingElem(10, 7, IntPoly.const(1)).divide_exact(5)
+        with pytest.raises(ExactDivisionError):
+            RingElem(X, 1).divide_exact(X)
+
     def test_norm(self):
         # N(a) = -1, N(1 + a^2) = x^2 + 4
         assert A.norm() == IntPoly((-1,))

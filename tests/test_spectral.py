@@ -6,6 +6,7 @@ import pytest
 from rjpascal.pascal import IntMatrix, RingMatrix, build_r, build_rx, build_u, build_w
 from rjpascal.ring import A, ONE, IntPoly, RingElem, X
 from rjpascal.spectral import (
+    _specialized,
     default_tolerance,
     eigen_distinctness,
     eigenbasis_det_numeric,
@@ -92,6 +93,14 @@ class TestSpecializeCommutes:
     def test_involution_scale(self, c):
         for n in range(1, 9):
             assert involution_scale(n, IntPoly.const(c)) == involution_scale(n).specialize(c)
+
+
+@pytest.mark.parametrize("x", [None, 1, 0, -2, 3])
+def test_specialized_builders(x):
+    # the cache keys on x: each entry is the builder's matrix in x's own ring
+    for build in (build_rx, build_u, build_w):
+        want = build(4) if x is None else build(4).specialize(x)
+        assert _specialized(build, 4, x) == want
 
 
 class TestEigenPair:
