@@ -1,7 +1,9 @@
 """Generalized binomial coefficients and brute-force identity sweeps.
 
 ``binom`` accepts any integer upper parameter, positive or negative, and
-returns zero whenever the lower parameter is negative.  The symmetry law
+returns zero whenever the lower parameter is negative.  It is computed
+with ``math.comb``: directly for n >= 0, and through upper negation
+C(n, k) = (-1)^k C(k - n - 1, k) for n < 0.  The symmetry law
 C(n, k) = C(n, n - k) is deliberately never applied: it fails for
 negative n, and several checks below exist precisely to police that trap.
 
@@ -24,14 +26,17 @@ class InfiniteSupportError(ValueError):
 
 
 def binom(n: int, k: int) -> int:
-    """C(n, k) for any integers n, k: zero if k < 0, else n(n-1)...(n-k+1)/k!."""
+    """C(n, k) for any integers n, k: zero if k < 0, else n(n-1)...(n-k+1)/k!.
+
+    Computed by ``math.comb`` for n >= 0 (zero when k > n) and by upper
+    negation, (-1)^k C(k - n - 1, k), for n < 0; symmetry is never used.
+    """
     if k < 0:
         return 0
-    out = 1
-    for i in range(1, k + 1):
-        # any i consecutive integers multiply to a multiple of i!, so // is exact
-        out = out * (n - i + 1) // i
-    return out
+    if n >= 0:
+        return math.comb(n, k)
+    c = math.comb(k - n - 1, k)
+    return -c if k & 1 else c
 
 
 def check_star(n: int, j: int, k: int) -> tuple[int, int]:
@@ -41,8 +46,8 @@ def check_star(n: int, j: int, k: int) -> tuple[int, int]:
     factor has a negative lower parameter), so r runs over [0, K].
     """
     lhs = binom(n - j, k)
-    rhs = sum((-1) ** r * binom(n - r, k - r) * binom(j, r) for r in range(0, k + 1))
-    return lhs, rhs
+    terms = [binom(n - r, k - r) * binom(j, r) for r in range(0, k + 1)]
+    return lhs, sum(terms[0::2]) - sum(terms[1::2])
 
 
 def check_trinomial(i: int, j: int, k: int) -> tuple[int, int]:
@@ -88,9 +93,8 @@ def check_alternating_delta(n: int) -> tuple[int, int]:
         raise InfiniteSupportError(
             f"alternating row sum needs N >= 0 (got N={n}): C(N, r) never vanishes"
         )
-    lhs = sum((-1) ** r * binom(n, r) for r in range(0, n + 1))
-    rhs = 1 if n == 0 else 0
-    return lhs, rhs
+    terms = [binom(n, r) for r in range(0, n + 1)]
+    return sum(terms[0::2]) - sum(terms[1::2]), 1 if n == 0 else 0
 
 
 def check_double_delta(n: int, l: int) -> tuple[int, int]:
@@ -98,11 +102,8 @@ def check_double_delta(n: int, l: int) -> tuple[int, int]:
 
     The summand vanishes for u < 0 and u > L, so u runs over [0, L].
     """
-    lhs = sum(
-        (-1) ** u * binom(n, l - u) * binom(n - l + u, u) for u in range(0, l + 1)
-    )
-    rhs = 1 if l == 0 else 0
-    return lhs, rhs
+    terms = [binom(n, l - u) * binom(n - l + u, u) for u in range(0, l + 1)]
+    return sum(terms[0::2]) - sum(terms[1::2]), 1 if l == 0 else 0
 
 
 class Identity(enum.Enum):
@@ -237,15 +238,15 @@ def sweep_identity(
     skipped: list[SkippedCase] = []
     ranges = [range(box[name][0], box[name][1] + 1) for name in names]
     for combo in itertools.product(*ranges):
-        params = dict(zip(names, combo))
-        if companion and params["I"] < 0:
-            skipped.append(SkippedCase(params, COMPANION_DOMAIN_REASON))
+        # params dicts are built only for the points that get recorded
+        if companion and combo[0] < 0:
+            skipped.append(SkippedCase(dict(zip(names, combo)), COMPANION_DOMAIN_REASON))
             continue
         try:
             lhs, rhs = check(*combo)
         except InfiniteSupportError as exc:
-            skipped.append(SkippedCase(params, str(exc)))
+            skipped.append(SkippedCase(dict(zip(names, combo)), str(exc)))
             continue
         if lhs != rhs:
-            failures.append(IdentityCase(identity, params, lhs, rhs))
+            failures.append(IdentityCase(identity, dict(zip(names, combo)), lhs, rhs))
     return IdentityReport(identity, dict(box), total, failures, skipped)

@@ -2,10 +2,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rjpascal import binomial
 from rjpascal.binomial import (
+    COMPANION_DOMAIN_REASON,
     DEFAULT_BOXES,
     Identity,
+    IdentityCase,
     InfiniteSupportError,
     binom,
     check_alternating_delta,
@@ -60,6 +65,27 @@ class TestBinom:
         for n in range(-15, 16):
             for k in range(0, 21):
                 assert binom(n, k) == (-1) ** k * binom(k - n - 1, k)
+
+
+def falling_factorial_binom(n: int, k: int) -> int:
+    """n(n-1)...(n-k+1)/k!, zero for k < 0: a reference independent of
+    ``binom`` and of ``math.comb``."""
+    if k < 0:
+        return 0
+    return math.prod(n - i for i in range(k)) // math.factorial(k)
+
+
+class TestBinomReference:
+    def test_matches_falling_factorial(self):
+        for n in range(-40, 41):
+            for k in range(-5, 41):
+                assert binom(n, k) == falling_factorial_binom(n, k), (n, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-200, 200), st.integers(-5, 60))
+    def test_property_reference_and_recurrence(self, n, k):
+        assert binom(n, k) == falling_factorial_binom(n, k)
+        assert binom(n, k) == binom(n - 1, k - 1) + binom(n - 1, k)
 
 
 class TestStar:
@@ -191,3 +217,40 @@ class TestSweep:
         # so force one through the raw check to document the shape
         lhs, rhs = check_trinomial_companion(-1, 2, 1)
         assert lhs != rhs
+
+    def test_failure_recorded_exactly(self, monkeypatch):
+        # an off-by-one at a single lattice point must come back as exactly
+        # one failure carrying that point's parameters and both sides
+        def broken_star(n, j, k):
+            lhs, rhs = check_star(n, j, k)
+            return (lhs, rhs + 1) if (n, j, k) == (4, -2, 3) else (lhs, rhs)
+
+        monkeypatch.setitem(binomial._CHECKS, Identity.STAR, broken_star)
+        box = {"N": (-3, 5), "J": (-3, 5), "K": (-3, 5)}
+        rep = sweep_identity(Identity.STAR, box)
+        lhs, rhs = check_star(4, -2, 3)
+        assert rep.cases_checked == 9 ** 3
+        assert rep.failures == [
+            IdentityCase(Identity.STAR, {"N": 4, "J": -2, "K": 3}, lhs, rhs + 1)
+        ]
+        assert list(rep.failures[0].params) == ["N", "J", "K"]
+        assert rep.skipped == []
+        assert not rep.ok
+
+    def test_skipped_records_order_and_params(self):
+        rep = sweep_identity(
+            Identity.TRINOMIAL_COMPANION, {"I": (-2, 1), "J": (0, 1), "K": (5, 6)}
+        )
+        assert [s.to_json() for s in rep.skipped] == [
+            {"params": {"I": i, "J": j, "K": k}, "reason": COMPANION_DOMAIN_REASON}
+            for i in (-2, -1) for j in (0, 1) for k in (5, 6)
+        ]
+        rep = sweep_identity(Identity.VANDERMONDE, {"M": (-2, 0), "N": (-1, 0), "L": (0, 1)})
+        assert [s.to_json() for s in rep.skipped] == [
+            {
+                "params": {"M": m, "N": -1, "L": l},
+                "reason": "convolution with both upper parameters negative "
+                f"(M={m}, N=-1) is rejected",
+            }
+            for m in (-2, -1) for l in (0, 1)
+        ]

@@ -144,6 +144,17 @@ class TestVerify:
             assert rep["pass"]
             assert rep["residual"] <= 1e-8
 
+    def test_diag_large_eigenvalues_pass(self, capsys):
+        # eigenvalues near 1.6e4: the absolute residual 1.76e-8 exceeds tol,
+        # the residual relative to them does not; the reported value is absolute
+        code, out, _ = run(capsys, "verify", "--n", "12", "--check", "diag",
+                           "--x", "-2")
+        assert code == 0
+        eigen = json.loads(out)[1]
+        assert eigen["check"] == "diag-eigen" and eigen["pass"]
+        assert eigen["params"] == {"x": -2, "tol": 1e-8}
+        assert 1e-8 < eigen["residual"] < 1e-7
+
     def test_all_checks(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "3", "--check", "all")
         assert code == 0

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from rjpascal import spectral
 from rjpascal.pascal import IntMatrix, RingMatrix, build_r, build_rx, build_u, build_w
 from rjpascal.ring import A, ONE, IntPoly, RingElem, X
 from rjpascal.spectral import (
@@ -252,6 +253,38 @@ class TestNumericChecks:
         assert set(obj) == {
             "n", "x", "tol", "residual_involution", "residual_diagonalization", "pass",
         }
+
+    # correct matrices whose absolute diag residual exceeds the fixed tol
+    # because the eigenvalues reach 1e4..1e8
+    @pytest.mark.parametrize("n, x", [(12, -2), (30, 1), (12, 5), (16, 3), (10, -7)])
+    def test_diag_scale_aware(self, n, x):
+        rep = verify_diagonalization_numeric(n, float(x))
+        assert rep.tol == default_tolerance(n)
+        assert rep.residual_diagonalization > rep.tol  # the old false FAIL
+        assert rep.eigen_scale == max(abs(e) for e in eigenvalues_numeric(n, x))
+        assert rep.diagonalization_passed and rep.involution_passed and rep.passed
+        assert rep.to_json()["pass"] is True
+
+    @pytest.mark.parametrize("n, x", [(12, -2), (10, -7), (6, 1)])
+    def test_diag_wrong_eigenvalue_order_fails(self, monkeypatch, n, x):
+        true_lam = eigenvalues_numeric(n, x)
+
+        def swapped(n_, x_value=1.0):
+            lam = list(true_lam)
+            lam[0], lam[-1] = lam[-1], lam[0]
+            return lam
+
+        monkeypatch.setattr(spectral, "eigenvalues_numeric", swapped)
+        rep = verify_diagonalization_numeric(n, float(x))
+        assert rep.involution_passed
+        assert not rep.diagonalization_passed
+        assert not rep.passed
+
+    def test_diag_scale_floor_is_one(self):
+        # at x = 0 every eigenvalue is +-1, so the residual is judged as is
+        rep = verify_diagonalization_numeric(5, 0.0)
+        assert rep.eigen_scale == 1.0
+        assert rep.passed
 
     def test_distinctness_n2(self):
         # |a - (1 - a)| = sqrt(5)
