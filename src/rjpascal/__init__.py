@@ -35,10 +35,8 @@ from .ring import (
 )
 from .spectral import (
     DiagonalizationReport,
-    PowerResult,
     default_tolerance,
     eigen_distinctness,
-    eigenbasis_det_numeric,
     eigenvalue,
     eigenvalue_power,
     eigenvalues_numeric,
@@ -64,7 +62,6 @@ __all__ = [
     "IntMatrix",
     "IntPoly",
     "ONE",
-    "PowerResult",
     "RingElem",
     "RingMatrix",
     "SkippedCase",
@@ -84,7 +81,6 @@ __all__ = [
     "check_vandermonde",
     "default_tolerance",
     "eigen_distinctness",
-    "eigenbasis_det_numeric",
     "eigenvalue",
     "eigenvalue_power",
     "eigenvalues_numeric",

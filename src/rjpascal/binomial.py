@@ -118,17 +118,8 @@ class Identity(enum.Enum):
 
     @property
     def param_names(self) -> tuple[str, ...]:
-        return _PARAM_NAMES[self]
+        return tuple(DEFAULT_BOXES[self])
 
-
-_PARAM_NAMES: dict[Identity, tuple[str, ...]] = {
-    Identity.STAR: ("N", "J", "K"),
-    Identity.TRINOMIAL: ("I", "J", "K"),
-    Identity.TRINOMIAL_COMPANION: ("I", "J", "K"),
-    Identity.VANDERMONDE: ("M", "N", "L"),
-    Identity.ALTERNATING_DELTA: ("N",),
-    Identity.DOUBLE_DELTA: ("N", "L"),
-}
 
 _CHECKS: dict[Identity, Callable[..., tuple[int, int]]] = {
     Identity.STAR: check_star,
@@ -145,7 +136,8 @@ COMPANION_DOMAIN_REASON = (
 )
 
 #: Sweep boxes used by default; chosen to include the negative-upper
-#: region where the symmetry trap bites while finishing in seconds.
+#: region where the symmetry trap bites while finishing in seconds.  Each
+#: box lists its parameters in the order the check function takes them.
 DEFAULT_BOXES: dict[Identity, dict[str, tuple[int, int]]] = {
     Identity.STAR: {"N": (-6, 12), "J": (-6, 12), "K": (-6, 12)},
     Identity.TRINOMIAL: {"I": (-6, 12), "J": (-6, 12), "K": (-6, 12)},

@@ -32,6 +32,9 @@ from .ring import X, IntPoly
 
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
+#: One range flag per identity parameter, in first-appearance order.
+_RANGE_FLAGS = tuple(dict.fromkeys(f"--{p}" for ident in Identity for p in ident.param_names))
+
 VERIFY_CHECKS = ("eigen", "involution", "power", "diag", "all")
 DEFAULT_POWER_RANGE = range(-3, 7)
 
@@ -56,6 +59,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
+
+
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and > 0, got {text!r}")
+    return tol
 
 
 def _parse_dim(text: str) -> int:
@@ -99,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pv.add_argument("--m", type=int, default=None,
                     help="single exponent for the power check (default -3..6)")
-    pv.add_argument("--tol", type=float, default=None,
+    pv.add_argument("--tol", type=_parse_tol, default=None,
                     help="numeric tolerance (default 1e-9 for n <= 8, else 1e-8)")
     pv.add_argument("--format", choices=("pretty", "json"), default="json")
 
@@ -113,10 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--only", choices=[ident.value for ident in Identity], default=None,
         help="sweep a single identity (default: all six)",
     )
-    for name in ("N", "J", "K", "I", "M", "L"):
+    for flag in _RANGE_FLAGS:
         pi.add_argument(
-            f"--{name}", type=_parse_range, default=None, metavar="a..b",
-            help=f"range for parameter {name} where the identity uses it",
+            flag, type=_parse_range, default=None, metavar="a..b",
+            help=f"range for parameter {flag[2:]} where the identity uses it",
         )
     pi.add_argument("--format", choices=("pretty", "json"), default="json")
 
@@ -215,7 +228,7 @@ def _cmd_verify(args) -> int:
             exponents = [args.m] if args.m is not None else list(DEFAULT_POWER_RANGE)
             for m in exponents:
                 ok = (
-                    spectral.matrix_power_closed_form(n, m).matrix
+                    spectral.matrix_power_closed_form(n, m)
                     == spectral.matrix_power_oracle(n, m)
                 )
                 reports.append(_report("power", n, {"m": m}, ok))
@@ -247,13 +260,13 @@ def _cmd_verify(args) -> int:
 def _cmd_power(args) -> int:
     result = spectral.matrix_power_closed_form(args.n, args.m)
     if args.format == "csv":
-        print(result.matrix.to_csv(), end="")
+        print(result.to_csv(), end="")
     elif args.format == "json":
-        obj = result.matrix.to_json()
+        obj = result.to_json()
         obj["m"] = args.m
         _emit_json(obj)
     else:
-        print(result.matrix)
+        print(result)
     return 0
 
 
@@ -294,8 +307,6 @@ _HANDLERS = {
     "power": _cmd_power,
     "identities": _cmd_identities,
 }
-
-_RANGE_FLAGS = frozenset({"--N", "--J", "--K", "--I", "--M", "--L"})
 
 
 def _merge_range_flags(argv: list[str]) -> list[str]:

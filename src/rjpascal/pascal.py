@@ -11,17 +11,18 @@ Matrices are immutable after construction and all public index
 contracts are 1-based to match the entry formulas.  Products of ring
 matrices share one dot-product kernel: each entry is three sums over
 bare coefficients, reduced with a^2 = x a + 1 once per entry rather
-than once per term; at an integer x those sums run on plain ints.  The
-integer inverse is a fraction-free Gauss-Jordan elimination, O(n^3).
+than once per term; at an integer x those sums run on plain ints.  One
+fraction-free Gauss-Jordan elimination, O(n^3), serves both the integer
+determinant and the unimodular inverse.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
+from operator import matmul, mul
 from typing import Iterable, Sequence
 
 from .binomial import binom
-from .ring import IntPoly, RingElem, X, a_pow
+from .ring import IntPoly, RingElem, X, a_pow, check_same_ring, power
 
 #: Dimensions kept by each builder's cache.
 BUILD_CACHE_SIZE = 64
@@ -33,7 +34,7 @@ def _check_dimension(n: int) -> None:
 
 
 class _SquareMatrix:
-    """Shape, indexing, equality and display shared by both matrix types.
+    """Shape, indexing, trace, equality and display shared by both matrix types.
 
     Equality is type-strict: an IntMatrix never equals a RingMatrix.
     """
@@ -54,6 +55,10 @@ class _SquareMatrix:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexError(f"({i}, {j}) outside 1..{self.n}")
         return self.rows[i - 1][j - 1]
+
+    def trace(self):
+        """Sum of the diagonal entries."""
+        return sum(self.rows[i][i] for i in range(self.n))
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -93,68 +98,26 @@ class IntMatrix(_SquareMatrix):
     def __pow__(self, e: int) -> IntMatrix:
         if e < 0:
             raise ValueError("negative powers: invert first (inverse_unimodular)")
-        out = IntMatrix.identity(self.n)
-        base = self
-        while e:
-            if e & 1:
-                out = out @ base
-            base = base @ base
-            e >>= 1
-        return out
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.n))
+        return power(self, e, IntMatrix.identity(self.n), matmul)
 
     def det(self) -> int:
-        """Exact determinant by Bareiss fraction-free elimination."""
-        n = self.n
-        m = [list(row) for row in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    # Bareiss: this division is exact
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        """Exact determinant by fraction-free elimination (_gauss_jordan)."""
+        return _gauss_jordan([list(row) for row in self.rows], self.n)
 
     def inverse_unimodular(self) -> IntMatrix:
         """Exact integer inverse; requires det = +/-1.
 
-        Fraction-free Gauss-Jordan elimination (Bareiss) on [self | I]:
-        step k replaces every row i != k by (p_k row_i - a_ik row_k) / p_(k-1),
-        an exact division, where p_k is the k-th pivot.  The left half ends
-        as d I and the right half as d times the inverse, with d = +/-1.
+        Eliminates [self | I] with _gauss_jordan: the left half ends as
+        p I and the right half as p times the inverse, with p = +/-1.
         """
         d = self.det()
         if d not in (1, -1):
             raise ValueError(f"matrix is not unimodular (det = {d})")
         n = self.n
         m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.rows)]
-        prev = 1
-        for k in range(n):
-            if m[k][k] == 0:
-                # det != 0, so a later row has a nonzero entry in column k
-                i = next(i for i in range(k + 1, n) if m[i][k])
-                m[k], m[i] = m[i], m[k]
-            top = m[k]
-            pivot = top[k]
-            for i in range(n):
-                if i != k:
-                    f = m[i][k]
-                    m[i] = [(pivot * a - f * b) // prev for a, b in zip(m[i], top)]
-            prev = pivot
-        return IntMatrix([row[n:] if prev == 1 else [-e for e in row[n:]] for row in m])
+        _gauss_jordan(m, n)
+        p = m[0][0]
+        return IntMatrix([row[n:] if p == 1 else [-e for e in row[n:]] for row in m])
 
     def to_json(self) -> dict:
         """JSON form {"n": n, "entries": [[...]]} with decimal-string entries."""
@@ -169,6 +132,32 @@ class IntMatrix(_SquareMatrix):
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
+
+
+def _gauss_jordan(m: list[list[int]], n: int) -> int:
+    """Fraction-free Gauss-Jordan (Bareiss) on the first n columns of the
+    rows m, in place; returns that block's determinant, 0 if singular.
+
+    Step k replaces every row i != k by (p_k row_i - m_ik row_k) / p_(k-1),
+    an exact division, where p_k is the k-th pivot.  The block ends as p_n I.
+    """
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
+                return 0
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        top = m[k]
+        pivot = top[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(pivot * a - f * b) // prev for a, b in zip(m[i], top)]
+        prev = pivot
+    return sign * prev
 
 
 class RingMatrix(_SquareMatrix):
@@ -202,26 +191,19 @@ class RingMatrix(_SquareMatrix):
             raise IndexError(f"column {j} outside 1..{self.n}")
         return tuple(row[j - 1] for row in self.rows)
 
-    def _check_ring(self, x_image: IntPoly) -> None:
-        if x_image != self.x_image:
-            raise ValueError(
-                "cannot combine ring elements with different x images: "
-                f"{self.x_image} vs {x_image}"
-            )
-
     def __matmul__(self, other: RingMatrix) -> RingMatrix:
         if not isinstance(other, RingMatrix):
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        self._check_ring(other.x_image)
+        check_same_ring(self.x_image, other.x_image)
         return RingMatrix(_dot_products(self.rows, tuple(zip(*other.rows)), self.x_image))
 
     def mul_vector(self, vec: Sequence[RingElem]) -> tuple[RingElem, ...]:
         if len(vec) != self.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {len(vec)}")
         for e in vec:
-            self._check_ring(e.x_image)
+            check_same_ring(self.x_image, e.x_image)
         return tuple(row[0] for row in _dot_products(self.rows, (vec,), self.x_image))
 
     def scalar_mul(self, c) -> RingMatrix:
@@ -232,12 +214,6 @@ class RingMatrix(_SquareMatrix):
         return RingMatrix(
             [[e * f for e, f in zip(row, factors)] for row in self.rows]
         )
-
-    def trace(self) -> RingElem:
-        acc = RingElem(0, 0, self.x_image)
-        for i in range(self.n):
-            acc = acc + self.rows[i][i]
-        return acc
 
     def specialize(self, x_value: int) -> RingMatrix:
         return RingMatrix([[e.specialize(x_value) for e in row] for row in self.rows])

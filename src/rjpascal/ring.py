@@ -18,12 +18,35 @@ so elements can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Iterable
 
 
 class ExactDivisionError(ArithmeticError):
     """Raised when a division that must be exact leaves a remainder."""
+
+
+def power(base, e: int, one, mul):
+    """base^e for an integer e >= 0 by square-and-multiply, where ``one``
+    is the identity and ``mul`` the product of base's type."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return out
+
+
+def check_same_ring(x_image: IntPoly, other: IntPoly) -> None:
+    """ValueError unless two operands map x to the same image."""
+    if other != x_image:
+        raise ValueError(
+            "cannot combine ring elements with different x images: "
+            f"{x_image} vs {other}"
+        )
 
 
 class IntPoly:
@@ -129,18 +152,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> IntPoly:
-        if e < 0:
-            raise ValueError("negative powers of polynomials are not defined")
-        out = IntPoly((1,))
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def exact_div(self, divisor: IntPoly) -> IntPoly:
         """Quotient self / divisor in Z[x]; ExactDivisionError if not exact."""
         divisor = self._coerce(divisor)
@@ -215,11 +226,7 @@ class RingElem:
 
     def _coerce(self, other):
         if isinstance(other, RingElem):
-            if other.x_image != self.x_image:
-                raise ValueError(
-                    "cannot combine ring elements with different x images: "
-                    f"{self.x_image} vs {other.x_image}"
-                )
+            check_same_ring(self.x_image, other.x_image)
             return other
         if isinstance(other, (int, IntPoly)):
             return RingElem(other, 0, self.x_image)
@@ -281,14 +288,7 @@ class RingElem:
         if e < 0:
             raise ValueError("negative powers: use a_pow for powers of a, "
                              "or divide_exact for unit division")
-        out = RingElem(1, 0, self.x_image)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, RingElem(1, 0, self.x_image), operator.mul)
 
     def conjugate(self) -> RingElem:
         """Image under a -> x - a, the other root of a^2 = a*x + 1."""

@@ -8,7 +8,8 @@ powers of the Pascal matrix are W diag(lambda^m) W divided by
 by lambda_j^m, so one matrix product remains.  The division is performed
 exactly in the ring and any remainder or leftover a-component is a hard
 error, which makes the power routine a self-test of the whole formula
-chain.
+chain.  W is U with columns scaled by units, so the exact involution
+check also proves U invertible at every x.
 
 Eigenvalues and the involution scale take the image of x in the target
 ring (X for Z[x], a constant for an integer x) and are computed there
@@ -96,17 +97,7 @@ def verify_involution(n: int, x: int | None = 1) -> bool:
     return lhs == rhs
 
 
-@dataclass
-class PowerResult:
-    """Closed-form integer power, with the pre-extraction ring matrix."""
-
-    n: int
-    exponent: int
-    matrix: IntMatrix
-    raw: RingMatrix
-
-
-def matrix_power_closed_form(n: int, m: int) -> PowerResult:
+def matrix_power_closed_form(n: int, m: int) -> IntMatrix:
     """m-th power of the n x n Pascal matrix via the spectral identity.
 
     Computes W diag(lambda_j^m) W at x = 1, with the diagonal factor
@@ -125,7 +116,7 @@ def matrix_power_closed_form(n: int, m: int) -> PowerResult:
     entries = [
         [(e * conj).divide_exact(norm).as_int() for e in row] for row in raw.rows
     ]
-    return PowerResult(n, m, IntMatrix(entries), raw)
+    return IntMatrix(entries)
 
 
 def matrix_power_oracle(n: int, m: int) -> IntMatrix:
@@ -157,13 +148,6 @@ def eigen_distinctness(n: int, x_value: float = 1.0) -> float:
     )
 
 
-def eigenbasis_det_numeric(n: int, x_value: float = 1.0) -> float:
-    """Determinant of the numeric eigenvector matrix (independence check)."""
-    import numpy as np
-
-    return float(np.linalg.det(np.array(build_u(n).eval_float(x_value))))
-
-
 @dataclass
 class DiagonalizationReport:
     """Max-norm residuals of the numeric involution and diagonalization.
@@ -192,16 +176,6 @@ class DiagonalizationReport:
     @property
     def passed(self) -> bool:
         return self.involution_passed and self.diagonalization_passed
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "x": self.x_value,
-            "tol": self.tol,
-            "residual_involution": self.residual_involution,
-            "residual_diagonalization": self.residual_diagonalization,
-            "pass": self.passed,
-        }
 
 
 def verify_diagonalization_numeric(

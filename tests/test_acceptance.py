@@ -67,7 +67,7 @@ def test_criterion_3_power_oracle_equivalence():
     # so every comparison below also exercises that assertion
     t0 = time.perf_counter()
     ok = all(
-        matrix_power_closed_form(n, m).matrix == matrix_power_oracle(n, m)
+        matrix_power_closed_form(n, m) == matrix_power_oracle(n, m)
         for n in range(1, 9)
         for m in range(-3, 7)
     )

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from rjpascal import cli
 from rjpascal.binomial import Identity, sweep_identity
 from rjpascal.pascal import build_r, build_u, build_w
@@ -302,6 +304,14 @@ class TestUsageErrors:
     def test_power_missing_m(self, capsys):
         code, _, _ = run(capsys, "power", "--n", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_bad_tol(self, capsys, tol):
+        # inf passed any residual and printed invalid JSON; the rest failed correct matrices
+        code, out, err = run(capsys, "verify", "--check", "diag", "--n", "4", f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert "tolerance must be finite and > 0" in err
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, "--help")

@@ -1,4 +1,5 @@
 """Unit tests for matrix construction and exact dense matrix algebra."""
+import itertools
 import json
 import math
 import random
@@ -274,6 +275,43 @@ def det_by_cofactor_expansion(rows):
     return total
 
 
+def det_by_leibniz(rows):
+    """Independent determinant oracle: the Leibniz sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = math.prod(rows[i][perm[i]] for i in range(n))
+        total += -term if inversions % 2 else term
+    return total
+
+
+#: Square matrices up to 5 x 5 with entries in -3..3: many are singular
+#: and many need row swaps.
+small_squares = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       min_size=n, max_size=n)
+)
+
+
+@st.composite
+def unimodular_rows(draw):
+    """The identity after random row swaps, negations and row additions."""
+    n = draw(st.integers(1, 5))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 12))):
+        op = draw(st.sampled_from(("swap", "negate", "add")))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if op == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "negate":
+            rows[i] = [-a for a in rows[i]]
+        elif i != j:
+            c = draw(st.integers(-3, 3))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
 class TestDetAndInverse:
     def test_det_small(self):
         assert IntMatrix([[5]]).det() == 5
@@ -287,6 +325,18 @@ class TestDetAndInverse:
             n = rng.randint(1, 5)
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             assert IntMatrix(rows).det() == det_by_cofactor_expansion(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_squares)
+    def test_det_matches_leibniz(self, rows):
+        assert IntMatrix(rows).det() == det_by_leibniz(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(unimodular_rows())
+    def test_inverse_of_random_unimodular(self, rows):
+        m = IntMatrix(rows)
+        inv = m.inverse_unimodular()
+        assert inv @ m == IntMatrix.identity(m.n) == m @ inv
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_pascal_matrices_unimodular(self, n):

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rjpascal.ring import (
     A,
@@ -47,12 +49,6 @@ class TestIntPoly:
         assert p(2) == 9
         assert p(-1) == 6
         assert p(0.5) == pytest.approx(0.75)
-
-    def test_pow(self):
-        assert (X + 1) ** 2 == IntPoly((1, 2, 1))
-        assert X ** 0 == 1
-        with pytest.raises(ValueError):
-            X ** -1
 
     def test_exact_div(self):
         assert IntPoly((1, 2, 1)).exact_div(IntPoly((1, 1))) == IntPoly((1, 1))
@@ -275,6 +271,48 @@ class TestDivisionAndExtraction:
             A.as_int()
         with pytest.raises(ValueError):
             RingElem(X).as_int()
+
+
+@st.composite
+def ring_elems(draw, x_image):
+    """Small elements of the ring where x maps to x_image."""
+    size = 3 if x_image == X else 1
+    parts = [IntPoly(draw(st.lists(st.integers(-9, 9), max_size=size))) for _ in range(2)]
+    return RingElem(*parts, x_image)
+
+
+@st.composite
+def same_ring(draw, count):
+    """count elements of one ring: Z[x], or x specialized to -2..3."""
+    x_image = draw(st.one_of(st.just(X), st.integers(-2, 3).map(IntPoly.const)))
+    return tuple(draw(ring_elems(x_image)) for _ in range(count))
+
+
+class TestRingProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(same_ring(3))
+    def test_ring_axioms(self, elems):
+        u, v, w = elems
+        assert (u + v) + w == u + (v + w)
+        assert (u * v) * w == u * (v * w)
+        assert u + v == v + u
+        assert u * v == v * u
+        assert u * (v + w) == u * v + u * w
+
+    @settings(max_examples=200, deadline=None)
+    @given(ring_elems(X), ring_elems(X), st.integers(-2, 3))
+    def test_specialize_is_homomorphism(self, u, v, c):
+        assert (u + v).specialize(c) == u.specialize(c) + v.specialize(c)
+        assert (u * v).specialize(c) == u.specialize(c) * v.specialize(c)
+
+    @settings(max_examples=200, deadline=None)
+    @given(same_ring(2))
+    def test_conjugate_and_norm(self, elems):
+        u, v = elems
+        prod = u * u.conjugate()
+        assert prod.c1.is_zero
+        assert prod == RingElem(u.norm(), 0, u.x_image)
+        assert (u * v).norm() == u.norm() * v.norm()
 
 
 class TestSerialization:

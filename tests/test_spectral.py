@@ -10,7 +10,6 @@ from rjpascal.spectral import (
     _specialized,
     default_tolerance,
     eigen_distinctness,
-    eigenbasis_det_numeric,
     eigenvalue,
     eigenvalue_power,
     eigenvalues_numeric,
@@ -177,24 +176,23 @@ class TestVerifyInvolution:
 class TestMatrixPower:
     def test_square(self):
         result = matrix_power_closed_form(2, 2)
-        assert result.matrix == IntMatrix([[1, 1], [1, 2]])
-        assert result.matrix == build_r(2) @ build_r(2)
-        assert result.n == 2 and result.exponent == 2
+        assert result == IntMatrix([[1, 1], [1, 2]])
+        assert result == build_r(2) @ build_r(2)
 
     def test_zeroth_power(self):
-        assert matrix_power_closed_form(2, 0).matrix == IntMatrix.identity(2)
-        assert matrix_power_closed_form(5, 0).matrix == IntMatrix.identity(5)
+        assert matrix_power_closed_form(2, 0) == IntMatrix.identity(2)
+        assert matrix_power_closed_form(5, 0) == IntMatrix.identity(5)
 
     def test_inverse(self):
         result = matrix_power_closed_form(2, -1)
-        assert result.matrix == IntMatrix([[-1, 1], [1, 0]])
-        assert result.matrix @ build_r(2) == IntMatrix.identity(2)
+        assert result == IntMatrix([[-1, 1], [1, 0]])
+        assert result @ build_r(2) == IntMatrix.identity(2)
 
     def test_n3_squared(self):
         # frozen from the integer oracle (direct multiplication)
         expected = IntMatrix([[1, 2, 1], [1, 3, 2], [1, 4, 4]])
         assert build_r(3) @ build_r(3) == expected
-        assert matrix_power_closed_form(3, 2).matrix == expected
+        assert matrix_power_closed_form(3, 2) == expected
 
     def test_oracle_first_power(self):
         assert matrix_power_oracle(3, 1) == build_r(3)
@@ -203,24 +201,16 @@ class TestMatrixPower:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_oracle_equivalence(self, n):
         for m in range(-2, 5):
-            assert matrix_power_closed_form(n, m).matrix == matrix_power_oracle(n, m)
+            assert matrix_power_closed_form(n, m) == matrix_power_oracle(n, m)
 
     @pytest.mark.parametrize("n, m", [(4, 2000), (4, -2000), (8, 500), (8, -500)])
     def test_oracle_equivalence_large_exponent(self, n, m):
-        assert matrix_power_closed_form(n, m).matrix == matrix_power_oracle(n, m)
+        assert matrix_power_closed_form(n, m) == matrix_power_oracle(n, m)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_inverse_consistency(self, n):
-        inv = matrix_power_closed_form(n, -1).matrix
+        inv = matrix_power_closed_form(n, -1)
         assert inv @ build_r(n) == IntMatrix.identity(n)
-
-    def test_raw_entries_divisible(self):
-        result = matrix_power_closed_form(4, 3)
-        scale = involution_scale(4).specialize(1)
-        for i in range(1, 5):
-            for j in range(1, 5):
-                q = result.raw.entry(i, j).divide_exact(scale)
-                assert q.as_int() == result.matrix.entry(i, j)
 
 
 class TestNumericChecks:
@@ -246,14 +236,6 @@ class TestNumericChecks:
         assert verify_diagonalization_numeric(6, 2.0, 1e-8).passed
         assert verify_diagonalization_numeric(6, -1.0, 1e-8).passed
 
-    def test_diag_report_json(self):
-        obj = verify_diagonalization_numeric(3, 1.0).to_json()
-        assert obj["n"] == 3
-        assert obj["pass"] is True
-        assert set(obj) == {
-            "n", "x", "tol", "residual_involution", "residual_diagonalization", "pass",
-        }
-
     # correct matrices whose absolute diag residual exceeds the fixed tol
     # because the eigenvalues reach 1e4..1e8
     @pytest.mark.parametrize("n, x", [(12, -2), (30, 1), (12, 5), (16, 3), (10, -7)])
@@ -263,7 +245,6 @@ class TestNumericChecks:
         assert rep.residual_diagonalization > rep.tol  # the old false FAIL
         assert rep.eigen_scale == max(abs(e) for e in eigenvalues_numeric(n, x))
         assert rep.diagonalization_passed and rep.involution_passed and rep.passed
-        assert rep.to_json()["pass"] is True
 
     @pytest.mark.parametrize("n, x", [(12, -2), (10, -7), (6, 1)])
     def test_diag_wrong_eigenvalue_order_fails(self, monkeypatch, n, x):
@@ -305,7 +286,9 @@ class TestNumericChecks:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_eigenbasis_independent(self, n):
-        assert abs(eigenbasis_det_numeric(n, 1.0)) > 1e-6
+        import numpy as np
+
+        assert abs(np.linalg.det(np.array(build_u(n).eval_float(1.0)))) > 1e-6
 
 
 def test_w_symmetry_report():
