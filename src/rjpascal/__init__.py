@@ -1,8 +1,8 @@
 """Exact spectral toolkit for right-justified Pascal matrices.
 
 Arithmetic lives in Z[x][a]/(a^2 - a*x - 1) (the golden ratio at x = 1);
-everything exact carries zero tolerance, numeric cross-checks report
-double-precision residuals.
+everything exact carries zero tolerance, numeric cross-checks round each
+entry once from its exact value and report relative residuals.
 """
 
 from .binomial import (
@@ -31,11 +31,10 @@ from .ring import (
     IntPoly,
     RingElem,
     a_pow,
-    metallic_ratio,
 )
 from .spectral import (
+    DEFAULT_TOL,
     DiagonalizationReport,
-    default_tolerance,
     eigen_distinctness,
     eigenvalue,
     eigenvalue_power,
@@ -53,6 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "A",
     "DEFAULT_BOXES",
+    "DEFAULT_TOL",
     "DiagonalizationReport",
     "ExactDivisionError",
     "Identity",
@@ -79,7 +79,6 @@ __all__ = [
     "check_trinomial",
     "check_trinomial_companion",
     "check_vandermonde",
-    "default_tolerance",
     "eigen_distinctness",
     "eigenvalue",
     "eigenvalue_power",
@@ -87,7 +86,6 @@ __all__ = [
     "involution_scale",
     "matrix_power_closed_form",
     "matrix_power_oracle",
-    "metallic_ratio",
     "sweep_identity",
     "verify_diagonalization_numeric",
     "verify_eigenpair",

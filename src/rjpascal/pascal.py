@@ -218,10 +218,6 @@ class RingMatrix(_SquareMatrix):
     def specialize(self, x_value: int) -> RingMatrix:
         return RingMatrix([[e.specialize(x_value) for e in row] for row in self.rows])
 
-    def eval_float(self, x_value: float) -> list[list[float]]:
-        """Numeric value of every entry at the positive root for x_value."""
-        return [[e.eval_numeric(x_value) for e in row] for row in self.rows]
-
     def to_int_matrix(self) -> IntMatrix:
         """Convert when every entry is a plain integer; ValueError otherwise."""
         return IntMatrix([[e.as_int() for e in row] for row in self.rows])

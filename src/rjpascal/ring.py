@@ -83,9 +83,9 @@ class IntPoly:
             raise ValueError(f"polynomial {self} is not constant")
         return self.coeffs[0] if self.coeffs else 0
 
-    def __call__(self, value):
-        """Evaluate at ``value`` by Horner's rule (int or float)."""
-        out = 0 if isinstance(value, int) else 0.0
+    def __call__(self, value: int) -> int:
+        """Evaluate at an integer ``value`` by Horner's rule."""
+        out = 0
         for c in reversed(self.coeffs):
             out = out * value + c
         return out
@@ -331,11 +331,19 @@ class RingElem:
             target,
         )
 
-    def eval_numeric(self, x_value: float) -> float:
-        """Real value with a = the positive root of a^2 = a*x_value + 1."""
-        a = metallic_ratio(x_value)
-        v = float(x_value)
-        return self.c0(v) + self.c1(v) * a
+    def __float__(self) -> float:
+        """The value of a specialized element at the positive root a, within
+        2^-64 relative of correctly rounded: c0 + c1 a = (2 c0 + c1 x + c1 r)/2
+        with r = sqrt(x^2 + 4) = isqrt((x^2 + 4) 4^p) 2^-p, exact at x = 0,
+        else off by under 2^-p.  For x != 0 the norm is a nonzero integer, so
+        |c0 + c1 a| >= 1 / (|c0| + |c1| (|x| + 1)); p spans both bit lengths
+        and 64 guard bits before the one correctly rounded int/int division.
+        """
+        x = self.x_image.constant_value()
+        c0, c1 = self.c0.constant_value(), self.c1.constant_value()
+        p = c1.bit_length() + (abs(c0) + abs(c1) * (abs(x) + 1)).bit_length() + 64
+        root = math.isqrt((x * x + 4) << 2 * p)
+        return (((2 * c0 + c1 * x) << p) + c1 * root) / (1 << p + 1)
 
     def as_int(self) -> int:
         """The element as a plain integer; ValueError if it is not one."""
@@ -401,9 +409,3 @@ def _a_pow_cached(e: int, x_image: IntPoly) -> RingElem:
 def a_pow(e: int, x_image: IntPoly = X) -> RingElem:
     """a^e for any integer e; negative powers via a^-1 = a - x."""
     return _a_pow_cached(e, x_image)
-
-
-def metallic_ratio(x_value: float) -> float:
-    """Positive real root of a^2 = a*x_value + 1 (the golden ratio at 1)."""
-    x = float(x_value)
-    return 0.5 * (x + math.sqrt(x * x + 4.0))

@@ -15,26 +15,28 @@ Eigenvalues and the involution scale take the image of x in the target
 ring (X for Z[x], a constant for an integer x) and are computed there
 directly; specializing the Z[x] value gives the same element.
 
-Numeric checks evaluate everything in double precision at the positive
-root and report max-norm residuals; the diagonalization residual is judged
-relative to the largest eigenvalue.  Exact checks carry zero tolerance.
-numpy is imported inside the numeric checks only, so the exact paths
-never load it.
+Numeric checks round each entry once from its exact value and sum each
+product entry with ``math.fsum``; both residuals are judged relative to
+the product of absolute values (DEFAULT_TOL).  Exact checks carry zero
+tolerance.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, build_r, build_rx,
                      build_u, build_w)
-from .ring import X, IntPoly, RingElem, a_pow, metallic_ratio
+from .ring import X, IntPoly, RingElem, a_pow
 
-
-def default_tolerance(n: int) -> float:
-    """Numeric tolerance: 1e-9 through n = 8, 1e-8 beyond (rounding growth)."""
-    return 1e-9 if n <= 8 else 1e-8
+#: Default tolerance on a relative residual: 64 u, u = 2^-53.  An entry of
+#: V is within 3.5u of exact, of R or lambda within u, and an fsum dot
+#: product of rounded terms within 2u of their |a||b| sum, so at any n the
+#: residuals stay below 9u |V||V| and 13u |V||R||V| up to O(u^2) (Higham,
+#: Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.5).
+DEFAULT_TOL = 64 * 2.0 ** -53
 
 
 def _check_index(n: int, j: int) -> None:
@@ -129,71 +131,73 @@ def matrix_power_oracle(n: int, m: int) -> IntMatrix:
     return r.inverse_unimodular() ** (-m)
 
 
-def eigenvalues_numeric(n: int, x_value: float = 1.0) -> list[float]:
-    """All eigenvalues in double precision at the positive root."""
-    a = metallic_ratio(x_value)
-    return [
-        (-1.0 if (n + j) % 2 else 1.0) * a ** (2 * j - n - 1)
-        for j in range(1, n + 1)
-    ]
+def eigenvalues_numeric(n: int, x: int = 1) -> list[float]:
+    """All eigenvalues at the integer ``x``, each rounded once from its
+    exact value."""
+    return [float(eigenvalue(n, j, IntPoly.const(x))) for j in range(1, n + 1)]
 
 
-def eigen_distinctness(n: int, x_value: float = 1.0) -> float:
+def eigen_distinctness(n: int, x: int = 1) -> float:
     """Minimum pairwise eigenvalue gap; +inf when n = 1."""
-    if n == 1:
-        return math.inf
-    lams = eigenvalues_numeric(n, x_value)
+    lams = eigenvalues_numeric(n, x)
     return min(
-        abs(lams[i] - lams[j]) for i in range(n) for j in range(i + 1, n)
+        (abs(lams[i] - lams[j]) for i in range(n) for j in range(i + 1, n)),
+        default=math.inf,
     )
 
 
 @dataclass
 class DiagonalizationReport:
-    """Max-norm residuals of the numeric involution and diagonalization.
-
-    V@V - I is judged against ``tol`` as it stands.  V@R@V - diag(lambda)
-    carries the rounding error of entries as large as the eigenvalues, so
-    it is divided by ``eigen_scale`` = max(1, max_j |lambda_j|) before the
-    comparison; the reported residual stays absolute.
-    """
+    """Max-norm residuals of the numeric V@V - I and V@R@V - diag(lambda),
+    each beside its magnitude, the max-norm of |V||V| or of |V||R||V|.
+    A check passes when its relative residual is at most ``tol``."""
 
     n: int
-    x_value: float
+    x: int
     tol: float
     residual_involution: float
     residual_diagonalization: float
-    eigen_scale: float
+    magnitude_involution: float
+    magnitude_diagonalization: float
 
     @property
-    def involution_passed(self) -> bool:
-        return self.residual_involution <= self.tol
+    def relative_involution(self) -> float:
+        return self.residual_involution / self.magnitude_involution
 
     @property
-    def diagonalization_passed(self) -> bool:
-        return self.residual_diagonalization / self.eigen_scale <= self.tol
+    def relative_diagonalization(self) -> float:
+        return self.residual_diagonalization / self.magnitude_diagonalization
 
     @property
     def passed(self) -> bool:
-        return self.involution_passed and self.diagonalization_passed
+        return max(self.relative_involution, self.relative_diagonalization) <= self.tol
+
+
+def _product(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
+    """a @ b in double precision, each entry one correctly rounded fsum."""
+    cols = tuple(zip(*b))
+    return [[math.fsum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def verify_diagonalization_numeric(
-    n: int, x_value: float = 1.0, tol: float | None = None
+    n: int, x: int = 1, tol: float = DEFAULT_TOL
 ) -> DiagonalizationReport:
-    """Build V = W / (1+a^2)^((n-1)/2) numerically and report
-    max-norm residuals of V@V - I and V@R@V - diag(lambda), the latter
-    judged relative to the largest |lambda| (see DiagonalizationReport)."""
-    import numpy as np
-
-    if tol is None:
-        tol = default_tolerance(n)
-    a = metallic_ratio(x_value)
-    w = np.array(build_w(n).eval_float(x_value))
-    v = w / (1.0 + a * a) ** ((n - 1) / 2.0)
-    r = np.array(build_rx(n).eval_float(x_value))
-    lam = eigenvalues_numeric(n, x_value)
-    res_inv = float(np.max(np.abs(v @ v - np.eye(n))))
-    res_diag = float(np.max(np.abs(v @ r @ v - np.diag(lam))))
-    scale = max(1.0, *map(abs, lam))
-    return DiagonalizationReport(n, float(x_value), tol, res_inv, res_diag, scale)
+    """Round V = W / (1+a^2)^((n-1)/2) and R(x) at the integer ``x`` and
+    report the residuals of V@V - I and V@R@V - diag(lambda), judged on
+    one relative scale (see DiagonalizationReport and DEFAULT_TOL)."""
+    if x != int(x):
+        raise ValueError(f"the numeric check needs an integer x, got {x!r}")
+    x = int(x)  # an integral float such as 1.0 names the same ring
+    w = _specialized(build_w, n, x)
+    root = math.sqrt(float(involution_scale(n, w.x_image)))
+    v = [[float(e) / root for e in row] for row in w.rows]
+    r = [[float(e) for e in row] for row in _specialized(build_rx, n, x).rows]
+    vv, vrv = _product(v, v), _product(_product(v, r), v)
+    for i, lam in enumerate(eigenvalues_numeric(n, x)):
+        vv[i][i] -= 1.0
+        vrv[i][i] -= lam
+    av, ar = ([[abs(e) for e in row] for row in m] for m in (v, r))
+    return DiagonalizationReport(n, x, tol, *(
+        max(abs(e) for row in m for e in row)
+        for m in (vv, vrv, _product(av, av), _product(_product(av, ar), av))
+    ))

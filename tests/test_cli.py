@@ -7,9 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from rjpascal import cli
+from rjpascal import cli, spectral
 from rjpascal.binomial import Identity, sweep_identity
 from rjpascal.pascal import build_r, build_u, build_w
+from rjpascal.spectral import matrix_power_oracle
+
+
+#: CPython 3.10.7+ limits int <-> str conversion to 4,300 digits by default.
+needs_digit_limit = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no int-to-str digit limit in this interpreter",
+)
 
 
 def run(capsys, *argv):
@@ -147,15 +155,32 @@ class TestVerify:
             assert rep["residual"] <= 1e-8
 
     def test_diag_large_eigenvalues_pass(self, capsys):
-        # eigenvalues near 1.6e4: the absolute residual 1.76e-8 exceeds tol,
-        # the residual relative to them does not; the reported value is absolute
+        # eigenvalues near 1.6e4: the absolute residual exceeds tol, the
+        # reported residual is the judged one, relative to |V||R||V|
         code, out, _ = run(capsys, "verify", "--n", "12", "--check", "diag",
                            "--x", "-2")
         assert code == 0
         eigen = json.loads(out)[1]
         assert eigen["check"] == "diag-eigen" and eigen["pass"]
-        assert eigen["params"] == {"x": -2, "tol": 1e-8}
-        assert 1e-8 < eigen["residual"] < 1e-7
+        assert eigen["params"] == {"x": -2, "tol": spectral.DEFAULT_TOL}
+        rep = spectral.verify_diagonalization_numeric(12, -2)
+        assert rep.residual_diagonalization > rep.tol
+        assert eigen["residual"] == rep.relative_diagonalization <= rep.tol
+
+    def test_diag_swapped_eigenvalues_fail(self, capsys, monkeypatch):
+        true_lam = spectral.eigenvalues_numeric
+
+        def swapped(n, x=1):
+            lam = true_lam(n, x)
+            lam[0], lam[-1] = lam[-1], lam[0]
+            return lam
+
+        monkeypatch.setattr(spectral, "eigenvalues_numeric", swapped)
+        code, out, _ = run(capsys, "verify", "--n", "8", "--check", "diag",
+                           "--x", "3", "--format", "pretty")
+        assert code == 1
+        assert out.startswith("[PASS] diag-involution n=8 x=3 tol=")
+        assert "\n[FAIL] diag-eigen n=8 x=3 tol=" in out
 
     def test_all_checks(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "3", "--check", "all")
@@ -213,6 +238,32 @@ class TestPower:
         code, out, _ = run(capsys, "power", "--n", "1", "--m", "9")
         assert code == 0
         assert out == "[ 1 ]\n"
+
+    @needs_digit_limit
+    def test_output_past_int_str_digit_limit(self, capsys):
+        # entries of R^-3000 at n = 8 reach 4,389 digits, past CPython's
+        # default limit of 4,300 digits on int-to-str conversion
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "power", "--n", "8", "--m", "-3000",
+                             "--format", "csv")
+        assert code == 0, err
+        assert sys.get_int_max_str_digits() == limit  # lifted for printing only
+        assert max(map(len, out.replace("\n", ",").split(","))) > 4300
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out == matrix_power_oracle(8, -3000).to_csv()
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("flag", ["--n", "--m"])
+    def test_overlong_argument_exits_2(self, capsys, flag):
+        argv = {"--n": "2", "--m": "1"}
+        argv[flag] = "9" * (sys.get_int_max_str_digits() + 1)
+        code, out, err = run(capsys, "power", *(t for kv in argv.items() for t in kv))
+        assert code == 2
+        assert out == ""
+        assert flag in err
 
 
 class TestIdentities:
@@ -319,11 +370,15 @@ class TestUsageErrors:
         assert "identities" in out
 
 
-def test_cli_import_does_not_load_numpy():
-    # only the numeric checks need numpy; the exact commands start without it
+@pytest.mark.parametrize("argv", [["verify", "--n", "8", "--check", "all"],
+                                  ["eigen", "--n", "4"]], ids=["verify", "eigen"])
+def test_cli_runs_on_stdlib_alone(argv):
+    # -S leaves site-packages off sys.path, so no third-party package,
+    # numeric or otherwise, can be imported
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, rjpascal.cli; sys.exit('numpy' in sys.modules)"
+    code = f"import sys; from rjpascal.cli import main; sys.exit(main({argv!r}))"
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr or "numpy was imported"
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

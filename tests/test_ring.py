@@ -2,6 +2,7 @@
 import json
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from rjpascal.ring import (
     IntPoly,
     RingElem,
     a_pow,
-    metallic_ratio,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -48,7 +48,6 @@ class TestIntPoly:
         assert p(0) == 1
         assert p(2) == 9
         assert p(-1) == 6
-        assert p(0.5) == pytest.approx(0.75)
 
     def test_exact_div(self):
         assert IntPoly((1, 2, 1)).exact_div(IntPoly((1, 1))) == IntPoly((1, 1))
@@ -196,30 +195,85 @@ class TestSpecialize:
 
 
 class TestEvalNumeric:
+    """float(RingElem): the value at the positive root, rounded once."""
+
     def test_golden_ratio(self):
-        assert A.eval_numeric(1) == pytest.approx(GOLDEN, abs=1e-12)
+        assert float(A.specialize(1)) == pytest.approx(GOLDEN, abs=1e-15)
 
     def test_one(self):
-        for x in (1, 0, 7.5, -3):
-            assert ONE.eval_numeric(x) == 1.0
+        for x in (1, 0, 7, -3):
+            assert float(ONE.specialize(x)) == 1.0
 
     def test_inverse_golden_ratio(self):
-        assert a_pow(-1).eval_numeric(1) == pytest.approx(1 / GOLDEN, abs=1e-12)
+        assert float(a_pow(-1, IntPoly.const(1))) == pytest.approx(1 / GOLDEN, abs=1e-15)
 
     def test_positive_root_choice(self):
-        for x in (0.0, 1.0, 3.0, -2.0):
-            a = metallic_ratio(x)
+        for x in (0, 1, 3, -2, -7):
+            a = float(A.specialize(x))
             assert a > 0
             assert a * a == pytest.approx(a * x + 1, abs=1e-12)
 
     def test_homomorphism_within_tolerance(self):
         rng = random.Random(777)
         for _ in range(300):
-            u = random_elem(rng, bound=100)
-            v = random_elem(rng, bound=100)
-            left = (u * v).eval_numeric(1)
-            right = u.eval_numeric(1) * v.eval_numeric(1)
+            u = random_elem(rng, bound=100).specialize(1)
+            v = random_elem(rng, bound=100).specialize(1)
+            left = float(u * v)
+            right = float(u) * float(v)
             assert abs(left - right) <= 1e-9 * (1 + abs(right))
+
+    def test_generic_element_rejected(self):
+        with pytest.raises(ValueError):
+            float(A)
+
+
+#: float(RingElem) must land within one rounding, u|v|, of the value v,
+#: up to the 2^-64 relative slack of its guard bits: the per-entry error
+#: that spectral.DEFAULT_TOL is derived from.
+ONE_ROUNDING = Decimal(2) ** -53 * (1 + Decimal(2) ** -10)
+#: Digits for the reference values: cancellation in c0 + c1 a can cost
+#: twice the coefficients' length (up to about 170 digits here).
+REFERENCE_DIGITS = 600
+
+
+def assert_one_rounding(f, exact):
+    with localcontext() as ctx:
+        ctx.prec = REFERENCE_DIGITS
+        assert abs(Decimal(f) - exact) <= ONE_ROUNDING * abs(exact), (f, exact)
+
+
+def decimal_root(x):
+    """The positive root of a^2 = a x + 1 to REFERENCE_DIGITS digits."""
+    with localcontext() as ctx:
+        ctx.prec = REFERENCE_DIGITS
+        return (x + Decimal(x * x + 4).sqrt()) / 2
+
+
+class TestFloatAgainstDecimal:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-2**200, 2**200), st.integers(-2**200, 2**200),
+           st.integers(-7, 7))
+    def test_one_rounding(self, c0, c1, x):
+        f = float(RingElem(c0, c1, IntPoly.const(x)))
+        with localcontext() as ctx:
+            ctx.prec = REFERENCE_DIGITS
+            exact = c0 + c1 * decimal_root(x)
+        if exact == 0:
+            assert f == 0.0
+        else:
+            assert_one_rounding(f, exact)
+
+    @pytest.mark.parametrize("x", range(-7, 8))
+    def test_powers_of_a_cancel(self, x):
+        # a^e for e < 0 (x > 0) and e > 0 (x < 0) is small, with large
+        # coefficients that cancel in c0 + c1 a
+        a = decimal_root(x)
+        for k in range(201):
+            for e in (k, -k):
+                with localcontext() as ctx:
+                    ctx.prec = REFERENCE_DIGITS
+                    exact = a ** e
+                assert_one_rounding(float(a_pow(e, IntPoly.const(x))), exact)
 
 
 class TestDivisionAndExtraction:

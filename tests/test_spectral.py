@@ -7,8 +7,8 @@ from rjpascal import spectral
 from rjpascal.pascal import IntMatrix, RingMatrix, build_r, build_rx, build_u, build_w
 from rjpascal.ring import A, ONE, IntPoly, RingElem, X
 from rjpascal.spectral import (
+    DEFAULT_TOL,
     _specialized,
-    default_tolerance,
     eigen_distinctness,
     eigenvalue,
     eigenvalue_power,
@@ -213,82 +213,141 @@ class TestMatrixPower:
         assert inv @ build_r(n) == IntMatrix.identity(n)
 
 
+GOLDEN = (1 + math.sqrt(5)) / 2
+
+
+def float_det(rows):
+    """Determinant by Gaussian elimination with partial pivoting."""
+    m = [list(row) for row in rows]
+    det = 1.0
+    for k in range(len(m)):
+        p = max(range(k, len(m)), key=lambda i: abs(m[i][k]))
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
 class TestNumericChecks:
     def test_default_tolerance(self):
-        assert default_tolerance(8) == 1e-9
-        assert default_tolerance(9) == 1e-8
+        # 64 unit roundoffs, the same at every n (no step at n = 8)
+        assert DEFAULT_TOL == 64 * 2.0 ** -53 == 2.0 ** -47
+        assert verify_diagonalization_numeric(8).tol == DEFAULT_TOL
+        assert verify_diagonalization_numeric(9).tol == DEFAULT_TOL
 
     def test_diag_n2(self):
-        rep = verify_diagonalization_numeric(2, 1.0, 1e-9)
+        rep = verify_diagonalization_numeric(2, 1, 1e-9)
         assert rep.passed
         assert rep.residual_involution < 1e-9
         assert rep.residual_diagonalization < 1e-9
 
     def test_diag_n1_exact(self):
-        rep = verify_diagonalization_numeric(1, 1.0)
+        rep = verify_diagonalization_numeric(1, 1)
         assert rep.residual_involution <= 1e-15
         assert rep.residual_diagonalization <= 1e-15
 
     def test_diag_n10(self):
-        assert verify_diagonalization_numeric(10, 1.0, 1e-8).passed
+        assert verify_diagonalization_numeric(10, 1, 1e-8).passed
+        assert verify_diagonalization_numeric(10, 1).passed
 
     def test_diag_other_x(self):
-        assert verify_diagonalization_numeric(6, 2.0, 1e-8).passed
-        assert verify_diagonalization_numeric(6, -1.0, 1e-8).passed
+        assert verify_diagonalization_numeric(6, 2).passed
+        assert verify_diagonalization_numeric(6, -1).passed
 
-    # correct matrices whose absolute diag residual exceeds the fixed tol
-    # because the eigenvalues reach 1e4..1e8
+    def test_diag_rejects_fractional_x(self):
+        assert verify_diagonalization_numeric(3, 1.0) == verify_diagonalization_numeric(3, 1)
+        with pytest.raises(ValueError, match="integer x"):
+            verify_diagonalization_numeric(3, 1.5)
+
+    # correct matrices whose absolute diag residual exceeds the tol because
+    # the entries reach 1e4..1e9; each is judged on its own magnitude
     @pytest.mark.parametrize("n, x", [(12, -2), (30, 1), (12, 5), (16, 3), (10, -7)])
     def test_diag_scale_aware(self, n, x):
-        rep = verify_diagonalization_numeric(n, float(x))
-        assert rep.tol == default_tolerance(n)
-        assert rep.residual_diagonalization > rep.tol  # the old false FAIL
-        assert rep.eigen_scale == max(abs(e) for e in eigenvalues_numeric(n, x))
-        assert rep.diagonalization_passed and rep.involution_passed and rep.passed
+        rep = verify_diagonalization_numeric(n, x)
+        assert rep.tol == DEFAULT_TOL
+        assert rep.residual_diagonalization > rep.tol
+        assert rep.relative_diagonalization == (
+            rep.residual_diagonalization / rep.magnitude_diagonalization)
+        # |lambda_j| = |(V R V)_jj| <= (|V||R||V|)_jj
+        assert rep.magnitude_diagonalization >= max(map(abs, eigenvalues_numeric(n, x)))
+        assert rep.relative_diagonalization <= rep.tol
+        assert rep.relative_involution <= rep.tol
+        assert rep.passed
 
-    @pytest.mark.parametrize("n, x", [(12, -2), (10, -7), (6, 1)])
+    # the worst false FAILs of the old absolute rule with Horner-evaluated
+    # entries, and the far corner of the n <= 30, |x| <= 7 sweep
+    @pytest.mark.parametrize("n, x", [(20, -2), (15, -4), (11, -7), (28, -1), (30, -7)])
+    def test_diag_negative_x_passes(self, n, x):
+        rep = verify_diagonalization_numeric(n, x)
+        assert rep.passed
+        assert max(rep.relative_involution, rep.relative_diagonalization) < rep.tol / 8
+
+    @pytest.mark.parametrize("n, x", [(12, -2), (10, -7), (6, 1), (16, 3)])
     def test_diag_wrong_eigenvalue_order_fails(self, monkeypatch, n, x):
         true_lam = eigenvalues_numeric(n, x)
 
-        def swapped(n_, x_value=1.0):
+        def swapped(n_, x_=1):
             lam = list(true_lam)
             lam[0], lam[-1] = lam[-1], lam[0]
             return lam
 
         monkeypatch.setattr(spectral, "eigenvalues_numeric", swapped)
-        rep = verify_diagonalization_numeric(n, float(x))
-        assert rep.involution_passed
-        assert not rep.diagonalization_passed
+        rep = verify_diagonalization_numeric(n, x)
+        assert rep.relative_involution <= rep.tol
+        assert rep.relative_diagonalization > rep.tol
+        assert not rep.passed
+
+    @pytest.mark.parametrize("n, x", [(16, 1), (20, -2), (30, -7), (8, 3)])
+    def test_diag_perturbed_w_entry_fails(self, monkeypatch, n, x):
+        assert verify_diagonalization_numeric(n, x).passed
+        w = _specialized(build_w, n, x)
+        target = max((e for row in w.rows for e in row), key=lambda e: abs(float(e)))
+        exact_float = RingElem.__float__
+
+        def perturbed(e):
+            f = exact_float(e)
+            return f * (1 + 1e-10) if e is target else f
+
+        monkeypatch.setattr(RingElem, "__float__", perturbed)
+        rep = verify_diagonalization_numeric(n, x)
+        assert rep.relative_involution > rep.tol
+        assert rep.relative_diagonalization > rep.tol
         assert not rep.passed
 
     def test_diag_scale_floor_is_one(self):
-        # at x = 0 every eigenvalue is +-1, so the residual is judged as is
-        rep = verify_diagonalization_numeric(5, 0.0)
-        assert rep.eigen_scale == 1.0
+        # (|V||V|)_ii >= |(V V)_ii| = 1 and (|V||R||V|)_jj >= |lambda_j|,
+        # which is 1 for every j at x = 0
+        rep = verify_diagonalization_numeric(5, 0)
+        assert eigenvalues_numeric(5, 0) == [1.0, -1.0, 1.0, -1.0, 1.0]
+        assert rep.magnitude_involution >= 1.0
+        assert rep.magnitude_diagonalization >= 1.0
         assert rep.passed
 
     def test_distinctness_n2(self):
         # |a - (1 - a)| = sqrt(5)
-        assert eigen_distinctness(2, 1.0) == pytest.approx(math.sqrt(5), abs=1e-9)
+        assert eigen_distinctness(2, 1) == pytest.approx(math.sqrt(5), abs=1e-15)
 
     def test_distinctness_n1(self):
-        assert eigen_distinctness(1, 1.0) == math.inf
+        assert eigen_distinctness(1, 1) == math.inf
 
     def test_distinctness_n8(self):
-        assert eigen_distinctness(8, 1.0) > 0
+        assert eigen_distinctness(8, 1) > 0
 
     def test_eigenvalues_numeric_match_exact(self):
         for n in range(1, 9):
-            nums = eigenvalues_numeric(n, 1.0)
+            nums = eigenvalues_numeric(n, 1)
             for j in range(1, n + 1):
-                want = eigenvalue(n, j).eval_numeric(1.0)
-                assert nums[j - 1] == pytest.approx(want, rel=1e-12)
+                want = (-1) ** (n + j) * GOLDEN ** (2 * j - n - 1)
+                assert nums[j - 1] == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_eigenbasis_independent(self, n):
-        import numpy as np
-
-        assert abs(np.linalg.det(np.array(build_u(n).eval_float(1.0)))) > 1e-6
+        u = _specialized(build_u, n, 1)
+        assert abs(float_det([[float(e) for e in row] for row in u.rows])) > 1e-6
 
 
 def test_w_symmetry_report():
