@@ -9,11 +9,14 @@ column j of U by (-1)^j a^(n-j), which makes its square a scalar matrix.
 
 Matrices are immutable after construction and all public index
 contracts are 1-based to match the entry formulas.  Products of ring
-matrices share one dot-product kernel: each entry is three sums over
-bare coefficients, reduced with a^2 = x a + 1 once per entry rather
-than once per term; at an integer x those sums run on plain ints.  One
-fraction-free Gauss-Jordan elimination, O(n^3), serves both the integer
-determinant and the unimodular inverse.
+matrices share one dot-product kernel: each entry is three sums of
+plain int products, reduced with a^2 = x a + 1 once per entry rather
+than once per term.  Over Z[x] the ints are the values at x = 2^k, with
+k = bitlen(3 n Lp Lq) + 1 for dot products of length n and operand
+parts of l1 norm at most Lp and Lq (Kronecker substitution, von zur
+Gathen & Gerhard, Modern Computer Algebra, 3rd ed., 2013, section 8.4).
+One fraction-free Gauss-Jordan elimination, O(n^3), serves both the
+integer determinant and the unimodular inverse.
 """
 from __future__ import annotations
 
@@ -237,23 +240,57 @@ def _coefficients(vectors, unwrap) -> list[tuple[list, list]]:
     return [([unwrap(e.c0) for e in v], [unwrap(e.c1) for e in v]) for v in vectors]
 
 
-def _same(c):
-    return c
+def _l1(vectors) -> int:
+    """The largest l1 norm (sum of absolute coefficients) of any c0 or c1."""
+    return max(sum(map(abs, c.coeffs)) for v in vectors for e in v for c in (e.c0, e.c1))
+
+
+def _digits(v: int, k: int) -> IntPoly:
+    """The polynomial whose value at x = 2^k is v and whose coefficients,
+    the balanced base-2^k digits of v, all lie in [-2^(k-1), 2^(k-1))."""
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    out = []
+    while v:
+        d = ((v + half) & mask) - half
+        out.append(d)
+        v = (v - d) >> k
+    return IntPoly(out)
 
 
 def _dot_products(rows, cols, x_image: IntPoly) -> list[list[RingElem]]:
     """sum_k row[k] * col[k] for every row and column, all in one ring.
 
     With p = p0 + p1 a and q = q0 + q1 a, each entry sums p0 q0, p1 q1 and
-    p0 q1 + p1 q0 over k on bare coefficients, then applies a^2 = x a + 1
+    p0 q1 + p1 q0 over k on bare integers, then applies a^2 = x a + 1
     once.  At an integer x the coefficients are taken out of their
-    constant polynomials as ints and wrapped back afterwards; over Z[x]
-    the same sums run on the polynomials themselves.
+    constant polynomials as ints and wrapped back afterwards.  Over Z[x]
+    the same sums run at x = 2^k by Kronecker substitution: each
+    coefficient polynomial is packed as its value at 2^k, and each result
+    is unpacked from its balanced base-2^k digits, with k large enough
+    that the digits are the coefficients.
     """
     if x_image.degree() < 1:
         x, unwrap, wrap = x_image.constant_value(), IntPoly.constant_value, IntPoly.const
+    elif x_image == X:
+        # Every coefficient of a product p q is at most ||p||_1 ||q||_1 in
+        # absolute value, so each sum over k of n part products (p0 q0,
+        # p1 q1, p0 q1 or p1 q0) has coefficients of at most n Lp Lq, where
+        # Lp and Lq are the largest l1 norms of the two operands' parts.
+        # c0 adds two such sums and c1 three, one of them multiplied by x,
+        # which only shifts it.  So every result coefficient is at most
+        # B = 3 n Lp Lq < 2^(k-1) for k = bitlen(B) + 1, and a polynomial
+        # whose coefficients all lie below 2^(k-1) in absolute value is the
+        # balanced base-2^k digit expansion of its value at 2^k.
+        k = (3 * len(cols[0]) * _l1(rows) * _l1(cols)).bit_length() + 1
+        x = 1 << k
+
+        def unwrap(c):
+            return c(x)
+
+        def wrap(v):
+            return _digits(v, k)
     else:
-        x, unwrap, wrap = x_image, _same, _same
+        raise ValueError(f"products need x to map to X or to an integer, not {x_image}")
     cols = _coefficients(cols, unwrap)
     out = []
     for p0, p1 in _coefficients(rows, unwrap):

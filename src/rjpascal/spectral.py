@@ -57,9 +57,20 @@ def eigenvalue_power(n: int, j: int, m: int, x_image: IntPoly = X) -> RingElem:
     return -lam if ((n + j) % 2 and m % 2) else lam
 
 
+def _integer_x(x: int | float | None) -> int | None:
+    """The integer x names: an integral float such as 1.0 names the same
+    ring as 1, a fractional x is a ValueError, and None (Z[x]) stays."""
+    if x is None:
+        return None
+    if x != int(x):
+        raise ValueError(f"the coefficient ring needs an integer x, got {x!r}")
+    return int(x)
+
+
 @lru_cache(maxsize=BUILD_CACHE_SIZE)
 def _specialized(build, n: int, x: int | None) -> RingMatrix:
-    """build(n) with x specialized to the integer ``x``; over Z[x] when None."""
+    """build(n) with x specialized to the integer ``x``; over Z[x] when None.
+    Callers pass x through _integer_x first, so 1.0 never keys a float entry."""
     m = build(n)
     return m if x is None else m.specialize(x)
 
@@ -71,6 +82,7 @@ def verify_eigenpair(n: int, p: int, x: int | None = 1) -> bool:
     (default 1, the golden-ratio case), None keeps Z[x] coefficients.
     """
     _check_index(n, p)
+    x = _integer_x(x)
     r = _specialized(build_rx, n, x)
     u = _specialized(build_u, n, x)
     lam = eigenvalue(n, p, u.x_image)
@@ -92,7 +104,7 @@ def verify_involution(n: int, x: int | None = 1) -> bool:
     With ``x=None`` the comparison is over Z[x] coefficients, the
     stronger polynomial-entry form of the statement.
     """
-    w = _specialized(build_w, n, x)
+    w = _specialized(build_w, n, _integer_x(x))
     scale = involution_scale(n, w.x_image)
     lhs = w @ w
     rhs = RingMatrix.identity(n, w.x_image).scalar_mul(scale)
@@ -125,10 +137,15 @@ def matrix_power_oracle(n: int, m: int) -> IntMatrix:
     """Independent m-th power: repeated integer multiplication, and for
     negative m the fraction-free Gauss-Jordan inverse (the determinant
     is +/-1)."""
-    r = build_r(n)
     if m >= 0:
-        return r ** m
-    return r.inverse_unimodular() ** (-m)
+        return build_r(n) ** m
+    return _inverse_r(n) ** (-m)
+
+
+@lru_cache(maxsize=BUILD_CACHE_SIZE)
+def _inverse_r(n: int) -> IntMatrix:
+    """build_r(n)^-1, computed once per n for every negative exponent."""
+    return build_r(n).inverse_unimodular()
 
 
 def eigenvalues_numeric(n: int, x: int = 1) -> list[float]:
@@ -185,9 +202,7 @@ def verify_diagonalization_numeric(
     """Round V = W / (1+a^2)^((n-1)/2) and R(x) at the integer ``x`` and
     report the residuals of V@V - I and V@R@V - diag(lambda), judged on
     one relative scale (see DiagonalizationReport and DEFAULT_TOL)."""
-    if x != int(x):
-        raise ValueError(f"the numeric check needs an integer x, got {x!r}")
-    x = int(x)  # an integral float such as 1.0 names the same ring
+    x = _integer_x(x)
     w = _specialized(build_w, n, x)
     root = math.sqrt(float(involution_scale(n, w.x_image)))
     v = [[float(e) / root for e in row] for row in w.rows]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rjpascal.pascal import IntMatrix, RingMatrix, build_r, build_rx, build_u, build_w
 from rjpascal.ring import A, ONE, IntPoly, RingElem, X, _a_pow_cached, a_pow
-from rjpascal.spectral import _specialized
+from rjpascal.spectral import _inverse_r, _specialized, involution_scale
 
 ONE_AT_1 = IntPoly.const(1)
 
@@ -212,10 +212,15 @@ X_IMAGES = [X] + [IntPoly.const(c) for c in (1, 0, -2, 3)]
 
 @st.composite
 def ring_elems(draw, x_image):
-    """Small elements of the ring where x maps to x_image."""
-    degree = 2 if x_image == X else 0
-    coeff = st.integers(-9, 9)
-    parts = [IntPoly(draw(st.lists(coeff, max_size=degree + 1))) for _ in range(2)]
+    """Elements of the ring where x maps to x_image.  Over Z[x] each part
+    has degree <= 6 and coefficients up to 2^200 in absolute value, and
+    an empty list makes it zero; at an integer x the parts are small
+    constants."""
+    if x_image == X:
+        coeff, size = st.integers(-2 ** 200, 2 ** 200), 7
+    else:
+        coeff, size = st.integers(-9, 9), 1
+    parts = [IntPoly(draw(st.lists(coeff, max_size=size))) for _ in range(2)]
     return RingElem(*parts, x_image)
 
 
@@ -237,21 +242,68 @@ def dot_by_definition(row, col):
     return acc
 
 
+def product_by_definition(a, b):
+    """a @ b entry by entry with dot_by_definition."""
+    cols = [b.column(j) for j in range(1, b.n + 1)]
+    return RingMatrix([[dot_by_definition(row, col) for col in cols] for row in a.rows])
+
+
 class TestProductKernel:
     @settings(max_examples=150, deadline=None)
     @given(operands())
     def test_matmul_matches_definition(self, ops):
         a, b, _ = ops
-        n = a.n
-        want = [[dot_by_definition(a.rows[i], b.column(j)) for j in range(1, n + 1)]
-                for i in range(n)]
-        assert a @ b == RingMatrix(want)
+        assert a @ b == product_by_definition(a, b)
 
     @settings(max_examples=150, deadline=None)
     @given(operands())
     def test_mul_vector_matches_definition(self, ops):
         a, _, v = ops
         assert a.mul_vector(v) == tuple(dot_by_definition(row, v) for row in a.rows)
+
+    # Over Z[x] the kernel reads each result coefficient from one base-2^k
+    # digit, with k = bitlen(3 n Lp Lq) + 1.  Equal constants 2^100 at
+    # n = 4 bring the largest result coefficient to 2^203, within a factor
+    # 3/2 of 3 n Lp Lq; all-ones polynomials bring it to 26, against a largest
+    # operand coefficient of 1.  So a k below the bound, or one taken from
+    # max|coeff| in place of the l1 norm, garbles a digit.
+    @pytest.mark.parametrize("n, entry", [
+        (4, RingElem(2 ** 100, 2 ** 100)),
+        (4, RingElem(-2 ** 100, 2 ** 100)),
+        (1, RingElem(IntPoly([1] * 9), IntPoly([1] * 9))),
+    ], ids=["constants", "mixed-signs", "all-ones"])
+    def test_near_bound_operands(self, n, entry):
+        m = RingMatrix([[entry] * n] * n)
+        assert m @ m == product_by_definition(m, m)
+        v = m.column(1)
+        assert m.mul_vector(v) == tuple(dot_by_definition(row, v) for row in m.rows)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_builders_match_definition(self, n):
+        w, r, u = build_w(n), build_rx(n), build_u(n)
+        assert w @ w == product_by_definition(w, w)
+        for p in range(1, n + 1):
+            v = u.column(p)
+            assert r.mul_vector(v) == tuple(dot_by_definition(row, v) for row in r.rows)
+
+    def test_symbolic_product_multiplies_no_polynomials(self, monkeypatch):
+        w = build_w(8)
+        want = RingMatrix.identity(8).scalar_mul(involution_scale(8))
+
+        def refuse(self, other):
+            raise AssertionError("IntPoly product inside a Z[x] matrix product")
+
+        monkeypatch.setattr(IntPoly, "__mul__", refuse)
+        monkeypatch.setattr(IntPoly, "__rmul__", refuse)
+        assert w @ w == want
+
+    def test_other_polynomial_images_rejected(self):
+        # the bound on k holds only when x maps to X itself
+        m = RingMatrix([[RingElem(X, 1, IntPoly((1, 1)))]])
+        with pytest.raises(ValueError, match="x to map to X"):
+            m @ m
+        with pytest.raises(ValueError, match="x to map to X"):
+            m.mul_vector(m.column(1))
 
     @pytest.mark.parametrize("x_image", X_IMAGES, ids=str)
     def test_result_stays_in_the_ring(self, x_image):
@@ -412,7 +464,7 @@ class TestSerialization:
 
 
 @pytest.mark.parametrize(
-    "cached", [build_r, build_rx, build_u, build_w, _a_pow_cached, _specialized],
+    "cached", [build_r, build_rx, build_u, build_w, _a_pow_cached, _specialized, _inverse_r],
     ids=lambda f: f.__name__,
 )
 def test_caches_are_bounded(cached):

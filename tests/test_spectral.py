@@ -8,6 +8,7 @@ from rjpascal.pascal import IntMatrix, RingMatrix, build_r, build_rx, build_u, b
 from rjpascal.ring import A, ONE, IntPoly, RingElem, X
 from rjpascal.spectral import (
     DEFAULT_TOL,
+    _inverse_r,
     _specialized,
     eigen_distinctness,
     eigenvalue,
@@ -211,6 +212,43 @@ class TestMatrixPower:
     def test_inverse_consistency(self, n):
         inv = matrix_power_closed_form(n, -1)
         assert inv @ build_r(n) == IntMatrix.identity(n)
+
+    def test_oracle_inverts_once_per_n(self, monkeypatch):
+        calls = []
+        original = IntMatrix.inverse_unimodular
+
+        def counted(self):
+            calls.append(self.n)
+            return original(self)
+
+        _inverse_r.cache_clear()
+        monkeypatch.setattr(IntMatrix, "inverse_unimodular", counted)
+        for m in (-1, -3, -2):
+            assert matrix_power_oracle(5, m) @ build_r(5) ** -m == IntMatrix.identity(5)
+        assert calls == [5]
+
+
+def test_float_x_does_not_poison_the_cache():
+    # an integral float names the integer's ring, so it must not leave
+    # float-coefficient matrices cached under the integer's key
+    _specialized.cache_clear()
+    assert verify_involution(3, x=1.0)
+    assert verify_eigenpair(3, 2, x=2.0)
+    got = matrix_power_closed_form(3, 2)
+    assert got == matrix_power_oracle(3, 2)
+    assert all(type(e) is int for row in got.rows for e in row)
+    assert all(type(c) is int for build in (build_rx, build_u, build_w)
+               for row in _specialized(build, 3, 2).rows for e in row
+               for c in e.c0.coeffs + e.c1.coeffs)
+
+
+@pytest.mark.parametrize("check, args", [
+    (verify_involution, (3, 1.5)),
+    (verify_eigenpair, (3, 1, -0.5)),
+], ids=["involution", "eigenpair"])
+def test_fractional_x_rejected(check, args):
+    with pytest.raises(ValueError, match="integer x"):
+        check(*args)
 
 
 GOLDEN = (1 + math.sqrt(5)) / 2
