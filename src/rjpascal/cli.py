@@ -38,6 +38,31 @@ _RANGE_FLAGS = tuple(dict.fromkeys(f"--{p}" for ident in Identity for p in ident
 VERIFY_CHECKS = ("eigen", "involution", "power", "diag", "all")
 DEFAULT_POWER_RANGE = range(-3, 7)
 
+#: Most decimal digits, by power_digits, that ``power`` or the power check
+#: may compute; larger requests exit 2 before any work.  Ten million digits
+#: is about 10 MB of output; `power --n 32 --m 1000` needs 6.6 million.
+POWER_DIGIT_BUDGET = 10 ** 7
+
+#: log10(phi) = 0.2089876402499787... in units of 10^-12, rounded up.
+_LOG10_PHI_E12 = 208_987_640_250
+
+
+def power_digits(n: int, m: int) -> int:
+    """Estimated decimal digits of R^m, n^2 ((n-1)|m| log10(phi) + 1): n^2
+    entries of about that many digits each, because the largest eigenvalue
+    has modulus phi^(n-1) at x = 1.  Integer arithmetic, rounded up, so an
+    |m| of any length compares exactly."""
+    return n * n * (-(-(n - 1) * abs(m) * _LOG10_PHI_E12 // 10 ** 12) + 1)
+
+
+def _power_budget_error(n: int, exponents) -> str | None:
+    """The usage error for exponents whose R^m is over the budget, if any."""
+    if max(power_digits(n, m) for m in exponents) <= POWER_DIGIT_BUDGET:
+        return None
+    return (f"R^m at n = {n} would need more than the budget of "
+            f"{POWER_DIGIT_BUDGET:,} decimal digits (POWER_DIGIT_BUDGET; "
+            f"estimate n^2 ((n-1)|m| log10(phi) + 1))")
+
 
 def _parse_x(text: str):
     """--x value: 'symbolic' -> None, otherwise an integer."""
@@ -209,6 +234,9 @@ def _cmd_verify(args) -> int:
         return _usage_error("the power check is defined at x = 1 only")
     if args.check == "diag" and x is None:
         return _usage_error("the diag check is numeric; pass an integer --x")
+    exponents = [args.m] if args.m is not None else list(DEFAULT_POWER_RANGE)
+    if "power" in checks and x == 1 and (err := _power_budget_error(n, exponents)):
+        return _usage_error(err)
 
     reports = []
     for check in checks:
@@ -222,7 +250,6 @@ def _cmd_verify(args) -> int:
         elif check == "power":
             if x != 1:
                 continue  # only defined at x = 1; skipped under --check all
-            exponents = [args.m] if args.m is not None else list(DEFAULT_POWER_RANGE)
             for m in exponents:
                 closed = spectral.matrix_power_closed_form(n, m)
                 ok = closed == spectral.matrix_power_oracle(n, m)
@@ -248,6 +275,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    if err := _power_budget_error(args.n, [args.m]):
+        return _usage_error(err)
     result = spectral.matrix_power_closed_form(args.n, args.m)
     if args.format == "csv":
         print(result.to_csv(), end="")

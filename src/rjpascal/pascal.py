@@ -10,8 +10,10 @@ column j of U by (-1)^j a^(n-j), which makes its square a scalar matrix.
 Matrices are immutable after construction and all public index
 contracts are 1-based to match the entry formulas.  Products of ring
 matrices share one dot-product kernel: each entry is three sums of
-plain int products, reduced with a^2 = x a + 1 once per entry rather
-than once per term.  Over Z[x] the ints are the values at x = 2^k, with
+plain int products, p0 q0, p1 q1 and (p0 + p1)(q0 + q1) (Karatsuba),
+reduced with a^2 = x a + 1 once per entry rather than once per term.
+Column scaling, M diag(f), is the same arithmetic on dot products of
+length 1.  Over Z[x] the ints are the values at x = 2^k, with
 k = bitlen(3 n Lp Lq) + 1 for dot products of length n and operand
 parts of l1 norm at most Lp and Lq (Kronecker substitution, von zur
 Gathen & Gerhard, Modern Computer Algebra, 3rd ed., 2013, section 8.4).
@@ -21,7 +23,7 @@ integer determinant and the unimodular inverse.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import matmul, mul
+from operator import add, matmul, mul
 from typing import Iterable, Sequence
 
 from .binomial import binom
@@ -182,11 +184,15 @@ class RingMatrix(_SquareMatrix):
         self.x_image = x_image
 
     @classmethod
-    def identity(cls, n: int, x_image: IntPoly = X) -> RingMatrix:
+    def scalar(cls, n: int, c: RingElem) -> RingMatrix:
+        """c times the identity, built directly: c on the diagonal, 0 elsewhere."""
         _check_dimension(n)
-        one = RingElem(1, 0, x_image)
-        zero = RingElem(0, 0, x_image)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+        zero = RingElem(0, 0, c.x_image)
+        return cls([[c if i == j else zero for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def identity(cls, n: int, x_image: IntPoly = X) -> RingMatrix:
+        return cls.scalar(n, RingElem(1, 0, x_image))
 
     def column(self, j: int) -> tuple[RingElem, ...]:
         """Column j (1-based) as a vector."""
@@ -210,13 +216,31 @@ class RingMatrix(_SquareMatrix):
         return tuple(row[0] for row in _dot_products(self.rows, (vec,), self.x_image))
 
     def scalar_mul(self, c) -> RingMatrix:
-        return RingMatrix([[e * c for e in row] for row in self.rows])
+        if not isinstance(c, RingElem):
+            c = RingElem(c, 0, self.x_image)
+        return self.scale_columns([c] * self.n)
 
     def scale_columns(self, factors: Sequence[RingElem]) -> RingMatrix:
-        """Multiply column j by factors[j-1]: self @ diag(factors)."""
-        return RingMatrix(
-            [[e * f for e, f in zip(row, factors)] for row in self.rows]
+        """Multiply column j by factors[j-1]: self @ diag(factors).
+
+        Entry (i, j) times f_j is a dot product of length 1, so it runs on
+        the product kernel's bare coefficients with the kernel's bound at
+        n = 1: k = bitlen(3 Lp Lf) + 1, Lf the largest l1 norm of a factor's
+        parts (see _dot_products).
+        """
+        if len(factors) != self.n:
+            raise ValueError(f"dimension mismatch: {self.n} vs {len(factors)}")
+        for f in factors:
+            check_same_ring(self.x_image, f.x_image)
+        x, unwrap, wrap = _packing(
+            self.x_image, lambda: 3 * _l1(self.rows) * _l1((factors,))
         )
+        fs = _coefficients((factors,), unwrap)[0]
+        return RingMatrix([
+            [_entry(p0 * q0, p1 * q1, ps * qs, x, wrap, self.x_image)
+             for p0, p1, ps, q0, q1, qs in zip(*row, *fs)]
+            for row in _coefficients(self.rows, unwrap)
+        ])
 
     def specialize(self, x_value: int) -> RingMatrix:
         return RingMatrix([[e.specialize(x_value) for e in row] for row in self.rows])
@@ -235,9 +259,11 @@ class RingMatrix(_SquareMatrix):
         return f"RingMatrix(n={self.n})"
 
 
-def _coefficients(vectors, unwrap) -> list[tuple[list, list]]:
-    """The c0 and c1 parts of each vector's entries, passed through unwrap."""
-    return [([unwrap(e.c0) for e in v], [unwrap(e.c1) for e in v]) for v in vectors]
+def _coefficients(vectors, unwrap) -> list[tuple[list, list, list]]:
+    """The c0 and c1 parts of each vector's entries, passed through unwrap,
+    and the sums c0 + c1 that the Karatsuba product needs."""
+    parts = [([unwrap(e.c0) for e in v], [unwrap(e.c1) for e in v]) for v in vectors]
+    return [(p0, p1, list(map(add, p0, p1))) for p0, p1 in parts]
 
 
 def _l1(vectors) -> int:
@@ -257,51 +283,60 @@ def _digits(v: int, k: int) -> IntPoly:
     return IntPoly(out)
 
 
+def _packing(x_image: IntPoly, bound):
+    """(x, unwrap, wrap) for ring products on bare int coefficients in the
+    ring where x maps to ``x_image``.
+
+    unwrap turns a coefficient polynomial into an int, x is the int that x
+    becomes, and wrap turns a result int back into a polynomial.  At an
+    integer x the ints are the constants themselves.  Over Z[x] they are
+    the values at x = 2^k with k = bitlen(bound()) + 1; bound() must bound
+    every coefficient of every result in absolute value, because a
+    polynomial whose coefficients all lie below 2^(k-1) in absolute value
+    is the balanced base-2^k digit expansion of its value at 2^k.
+    """
+    if x_image.degree() < 1:
+        return x_image.constant_value(), IntPoly.constant_value, IntPoly.const
+    if x_image != X:
+        raise ValueError(f"products need x to map to X or to an integer, not {x_image}")
+    k = bound().bit_length() + 1
+    x = 1 << k
+    return x, (lambda c: c(x)), (lambda v: _digits(v, k))
+
+
+def _entry(d0: int, d2: int, s: int, x: int, wrap, x_image: IntPoly) -> RingElem:
+    """sum p q from the sums d0 of p0 q0, d2 of p1 q1 and s of
+    (p0 + p1)(q0 + q1): s - d0 - d2 is the sum of p0 q1 + p1 q0, and
+    a^2 = x a + 1 turns d2 a^2 into d2 x a + d2."""
+    return RingElem(wrap(d0 + d2), wrap(s - d0 - d2 + x * d2), x_image)
+
+
 def _dot_products(rows, cols, x_image: IntPoly) -> list[list[RingElem]]:
     """sum_k row[k] * col[k] for every row and column, all in one ring.
 
     With p = p0 + p1 a and q = q0 + q1 a, each entry sums p0 q0, p1 q1 and
-    p0 q1 + p1 q0 over k on bare integers, then applies a^2 = x a + 1
-    once.  At an integer x the coefficients are taken out of their
-    constant polynomials as ints and wrapped back afterwards.  Over Z[x]
-    the same sums run at x = 2^k by Kronecker substitution: each
-    coefficient polynomial is packed as its value at 2^k, and each result
-    is unpacked from its balanced base-2^k digits, with k large enough
-    that the digits are the coefficients.
+    (p0 + p1)(q0 + q1) over k on bare integers (_packing), then combines
+    them once (_entry): three products per term instead of four.
     """
-    if x_image.degree() < 1:
-        x, unwrap, wrap = x_image.constant_value(), IntPoly.constant_value, IntPoly.const
-    elif x_image == X:
-        # Every coefficient of a product p q is at most ||p||_1 ||q||_1 in
-        # absolute value, so each sum over k of n part products (p0 q0,
-        # p1 q1, p0 q1 or p1 q0) has coefficients of at most n Lp Lq, where
-        # Lp and Lq are the largest l1 norms of the two operands' parts.
-        # c0 adds two such sums and c1 three, one of them multiplied by x,
-        # which only shifts it.  So every result coefficient is at most
-        # B = 3 n Lp Lq < 2^(k-1) for k = bitlen(B) + 1, and a polynomial
-        # whose coefficients all lie below 2^(k-1) in absolute value is the
-        # balanced base-2^k digit expansion of its value at 2^k.
-        k = (3 * len(cols[0]) * _l1(rows) * _l1(cols)).bit_length() + 1
-        x = 1 << k
-
-        def unwrap(c):
-            return c(x)
-
-        def wrap(v):
-            return _digits(v, k)
-    else:
-        raise ValueError(f"products need x to map to X or to an integer, not {x_image}")
+    # Every coefficient of a product p q is at most ||p||_1 ||q||_1 in
+    # absolute value, so each sum over k of n part products (p0 q0, p1 q1,
+    # p0 q1 or p1 q0) has coefficients of at most n Lp Lq, where Lp and Lq
+    # are the largest l1 norms of the two operands' parts.  c0 adds two
+    # such sums and c1 three, one of them multiplied by x, which only
+    # shifts it.  So every result coefficient is at most B = 3 n Lp Lq.
+    # The Karatsuba sum of (p0 + p1)(q0 + q1) is an exact int that the
+    # bound need not cover: only c0 and c1 are read back from digits, and
+    # they are the values at 2^k of the same polynomials as above.
+    x, unwrap, wrap = _packing(
+        x_image, lambda: 3 * len(cols[0]) * _l1(rows) * _l1(cols)
+    )
     cols = _coefficients(cols, unwrap)
-    out = []
-    for p0, p1 in _coefficients(rows, unwrap):
-        out_row = []
-        for q0, q1 in cols:
-            cross = sum(map(mul, p1, q1))
-            c0 = sum(map(mul, p0, q0)) + cross
-            c1 = sum(map(mul, p0, q1)) + sum(map(mul, p1, q0)) + x * cross
-            out_row.append(RingElem(wrap(c0), wrap(c1), x_image))
-        out.append(out_row)
-    return out
+    return [
+        [_entry(sum(map(mul, p0, q0)), sum(map(mul, p1, q1)), sum(map(mul, ps, qs)),
+                x, wrap, x_image)
+         for q0, q1, qs in cols]
+        for p0, p1, ps in _coefficients(rows, unwrap)
+    ]
 
 
 @lru_cache(maxsize=BUILD_CACHE_SIZE)
@@ -344,17 +379,26 @@ def build_u(n: int) -> RingMatrix:
     for i in range(1, n + 1):
         row = []
         for j in range(1, n + 1):
-            acc = RingElem(0, 0)
+            c0, c1 = [], []
             for k in range(1, j + 1):
                 c = binom(i - 1, k - 1) * binom(n - i, j - k)
                 if c == 0:
                     continue
                 if (i - k) % 2:
                     c = -c
-                acc = acc + a_pow(2 * k - i - 1) * c
-            row.append(acc)
+                term = a_pow(2 * k - i - 1)
+                _add_multiple(c0, term.c0, c)
+                _add_multiple(c1, term.c1, c)
+            row.append(RingElem(IntPoly(c0), IntPoly(c1)))
         rows.append(row)
     return RingMatrix(rows)
+
+
+def _add_multiple(acc: list[int], p: IntPoly, c: int) -> None:
+    """acc += c p on coefficient lists, in place."""
+    acc.extend([0] * (len(p.coeffs) - len(acc)))
+    for d, v in enumerate(p.coeffs):
+        acc[d] += c * v
 
 
 @lru_cache(maxsize=BUILD_CACHE_SIZE)

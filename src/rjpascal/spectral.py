@@ -1,15 +1,20 @@
 """Eigenvalue verification, the involution identity, and exact matrix powers.
 
 The eigenvalue attached to column j of an n-dimensional family member is
-(-1)^(n+j) a^(2j-n-1), an exact unit of the coefficient ring.  Because
-the scaled eigenvector matrix W satisfies W^2 = (1+a^2)^(n-1) I, integer
-powers of the Pascal matrix are W diag(lambda^m) W divided by
-(1+a^2)^(n-1).  The diagonal factor is applied by scaling column j of W
-by lambda_j^m, so one matrix product remains.  The division is performed
-exactly in the ring and any remainder or leftover a-component is a hard
-error, which makes the power routine a self-test of the whole formula
-chain.  W is U with columns scaled by units, so the exact involution
-check also proves U invertible at every x.
+(-1)^(n+j) a^(2j-n-1), an exact unit of the coefficient ring.  The eigen
+check is one matrix identity per (n, x), R(x) U = U Lambda with
+Lambda = diag(lambda_1..lambda_n): both sides are computed once, and
+eigenpair p compares their columns p.
+
+Because the scaled eigenvector matrix W satisfies
+W^2 = (1+a^2)^(n-1) I, integer powers of the Pascal matrix are
+W diag(lambda^m) W divided by (1+a^2)^(n-1).  The diagonal factor, with
+the conjugate of the divisor folded in, is applied by scaling column j
+of W, so one matrix product remains.  The division is performed exactly
+in the ring and any remainder or leftover a-component is a hard error,
+which makes the power routine a self-test of the whole formula chain.
+W is U with columns scaled by units, so the exact involution check also
+proves U invertible at every x.
 
 Eigenvalues and the involution scale take the image of x in the target
 ring (X for Z[x], a constant for an integer x) and are computed there
@@ -80,16 +85,21 @@ def verify_eigenpair(n: int, p: int, x: int | None = 1) -> bool:
 
     ``x`` selects the coefficient ring: an integer specializes there
     (default 1, the golden-ratio case), None keeps Z[x] coefficients.
+    Column p of R(x) U is compared with column p of U Lambda (_eigen_sides).
     """
     _check_index(n, p)
-    x = _integer_x(x)
+    lhs, rhs = _eigen_sides(n, _integer_x(x))
+    return lhs.column(p) == rhs.column(p)
+
+
+@lru_cache(maxsize=BUILD_CACHE_SIZE)
+def _eigen_sides(n: int, x: int | None) -> tuple[RingMatrix, RingMatrix]:
+    """R(x) U and U Lambda, Lambda = diag(lambda_1..lambda_n), computed once
+    per (n, x) for all n eigenpairs."""
     r = _specialized(build_rx, n, x)
     u = _specialized(build_u, n, x)
-    lam = eigenvalue(n, p, u.x_image)
-    col = u.column(p)
-    lhs = r.mul_vector(col)
-    rhs = tuple(lam * e for e in col)
-    return lhs == rhs
+    lams = [eigenvalue(n, j, u.x_image) for j in range(1, n + 1)]
+    return r @ u, u.scale_columns(lams)
 
 
 def involution_scale(n: int, x_image: IntPoly = X) -> RingElem:
@@ -106,31 +116,27 @@ def verify_involution(n: int, x: int | None = 1) -> bool:
     """
     w = _specialized(build_w, n, _integer_x(x))
     scale = involution_scale(n, w.x_image)
-    lhs = w @ w
-    rhs = RingMatrix.identity(n, w.x_image).scalar_mul(scale)
-    return lhs == rhs
+    return w @ w == RingMatrix.scalar(n, scale)
 
 
 def matrix_power_closed_form(n: int, m: int) -> IntMatrix:
     """m-th power of the n x n Pascal matrix via the spectral identity.
 
-    Computes W diag(lambda_j^m) W at x = 1, with the diagonal factor
-    applied as a column scaling of W, and divides each entry by
+    Computes W diag(lambda_j^m) W at x = 1 and divides each entry by
     (1 + a^2)^(n-1): it multiplies by the conjugate of that scale and
-    divides by its norm, (x^2 + 4)^(n-1) = 5^(n-1), both computed once.
-    Every quotient must be a plain integer; a failed division or a
-    leftover a-component raises (ExactDivisionError or ValueError) and
-    would signal a formula bug, never an expected state.
+    divides by its norm, (x^2 + 4)^(n-1) = 5^(n-1).  The conjugate is a
+    scalar, so it folds into the diagonal: column j of W is scaled by
+    lambda_j^m times the conjugate, n ring products, and one matrix
+    product remains.  Every quotient must be a plain integer; a failed
+    division or a leftover a-component raises (ExactDivisionError or
+    ValueError) and would signal a formula bug, never an expected state.
     """
     w = _specialized(build_w, n, 1)
-    lams = [eigenvalue_power(n, j, m, w.x_image) for j in range(1, n + 1)]
-    raw = w.scale_columns(lams) @ w
     scale = involution_scale(n, w.x_image)
     conj, norm = scale.conjugate(), scale.norm()
-    entries = [
-        [(e * conj).divide_exact(norm).as_int() for e in row] for row in raw.rows
-    ]
-    return IntMatrix(entries)
+    factors = [eigenvalue_power(n, j, m, w.x_image) * conj for j in range(1, n + 1)]
+    raw = w.scale_columns(factors) @ w
+    return IntMatrix([[e.divide_exact(norm).as_int() for e in row] for row in raw.rows])
 
 
 def matrix_power_oracle(n: int, m: int) -> IntMatrix:

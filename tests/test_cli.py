@@ -122,6 +122,25 @@ class TestVerify:
         for rep in reports:
             assert set(rep) == {"check", "n", "params", "pass"}
 
+    @pytest.mark.parametrize("x", ["1", "symbolic", "-2"])
+    def test_wrong_eigenvalue_fails_only_its_pair(self, capsys, monkeypatch, x):
+        true_eigenvalue = spectral.eigenvalue
+
+        def wrong_at_3(n, j, x_image):
+            lam = true_eigenvalue(n, j, x_image)
+            return -lam if j == 3 else lam
+
+        spectral._eigen_sides.cache_clear()
+        monkeypatch.setattr(spectral, "eigenvalue", wrong_at_3)
+        try:
+            code, out, _ = run(capsys, "verify", "--n", "5", "--check", "eigen", "--x", x)
+        finally:
+            spectral._eigen_sides.cache_clear()
+        assert code == 1
+        assert [(rep["params"]["p"], rep["pass"]) for rep in json.loads(out)] == [
+            (p, p != 3) for p in range(1, 6)
+        ]
+
     def test_involution(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "8", "--check", "involution")
         assert code == 0
@@ -264,6 +283,58 @@ class TestPower:
         assert code == 2
         assert out == ""
         assert flag in err
+
+
+class TestPowerBudget:
+    """R^m over POWER_DIGIT_BUDGET exits 2 before any work."""
+
+    def largest_m(self, n, budget):
+        """The largest m whose R^m estimate fits the budget, by bisection
+        below 10 budget (the estimate grows at least 0.8 per unit of m)."""
+        lo, hi = 0, 10 * budget
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if cli.power_digits(n, mid) <= budget else (lo, mid - 1)
+        return lo
+
+    def test_estimate_at_the_budget(self):
+        budget = cli.POWER_DIGIT_BUDGET
+        m = self.largest_m(2, budget)
+        assert cli.power_digits(2, m) <= budget < cli.power_digits(2, m + 1)
+        assert cli._power_budget_error(2, [m]) is None
+        assert cli._power_budget_error(2, [-m]) is None
+
+    def test_one_above_the_budget_exits_2(self, capsys):
+        m = self.largest_m(2, cli.POWER_DIGIT_BUDGET) + 1
+        for argv in (("power", "--n", "2", "--m", str(m)),
+                     ("power", "--n", "2", "--m", str(-m)),
+                     ("verify", "--n", "2", "--check", "power", "--m", str(m)),
+                     ("verify", "--n", "2", "--check", "all", "--m", str(-m))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert f"{cli.POWER_DIGIT_BUDGET:,}" in err and "POWER_DIGIT_BUDGET" in err
+
+    def test_boundary_through_the_cli(self, capsys, monkeypatch):
+        # a budget that R^7 at n = 4 just fits keeps the run small
+        monkeypatch.setattr(cli, "POWER_DIGIT_BUDGET", cli.power_digits(4, 7))
+        assert run(capsys, "power", "--n", "4", "--m", "-7")[0] == 0
+        assert run(capsys, "verify", "--n", "4", "--check", "power", "--m", "7")[0] == 0
+        assert run(capsys, "power", "--n", "4", "--m", "8")[0] == 2
+        assert run(capsys, "verify", "--n", "4", "--check", "power", "--m", "-8")[0] == 2
+
+    def test_runaway_exponent_refused(self, capsys):
+        code, out, _ = run(capsys, "power", "--n", "2", "--m", "9" * 23)
+        assert (code, out) == (2, "")
+
+    def test_one_by_one_needs_one_digit(self, capsys):
+        assert cli.power_digits(1, 10 ** 4000) == 1
+        assert run(capsys, "power", "--n", "1", "--m", "9" * 23) == (0, "[ 1 ]\n", "")
+
+    def test_budget_ignored_where_power_is_skipped(self, capsys):
+        code, _, _ = run(capsys, "verify", "--n", "2", "--check", "all",
+                         "--x", "symbolic", "--m", "9" * 23)
+        assert code == 0
 
 
 class TestIdentities:

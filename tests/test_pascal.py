@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rjpascal.pascal import IntMatrix, RingMatrix, build_r, build_rx, build_u, build_w
 from rjpascal.ring import A, ONE, IntPoly, RingElem, X, _a_pow_cached, a_pow
-from rjpascal.spectral import _inverse_r, _specialized, involution_scale
+from rjpascal.spectral import _eigen_sides, _inverse_r, _specialized, involution_scale
 
 ONE_AT_1 = IntPoly.const(1)
 
@@ -114,6 +114,19 @@ class TestBuildU:
                 want = u_entry_numeric(n, i, j, x_value)
                 got = float(u.entry(i, j).specialize(int(x_value)))
                 assert got == pytest.approx(want, abs=1e-9 * (1 + abs(want)))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_entries_match_exact_sum(self, n):
+        # the paper's entry over Z[x], term by term with RingElem arithmetic:
+        # u(i,j) = sum_k (-1)^(i-k) C(i-1,k-1) C(n-i,j-k) a^(2k-i-1)
+        u = build_u(n)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                total = RingElem(0)
+                for k in range(1, j + 1):
+                    c = math.comb(i - 1, k - 1) * math.comb(n - i, j - k)
+                    total = total + a_pow(2 * k - i - 1) * ((-1) ** abs(i - k) * c)
+                assert u.entry(i, j) == total
 
 
 class TestBuildW:
@@ -286,6 +299,47 @@ class TestProductKernel:
             v = u.column(p)
             assert r.mul_vector(v) == tuple(dot_by_definition(row, v) for row in r.rows)
 
+    @settings(max_examples=150, deadline=None)
+    @given(operands())
+    def test_scale_columns_matches_definition(self, ops):
+        a, _, f = ops
+        want = RingMatrix([[e * c for e, c in zip(row, f)] for row in a.rows])
+        assert a.scale_columns(f) == want
+
+    # Column scaling is the kernel at dot length 1, k = bitlen(3 Lp Lf) + 1.
+    # Each entry squared has a coefficient of 2 2^200 = 2^201 (p0 q0 and
+    # p1 q1 land on one degree), within a factor 3/2 of 3 Lp Lf = 3 2^200,
+    # so a k one bit short (or the factor 3 dropped) reads 2^201 as a digit
+    # of the wrong sign.
+    @pytest.mark.parametrize("entry", [
+        RingElem(2 ** 100, 2 ** 100),
+        RingElem(-2 ** 100, 2 ** 100),
+        RingElem(IntPoly([0, 0, 2 ** 100]), IntPoly([0, 0, 2 ** 100])),
+    ], ids=["constants", "mixed-signs", "monomials"])
+    def test_near_bound_scaling(self, entry):
+        m = RingMatrix([[entry] * 2] * 2)
+        want = entry * entry
+        assert m.scale_columns([entry, entry]) == RingMatrix([[want] * 2] * 2)
+        assert m.scalar_mul(entry) == m.scale_columns([entry, entry])
+
+    def test_symbolic_scaling_multiplies_no_polynomials(self, monkeypatch):
+        factors = [-a_pow(8 - j) if j % 2 else a_pow(8 - j) for j in range(1, 9)]
+        u, want = build_u(8), build_w(8)
+
+        def refuse(self, other):
+            raise AssertionError("IntPoly product inside a Z[x] column scaling")
+
+        monkeypatch.setattr(IntPoly, "__mul__", refuse)
+        monkeypatch.setattr(IntPoly, "__rmul__", refuse)
+        assert u.scale_columns(factors) == want
+
+    def test_scaling_checks_ring_and_length(self):
+        w = build_w(2)
+        with pytest.raises(ValueError):
+            w.scale_columns([ONE])
+        with pytest.raises(ValueError):
+            w.scale_columns([ONE, A.specialize(1)])
+
     def test_symbolic_product_multiplies_no_polynomials(self, monkeypatch):
         w = build_w(8)
         want = RingMatrix.identity(8).scalar_mul(involution_scale(8))
@@ -308,7 +362,8 @@ class TestProductKernel:
     @pytest.mark.parametrize("x_image", X_IMAGES, ids=str)
     def test_result_stays_in_the_ring(self, x_image):
         w = build_w(3) if x_image == X else build_w(3).specialize(x_image.constant_value())
-        for e in (w @ w).rows[0] + w.mul_vector(w.column(1)):
+        scaled = w.scale_columns(w.rows[0]).rows[0]
+        for e in (w @ w).rows[0] + w.mul_vector(w.column(1)) + scaled:
             assert e.x_image == x_image
             assert isinstance(e.c0, IntPoly) and isinstance(e.c1, IntPoly)
 
@@ -464,7 +519,8 @@ class TestSerialization:
 
 
 @pytest.mark.parametrize(
-    "cached", [build_r, build_rx, build_u, build_w, _a_pow_cached, _specialized, _inverse_r],
+    "cached", [build_r, build_rx, build_u, build_w, _a_pow_cached, _specialized, _inverse_r,
+               _eigen_sides],
     ids=lambda f: f.__name__,
 )
 def test_caches_are_bounded(cached):
