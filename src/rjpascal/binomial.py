@@ -11,6 +11,13 @@ Each identity is evaluated over a finite summation range derived from
 where its terms vanish; parameter combinations whose sums genuinely do
 not terminate are rejected with InfiniteSupportError rather than being
 silently truncated.
+
+The sums read their factors from two tables, a row C(n, 0), C(n, 1), ...
+per upper parameter n and a diagonal C(d, 0), C(d+1, 1), C(d+2, 2), ...
+per anchor d.  Both are bounded caches keyed by that one integer and
+grown on demand, every entry computed by ``binom``, so a sweep computes
+each coefficient once and each point's summands are one C-level
+``map(mul, ...)`` over slices of them.
 """
 from __future__ import annotations
 
@@ -18,6 +25,8 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import mul
 from typing import Callable, Mapping
 
 
@@ -39,14 +48,50 @@ def binom(n: int, k: int) -> int:
     return -c if k & 1 else c
 
 
+#: Rows and diagonals kept by each of the two coefficient tables.  A sweep
+#: whose box spans at most 512 values per parameter never evicts one that
+#: it reads: star reads |J| rows and |N| + |K| - 1 diagonals, Vandermonde
+#: at most |M| + |N| rows.  Past that, evicted entries are recomputed.
+ROW_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _row_table(n: int) -> list[int]:
+    return []
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _diagonal_table(d: int) -> list[int]:
+    return []
+
+
+def _row(n: int, length: int) -> list[int]:
+    """C(n, i) for i in [0, length) and possibly beyond."""
+    row = _row_table(n)
+    for i in range(len(row), length):
+        row.append(binom(n, i))
+    return row
+
+
+def _diagonal(d: int, length: int) -> list[int]:
+    """C(d + i, i) for i in [0, length) and possibly beyond."""
+    diag = _diagonal_table(d)
+    for i in range(len(diag), length):
+        diag.append(binom(d + i, i))
+    return diag
+
+
 def check_star(n: int, j: int, k: int) -> tuple[int, int]:
     """C(N-J, K) vs sum_r (-1)^r C(N-r, K-r) C(J, r).
 
     The summand vanishes for r < 0 (second factor) and for r > K (first
     factor has a negative lower parameter), so r runs over [0, K].
+    C(N-r, K-r) is entry K-r of the diagonal anchored at N-K.
     """
     lhs = binom(n - j, k)
-    terms = [binom(n - r, k - r) * binom(j, r) for r in range(0, k + 1)]
+    if k < 0:  # empty sum; the slice [k::-1] would wrap around
+        return lhs, 0
+    terms = list(map(mul, _diagonal(n - k, k + 1)[k::-1], _row(j, k + 1)))
     return lhs, sum(terms[0::2]) - sum(terms[1::2])
 
 
@@ -82,9 +127,10 @@ def check_vandermonde(m: int, n: int, l: int) -> tuple[int, int]:
         raise InfiniteSupportError(
             f"convolution with both upper parameters negative (M={m}, N={n}) is rejected"
         )
-    lhs = sum(binom(m, k) * binom(n, l - k) for k in range(0, l + 1))
-    rhs = binom(m + n, l)
-    return lhs, rhs
+    if l < 0:  # empty sum; the slice [l::-1] would wrap around
+        return 0, binom(m + n, l)
+    lhs = sum(map(mul, _row(m, l + 1), _row(n, l + 1)[l::-1]))
+    return lhs, binom(m + n, l)
 
 
 def check_alternating_delta(n: int) -> tuple[int, int]:
@@ -93,7 +139,7 @@ def check_alternating_delta(n: int) -> tuple[int, int]:
         raise InfiniteSupportError(
             f"alternating row sum needs N >= 0 (got N={n}): C(N, r) never vanishes"
         )
-    terms = [binom(n, r) for r in range(0, n + 1)]
+    terms = _row(n, n + 1)[:n + 1]
     return sum(terms[0::2]) - sum(terms[1::2]), 1 if n == 0 else 0
 
 
@@ -101,8 +147,11 @@ def check_double_delta(n: int, l: int) -> tuple[int, int]:
     """sum_u (-1)^u C(N, L-u)·C(N-L+u, u) vs delta(L, 0); all integer N.
 
     The summand vanishes for u < 0 and u > L, so u runs over [0, L].
+    C(N-L+u, u) is entry u of the diagonal anchored at N-L.
     """
-    terms = [binom(n, l - u) * binom(n - l + u, u) for u in range(0, l + 1)]
+    if l < 0:  # empty sum; the slice [l::-1] would wrap around
+        return 0, 0
+    terms = list(map(mul, _row(n, l + 1)[l::-1], _diagonal(n - l, l + 1)))
     return sum(terms[0::2]) - sum(terms[1::2]), 1 if l == 0 else 0
 
 
@@ -196,7 +245,42 @@ class IdentityReport:
         }
 
 
-def _validate_box(identity: Identity, box: Mapping[str, tuple[int, int]]) -> None:
+#: Most binomial terms, by sweep_terms, that one sweep may evaluate; larger
+#: boxes are refused before any work.  The -40..60 star box needs 20.3
+#: million and takes a few seconds; the default boxes need under 50,000.
+#: It counts terms, not their bit lengths.
+SWEEP_TERM_BUDGET = 10 ** 8
+
+#: The parameter that bounds each sum's range [0, s]; the other identities
+#: have no sum.
+_SUMMATION_PARAM = {
+    Identity.STAR: "K",
+    Identity.VANDERMONDE: "L",
+    Identity.ALTERNATING_DELTA: "N",
+    Identity.DOUBLE_DELTA: "L",
+}
+
+
+def sweep_terms(identity: Identity, box: Mapping[str, tuple[int, int]]) -> int:
+    """Binomial terms a sweep of a valid ``box`` evaluates: at each point
+    the s + 1 summands of the sum over [0, s] (none for s < 0) and one
+    more for the other side; two products at each point of a trinomial.
+    Skipped points are counted too.  Box volume times summation length,
+    summed in closed form along the summation parameter."""
+    volume = math.prod(hi - lo + 1 for lo, hi in box.values())
+    param = _SUMMATION_PARAM.get(identity)
+    if param is None:
+        return 2 * volume
+    lo, hi = box[param]
+    first, last = max(lo + 1, 0), hi + 1  # fewest and most summands
+    summands = (first + last) * (last - first + 1) // 2 if last >= first else 0
+    width = hi - lo + 1
+    return volume // width * (summands + width)
+
+
+def validate_box(identity: Identity, box: Mapping[str, tuple[int, int]]) -> None:
+    """ValueError unless ``box`` names the identity's parameters, each with
+    a nonempty range, inside its domain and within SWEEP_TERM_BUDGET."""
     names = identity.param_names
     if set(box) != set(names):
         raise ValueError(
@@ -209,6 +293,13 @@ def _validate_box(identity: Identity, box: Mapping[str, tuple[int, int]]) -> Non
         raise ValueError(
             f"alternating sweep needs N >= 0, got range {box['N'][0]}..{box['N'][1]}"
         )
+    terms = sweep_terms(identity, box)
+    if terms > SWEEP_TERM_BUDGET:
+        raise ValueError(
+            f"{identity.value} sweep would evaluate {terms:,} binomial terms, more "
+            f"than the budget of {SWEEP_TERM_BUDGET:,} (SWEEP_TERM_BUDGET; "
+            f"estimate box volume x summation length)"
+        )
 
 
 def sweep_identity(
@@ -220,7 +311,7 @@ def sweep_identity(
     skipped with a reason; every disagreement between the two sides is
     recorded as a failure (none are expected).
     """
-    _validate_box(identity, box)
+    validate_box(identity, box)
     names = identity.param_names
     check = _CHECKS[identity]
     companion = identity is Identity.TRINOMIAL_COMPANION

@@ -19,13 +19,14 @@ passed, 1 when some verification failed, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import re
 import sys
 
 from . import spectral
-from .binomial import DEFAULT_BOXES, Identity, sweep_identity
+from .binomial import DEFAULT_BOXES, Identity, sweep_identity, validate_box
 from .pascal import build_r, build_rx, build_u, build_w
 from .ring import X, IntPoly
 
@@ -166,12 +167,26 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+#: iterencode chunks joined into each write of _emit_json.
+_EMIT_BATCH = 4096
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    """Print ``json.dumps(obj, indent=2)``, written in batches of chunks so
+    the document is never held whole."""
+    chunks = json.JSONEncoder(indent=2).iterencode(obj)
+    while batch := list(itertools.islice(chunks, _EMIT_BATCH)):
+        sys.stdout.write("".join(batch))
+    sys.stdout.write("\n")
 
 
 def _x_label(x):
     return "symbolic" if x is None else x
+
+
+def _double_range_error(what: str, n: int, x: int) -> str:
+    return (f"{what} at n = {n}, x = {x} needs values beyond the range of a "
+            f"double (magnitude at most {sys.float_info.max:.4g})")
 
 
 def _cmd_show(args) -> int:
@@ -199,7 +214,10 @@ def _cmd_show(args) -> int:
 def _cmd_eigen(args) -> int:
     x_image = X if args.x is None else IntPoly.const(args.x)
     lams = [spectral.eigenvalue(args.n, j, x_image) for j in range(1, args.n + 1)]
-    gap = None if args.x is None else spectral.eigen_distinctness(args.n, args.x)
+    try:
+        gap = None if args.x is None else spectral.eigen_distinctness(args.n, args.x)
+    except OverflowError:
+        return _usage_error(_double_range_error("the numeric eigenvalue gap", args.n, args.x))
     if args.format == "json":
         obj = {
             "n": args.n,
@@ -257,7 +275,10 @@ def _cmd_verify(args) -> int:
         elif check == "diag":
             if x is None:
                 continue  # numeric only; skipped under --check all
-            rep = spectral.verify_diagonalization_numeric(n, x, args.tol)
+            try:
+                rep = spectral.verify_diagonalization_numeric(n, x, args.tol)
+            except OverflowError:
+                return _usage_error(_double_range_error("the numeric diag check", n, x))
             base = {"x": x, "tol": rep.tol}
             for name, rel in (("diag-involution", rep.relative_involution),
                               ("diag-eigen", rep.relative_diagonalization)):
@@ -291,17 +312,18 @@ def _cmd_power(args) -> int:
 
 def _cmd_identities(args) -> int:
     idents = [Identity(args.only)] if args.only else list(Identity)
-    reports = []
+    boxes = {}
     for ident in idents:
-        box = dict(DEFAULT_BOXES[ident])
+        box = boxes[ident] = dict(DEFAULT_BOXES[ident])
         for name in ident.param_names:
             override = getattr(args, name, None)
             if override is not None:
                 box[name] = override
         try:
-            reports.append(sweep_identity(ident, box))
+            validate_box(ident, box)  # every box, before any sweep runs
         except ValueError as exc:
             return _usage_error(str(exc))
+    reports = [sweep_identity(ident, box) for ident, box in boxes.items()]
 
     if args.format == "json":
         _emit_json([rep.to_json() for rep in reports])

@@ -1,4 +1,5 @@
 """Unit tests for generalized binomials and the identity sweep engine."""
+import itertools
 import math
 
 import pytest
@@ -254,3 +255,133 @@ class TestSweep:
             }
             for m in (-2, -1) for l in (0, 1)
         ]
+
+
+def reference_star(n, j, k):
+    terms = [binom(n - r, k - r) * binom(j, r) for r in range(0, k + 1)]
+    return binom(n - j, k), sum(terms[0::2]) - sum(terms[1::2])
+
+
+def reference_vandermonde(m, n, l):
+    if m < 0 and n < 0:
+        raise InfiniteSupportError(
+            f"convolution with both upper parameters negative (M={m}, N={n}) is rejected"
+        )
+    return sum(binom(m, k) * binom(n, l - k) for k in range(0, l + 1)), binom(m + n, l)
+
+
+def reference_double_delta(n, l):
+    terms = [binom(n, l - u) * binom(n - l + u, u) for u in range(0, l + 1)]
+    return sum(terms[0::2]) - sum(terms[1::2]), 1 if l == 0 else 0
+
+
+def reference_alternating_delta(n):
+    terms = [binom(n, r) for r in range(0, n + 1)]
+    return sum(terms[0::2]) - sum(terms[1::2]), 1 if n == 0 else 0
+
+
+REFERENCES = [
+    (check_star, reference_star, 3),
+    (check_vandermonde, reference_vandermonde, 3),
+    (check_double_delta, reference_double_delta, 2),
+]
+
+
+def evaluate(check, point):
+    try:
+        return check(*point)
+    except InfiniteSupportError:
+        return "skipped"
+
+
+class TestRowTables:
+    """The checks read cached rows and diagonals; each must equal the sum
+    written out term by term with one ``binom`` per factor."""
+
+    @pytest.mark.parametrize("check,reference,arity", REFERENCES,
+                             ids=["star", "vandermonde", "double-delta"])
+    def test_every_point_of_a_negative_box(self, check, reference, arity):
+        binomial._row_table.cache_clear()
+        binomial._diagonal_table.cache_clear()
+        points = itertools.product(range(-15, 28), repeat=arity)
+        bad = [p for p in points if evaluate(check, p) != evaluate(reference, p)]
+        assert bad == []
+
+    def test_alternating_rows(self):
+        for n in range(0, 45):
+            assert check_alternating_delta(n) == reference_alternating_delta(n)
+
+    def test_tables_grow_on_demand(self):
+        binomial._row_table.cache_clear()
+        binomial._diagonal_table.cache_clear()
+        assert binomial._row(-3, 2) == [1, -3]
+        assert binomial._row(-3, 4) == [binom(-3, i) for i in range(4)]
+        assert binomial._row(-3, 1) == [binom(-3, i) for i in range(4)]
+        assert binomial._diagonal(-2, 3) == [binom(-2 + i, i) for i in range(3)]
+
+    @pytest.mark.parametrize("identity,box", [
+        # 1,201 rows, one per J
+        (Identity.STAR, {"N": (-1, 1), "J": (-600, 600), "K": (-1, 3)}),
+        # 1,205 diagonals, one per N - K
+        (Identity.STAR, {"N": (-600, 600), "J": (-1, 1), "K": (-1, 3)}),
+        # 1,201 rows, one per M, beside the rows of N
+        (Identity.VANDERMONDE, {"M": (-600, 600), "N": (-1, 1), "L": (-1, 3)}),
+    ], ids=["star-rows", "star-diagonals", "vandermonde-rows"])
+    def test_sweep_past_the_cache_bound(self, identity, box, monkeypatch):
+        # one long range makes the distinct upper parameters outnumber the
+        # cache while the box stays small
+        binomial._row_table.cache_clear()
+        binomial._diagonal_table.cache_clear()
+        rep = sweep_identity(identity, box)
+        tables = binomial._row_table.cache_info(), binomial._diagonal_table.cache_info()
+        assert any(info.misses > binomial.ROW_CACHE_SIZE for info in tables)
+        assert all(info.currsize <= binomial.ROW_CACHE_SIZE for info in tables)
+        reference = {Identity.STAR: reference_star, Identity.VANDERMONDE: reference_vandermonde}
+        monkeypatch.setitem(binomial._CHECKS, identity, reference[identity])
+        assert rep.to_json() == sweep_identity(identity, box).to_json()
+        monkeypatch.undo()
+        # every point once more, now in a different order, against the reference
+        check = binomial._CHECKS[identity]
+        points = itertools.product(*(range(box[p][1], box[p][0] - 1, -1)
+                                     for p in identity.param_names))
+        assert [p for p in points if evaluate(check, p) != evaluate(reference[identity], p)] == []
+
+
+class TestSweepBudget:
+    """Boxes whose sweep_terms exceed SWEEP_TERM_BUDGET are refused."""
+
+    @staticmethod
+    def counted_terms(identity, box):
+        """sweep_terms by enumeration: the summands at each point plus one."""
+        param = {Identity.STAR: "K", Identity.VANDERMONDE: "L",
+                 Identity.ALTERNATING_DELTA: "N", Identity.DOUBLE_DELTA: "L"}.get(identity)
+        total = 0
+        for combo in itertools.product(*(range(lo, hi + 1) for lo, hi in box.values())):
+            point = dict(zip(box, combo))
+            total += 2 if param is None else max(point[param] + 1, 0) + 1
+        return total
+
+    @pytest.mark.parametrize("identity", list(Identity), ids=lambda i: i.value)
+    @pytest.mark.parametrize("span", [(-5, -1), (-3, 4), (2, 6), (0, 0), (-1, -1)])
+    def test_closed_form_matches_a_count(self, identity, span):
+        box = {name: (-2, 1) for name in identity.param_names}
+        box[identity.param_names[-1]] = span
+        if identity is Identity.ALTERNATING_DELTA:
+            box = {"N": (max(span[0], 0), max(span[1], 0))}
+        assert binomial.sweep_terms(identity, box) == self.counted_terms(identity, box)
+
+    def test_default_and_benchmark_boxes_far_inside(self):
+        wide = {Identity.STAR: "NJK", Identity.VANDERMONDE: "MNL"}
+        boxes = [(ident, box) for ident, box in DEFAULT_BOXES.items()]
+        boxes += [(ident, {p: (-12, 24) for p in names}) for ident, names in wide.items()]
+        for ident, box in boxes:
+            assert 100 * binomial.sweep_terms(ident, box) <= binomial.SWEEP_TERM_BUDGET
+
+    def test_the_limit_passes_and_one_more_is_refused(self, monkeypatch):
+        box = {"N": (-3, 4), "J": (-2, 2), "K": (-1, 5)}
+        terms = binomial.sweep_terms(Identity.STAR, box)
+        monkeypatch.setattr(binomial, "SWEEP_TERM_BUDGET", terms)
+        assert sweep_identity(Identity.STAR, box).ok
+        monkeypatch.setattr(binomial, "SWEEP_TERM_BUDGET", terms - 1)
+        with pytest.raises(ValueError, match="SWEEP_TERM_BUDGET"):
+            sweep_identity(Identity.STAR, box)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rjpascal import cli, spectral
+from rjpascal import binomial, cli, spectral
 from rjpascal.binomial import Identity, sweep_identity
 from rjpascal.pascal import build_r, build_u, build_w
 from rjpascal.spectral import matrix_power_oracle
@@ -399,6 +399,100 @@ class TestIdentities:
         code, out, _ = run(capsys, "identities", "--only", "alternating")
         assert code == 1
         assert json.loads(out)[0]["failures"]
+
+
+class TestSweepBudget:
+    """identities refuses boxes over binomial.SWEEP_TERM_BUDGET before any sweep."""
+
+    BOX = ("--only", "star", "--N=-3..4", "--J=-2..2", "--K=-1..5")
+
+    def test_boundary_through_the_cli(self, capsys, monkeypatch):
+        terms = binomial.sweep_terms(Identity.STAR, {"N": (-3, 4), "J": (-2, 2), "K": (-1, 5)})
+        monkeypatch.setattr(binomial, "SWEEP_TERM_BUDGET", terms)
+        assert run(capsys, "identities", *self.BOX)[0] == 0
+        monkeypatch.setattr(binomial, "SWEEP_TERM_BUDGET", terms - 1)
+        code, out, err = run(capsys, "identities", *self.BOX)
+        assert (code, out) == (2, "")
+        assert f"{terms - 1:,}" in err and "SWEEP_TERM_BUDGET" in err
+
+    def test_refused_before_any_sweep(self, capsys, monkeypatch):
+        # vandermonde and double-delta read --L; the four sweeps before
+        # vandermonde must not run either
+        def no_sweep(ident, box):
+            raise AssertionError(f"{ident.value} swept")
+
+        monkeypatch.setattr(cli, "sweep_identity", no_sweep)
+        code, out, err = run(capsys, "identities", "--L", "0..100000")
+        assert (code, out) == (2, "")
+        assert err.startswith("rjpascal: error: vandermonde sweep would evaluate ")
+        assert f"{binomial.SWEEP_TERM_BUDGET:,}" in err
+
+    def test_runaway_box_refused(self, capsys):
+        code, out, err = run(capsys, "identities", "--only", "trinomial",
+                             "--I", "0..999999999", "--J", "0..9", "--K", "0..9")
+        assert (code, out) == (2, "")
+        assert "SWEEP_TERM_BUDGET" in err
+
+
+class TestDoubleRange:
+    """Numeric checks whose values leave the double range exit 2."""
+
+    @pytest.mark.parametrize("argv,what", [
+        (("verify", "--n", "3", "--check", "diag", "--x", str(10 ** 160)), "diag check"),
+        (("verify", "--n", "3", "--check", "all", "--x", str(-10 ** 160)), "diag check"),
+        (("eigen", "--n", "3", "--x", str(10 ** 320)), "eigenvalue gap"),
+        (("eigen", "--n", "3", "--x", str(10 ** 320), "--format", "json"), "eigenvalue gap"),
+    ], ids=["verify-diag", "verify-all", "eigen-pretty", "eigen-json"])
+    def test_exit_2_naming_n_x_and_the_range(self, capsys, argv, what):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        x = argv[argv.index("--x") + 1]
+        assert err == (f"rjpascal: error: the numeric {what} at n = 3, x = {x} needs values "
+                       f"beyond the range of a double (magnitude at most 1.798e+308)\n")
+
+    def test_edge_of_the_range(self, capsys):
+        # the largest value the n = 3 check rounds is (1 + a^2)^2, about
+        # x^4, which passes the largest double near x = 1.16e77
+        code, out, _ = run(capsys, "verify", "--n", "3", "--check", "diag", "--x", str(10 ** 77))
+        assert code == 0
+        assert [rep["check"] for rep in json.loads(out)] == ["diag-involution", "diag-eigen"]
+        code, out, _ = run(capsys, "verify", "--n", "3", "--check", "diag", "--x", str(2 * 10 ** 77))
+        assert (code, out) == (2, "")
+
+
+class TestEmitJson:
+    """_emit_json prints json.dumps(obj, indent=2) in batches of chunks."""
+
+    OBJECTS = {
+        "several-batches": [{"params": {"N": i, "K": -i}, "reason": "r" * (i % 7)}
+                            for i in range(3 * cli._EMIT_BATCH // 10)],
+        "empty-list": [],
+        "scalar": 42,
+        "string": "a \"quoted\" \u00e9",
+    }
+
+    @pytest.mark.parametrize("obj", OBJECTS.values(), ids=OBJECTS.keys())
+    def test_same_bytes_as_dumps(self, capsys, obj):
+        cli._emit_json(obj)
+        assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
+
+    def test_writes_per_batch_not_per_chunk(self, monkeypatch):
+        class CountingStdout:
+            def __init__(self):
+                self.parts = []
+
+            def write(self, text):
+                self.parts.append(text)
+
+        obj = self.OBJECTS["several-batches"]
+        chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(obj))
+        batches = -(-chunks // cli._EMIT_BATCH)
+        assert batches >= 3
+        stub = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stub)
+        cli._emit_json(obj)
+        assert "".join(stub.parts) == json.dumps(obj, indent=2) + "\n"
+        assert len(stub.parts) == batches + 1
 
 
 class TestUsageErrors:
