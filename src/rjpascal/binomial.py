@@ -12,22 +12,21 @@ where its terms vanish; parameter combinations whose sums genuinely do
 not terminate are rejected with InfiniteSupportError rather than being
 silently truncated.
 
-The sums read their factors from two tables, a row C(n, 0), C(n, 1), ...
-per upper parameter n and a diagonal C(d, 0), C(d+1, 1), C(d+2, 2), ...
-per anchor d.  Both are bounded caches keyed by that one integer and
-grown on demand, every entry computed by ``binom``, so a sweep computes
-each coefficient once and each point's summands are one C-level
-``map(mul, ...)`` over slices of them.
+The sums read their factors from one table, a row C(n, 0), C(n, 1), ...
+per upper parameter n: a bounded cache keyed by n whose lists grow on
+demand by the ratio C(n, i) = C(n, i-1)(n-i+1)/i, exact for every integer
+n.  Star, Vandermonde and double-delta are each one convolution of two
+rows (_convolution): upper negation, C(d+i, i) = (-1)^i C(-d-1, i), turns
+the diagonal factors of star and double-delta into row entries.
 """
 from __future__ import annotations
 
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 
 class InfiniteSupportError(ValueError):
@@ -48,51 +47,45 @@ def binom(n: int, k: int) -> int:
     return -c if k & 1 else c
 
 
-#: Rows and diagonals kept by each of the two coefficient tables.  A sweep
-#: whose box spans at most 512 values per parameter never evicts one that
-#: it reads: star reads |J| rows and |N| + |K| - 1 diagonals, Vandermonde
-#: at most |M| + |N| rows.  Past that, evicted entries are recomputed.
-ROW_CACHE_SIZE = 1024
+#: Rows kept by the coefficient table.  A sweep whose box spans at most 512
+#: values per parameter never evicts a row that it reads: star reads rows J
+#: and K-N-1, double-delta rows N and L-N-1, at most 1,535 in all, and
+#: Vandermonde at most |M| + |N|.  Past that, evicted rows are recomputed.
+ROW_CACHE_SIZE = 2048
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def _row_table(n: int) -> list[int]:
-    return []
-
-
-@lru_cache(maxsize=ROW_CACHE_SIZE)
-def _diagonal_table(d: int) -> list[int]:
-    return []
+    return [1]
 
 
 def _row(n: int, length: int) -> list[int]:
     """C(n, i) for i in [0, length) and possibly beyond."""
     row = _row_table(n)
+    c = row[-1]
     for i in range(len(row), length):
-        row.append(binom(n, i))
+        c = c * (n - i + 1) // i  # exact: the product is i·C(n, i)
+        row.append(c)
     return row
 
 
-def _diagonal(d: int, length: int) -> list[int]:
-    """C(d + i, i) for i in [0, length) and possibly beyond."""
-    diag = _diagonal_table(d)
-    for i in range(len(diag), length):
-        diag.append(binom(d + i, i))
-    return diag
+def _convolution(p: int, q: int, s: int) -> int:
+    """sum_k C(p, k)·C(q, s-k) over [0, s]; 0 when s < 0."""
+    if s < 0:
+        return 0
+    return sum(map(mul, _row(p, s + 1), _row(q, s + 1)[s::-1]))
 
 
 def check_star(n: int, j: int, k: int) -> tuple[int, int]:
     """C(N-J, K) vs sum_r (-1)^r C(N-r, K-r) C(J, r).
 
     The summand vanishes for r < 0 (second factor) and for r > K (first
-    factor has a negative lower parameter), so r runs over [0, K].
-    C(N-r, K-r) is entry K-r of the diagonal anchored at N-K.
+    factor has a negative lower parameter), so r runs over [0, K].  By
+    upper negation C(N-r, K-r) = (-1)^(K-r) C(K-N-1, K-r), so the sum is
+    (-1)^K times the convolution of rows J and K-N-1.
     """
-    lhs = binom(n - j, k)
-    if k < 0:  # empty sum; the slice [k::-1] would wrap around
-        return lhs, 0
-    terms = list(map(mul, _diagonal(n - k, k + 1)[k::-1], _row(j, k + 1)))
-    return lhs, sum(terms[0::2]) - sum(terms[1::2])
+    rhs = _convolution(j, k - n - 1, k)
+    return binom(n - j, k), -rhs if k & 1 else rhs
 
 
 def check_trinomial(i: int, j: int, k: int) -> tuple[int, int]:
@@ -127,10 +120,7 @@ def check_vandermonde(m: int, n: int, l: int) -> tuple[int, int]:
         raise InfiniteSupportError(
             f"convolution with both upper parameters negative (M={m}, N={n}) is rejected"
         )
-    if l < 0:  # empty sum; the slice [l::-1] would wrap around
-        return 0, binom(m + n, l)
-    lhs = sum(map(mul, _row(m, l + 1), _row(n, l + 1)[l::-1]))
-    return lhs, binom(m + n, l)
+    return _convolution(m, n, l), binom(m + n, l)
 
 
 def check_alternating_delta(n: int) -> tuple[int, int]:
@@ -146,13 +136,11 @@ def check_alternating_delta(n: int) -> tuple[int, int]:
 def check_double_delta(n: int, l: int) -> tuple[int, int]:
     """sum_u (-1)^u C(N, L-u)·C(N-L+u, u) vs delta(L, 0); all integer N.
 
-    The summand vanishes for u < 0 and u > L, so u runs over [0, L].
-    C(N-L+u, u) is entry u of the diagonal anchored at N-L.
+    The summand vanishes for u < 0 and u > L, so u runs over [0, L].  By
+    upper negation (-1)^u C(N-L+u, u) = C(L-N-1, u), so the sum is the
+    convolution of rows L-N-1 and N.
     """
-    if l < 0:  # empty sum; the slice [l::-1] would wrap around
-        return 0, 0
-    terms = list(map(mul, _row(n, l + 1)[l::-1], _diagonal(n - l, l + 1)))
-    return sum(terms[0::2]) - sum(terms[1::2]), 1 if l == 0 else 0
+    return _convolution(l - n - 1, n, l), 1 if l == 0 else 0
 
 
 class Identity(enum.Enum):
@@ -197,8 +185,7 @@ DEFAULT_BOXES: dict[Identity, dict[str, tuple[int, int]]] = {
 }
 
 
-@dataclass
-class IdentityCase:
+class IdentityCase(NamedTuple):
     """One evaluated lattice point, recorded when the two sides disagree."""
 
     identity: Identity
@@ -210,8 +197,7 @@ class IdentityCase:
         return {"params": dict(self.params), "lhs": self.lhs, "rhs": self.rhs}
 
 
-@dataclass
-class SkippedCase:
+class SkippedCase(NamedTuple):
     """A lattice point excluded from a sweep, with the reason."""
 
     params: dict[str, int]
@@ -221,15 +207,14 @@ class SkippedCase:
         return {"params": dict(self.params), "reason": self.reason}
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Result of sweeping one identity over a parameter box."""
 
     identity: Identity
     box: dict[str, tuple[int, int]]
     cases_checked: int
-    failures: list[IdentityCase] = field(default_factory=list)
-    skipped: list[SkippedCase] = field(default_factory=list)
+    failures: list[IdentityCase]
+    skipped: list[SkippedCase]
 
     @property
     def ok(self) -> bool:

@@ -28,9 +28,9 @@ tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 from .pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, build_r, build_rx,
                      build_u, build_w)
@@ -64,10 +64,11 @@ def eigenvalue_power(n: int, j: int, m: int, x_image: IntPoly = X) -> RingElem:
 
 def _integer_x(x: int | float | None) -> int | None:
     """The integer x names: an integral float such as 1.0 names the same
-    ring as 1, a fractional x is a ValueError, and None (Z[x]) stays."""
+    ring as 1, a fractional or non-finite x is a ValueError, and None
+    (Z[x]) stays."""
     if x is None:
         return None
-    if x != int(x):
+    if (isinstance(x, float) and not x.is_integer()) or x != int(x):
         raise ValueError(f"the coefficient ring needs an integer x, got {x!r}")
     return int(x)
 
@@ -169,8 +170,7 @@ def eigen_distinctness(n: int, x: int = 1) -> float:
     )
 
 
-@dataclass
-class DiagonalizationReport:
+class DiagonalizationReport(NamedTuple):
     """Max-norm residuals of the numeric V@V - I and V@R@V - diag(lambda),
     each beside its magnitude, the max-norm of |V||V| or of |V||R||V|.
     A check passes when its relative residual is at most ``tol``."""

@@ -295,14 +295,13 @@ def evaluate(check, point):
 
 
 class TestRowTables:
-    """The checks read cached rows and diagonals; each must equal the sum
+    """The checks read cached rows; each must equal the sum
     written out term by term with one ``binom`` per factor."""
 
     @pytest.mark.parametrize("check,reference,arity", REFERENCES,
                              ids=["star", "vandermonde", "double-delta"])
     def test_every_point_of_a_negative_box(self, check, reference, arity):
         binomial._row_table.cache_clear()
-        binomial._diagonal_table.cache_clear()
         points = itertools.product(range(-15, 28), repeat=arity)
         bad = [p for p in points if evaluate(check, p) != evaluate(reference, p)]
         assert bad == []
@@ -313,29 +312,59 @@ class TestRowTables:
 
     def test_tables_grow_on_demand(self):
         binomial._row_table.cache_clear()
-        binomial._diagonal_table.cache_clear()
         assert binomial._row(-3, 2) == [1, -3]
         assert binomial._row(-3, 4) == [binom(-3, i) for i in range(4)]
         assert binomial._row(-3, 1) == [binom(-3, i) for i in range(4)]
-        assert binomial._diagonal(-2, 3) == [binom(-2 + i, i) for i in range(3)]
+
+    def test_rows_match_binom(self):
+        # the ratio recurrence against one binom per entry
+        binomial._row_table.cache_clear()
+        for n in range(-40, 41):
+            assert [binomial._row(n, i + 1)[i] for i in range(60)] == [binom(n, i) for i in range(60)]
+        for n in (10 ** 6, -10 ** 6):
+            assert [binomial._row(n, i + 1)[i] for i in range(40)] == [binom(n, i) for i in range(40)]
+
+    def test_star_point_computes_one_binom(self, monkeypatch):
+        # K = 8,000 terms of about 16,000 bits: only the left side is a binom
+        binomial._row_table.cache_clear()
+        calls = []
+
+        def counted(n, k):
+            calls.append((n, k))
+            return binom(n, k)
+
+        monkeypatch.setattr(binomial, "binom", counted)
+        lhs, rhs = check_star(8000, -4000, 4000)
+        assert lhs == rhs == math.comb(12000, 4000)
+        assert calls == [(12000, 4000)]
+
+    def test_no_eviction_below_the_bound(self):
+        # rows N and L-N-1 cover -1021..1020: 2,042 distinct rows, just under
+        # ROW_CACHE_SIZE, from a box of 2,042 points
+        box = {"N": (0, 1020), "L": (0, 1)}
+        rows = {r for n in range(0, 1021) for l in (0, 1) for r in (n, l - n - 1)}
+        assert binomial.ROW_CACHE_SIZE - 8 < len(rows) < binomial.ROW_CACHE_SIZE
+        binomial._row_table.cache_clear()
+        assert sweep_identity(Identity.DOUBLE_DELTA, box).ok
+        info = binomial._row_table.cache_info()
+        assert info.misses == info.currsize == len(rows)
 
     @pytest.mark.parametrize("identity,box", [
-        # 1,201 rows, one per J
-        (Identity.STAR, {"N": (-1, 1), "J": (-600, 600), "K": (-1, 3)}),
-        # 1,205 diagonals, one per N - K
-        (Identity.STAR, {"N": (-600, 600), "J": (-1, 1), "K": (-1, 3)}),
-        # 1,201 rows, one per M, beside the rows of N
-        (Identity.VANDERMONDE, {"M": (-600, 600), "N": (-1, 1), "L": (-1, 3)}),
+        # 2,201 rows, one per J
+        (Identity.STAR, {"N": (-1, 1), "J": (-1100, 1100), "K": (-1, 3)}),
+        # 2,204 rows, one per K - N - 1 for K >= 0 (the diagonals of N - K)
+        (Identity.STAR, {"N": (-1100, 1100), "J": (-1, 1), "K": (-1, 3)}),
+        # 2,201 rows, one per M, beside the rows of N
+        (Identity.VANDERMONDE, {"M": (-1100, 1100), "N": (-1, 1), "L": (-1, 3)}),
     ], ids=["star-rows", "star-diagonals", "vandermonde-rows"])
     def test_sweep_past_the_cache_bound(self, identity, box, monkeypatch):
         # one long range makes the distinct upper parameters outnumber the
         # cache while the box stays small
         binomial._row_table.cache_clear()
-        binomial._diagonal_table.cache_clear()
         rep = sweep_identity(identity, box)
-        tables = binomial._row_table.cache_info(), binomial._diagonal_table.cache_info()
-        assert any(info.misses > binomial.ROW_CACHE_SIZE for info in tables)
-        assert all(info.currsize <= binomial.ROW_CACHE_SIZE for info in tables)
+        info = binomial._row_table.cache_info()
+        assert info.misses > binomial.ROW_CACHE_SIZE
+        assert info.currsize <= binomial.ROW_CACHE_SIZE
         reference = {Identity.STAR: reference_star, Identity.VANDERMONDE: reference_vandermonde}
         monkeypatch.setitem(binomial._CHECKS, identity, reference[identity])
         assert rep.to_json() == sweep_identity(identity, box).to_json()

@@ -547,3 +547,15 @@ def test_cli_runs_on_stdlib_alone(argv):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_cli_import_skips_dataclasses():
+    # dataclasses pulls in inspect (and ast, dis, tokenize): about 10 ms of
+    # import time that every command would pay
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, rjpascal.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rjpascal.binomial import _diagonal_table, _row_table
+from rjpascal.binomial import _row_table
 from rjpascal.pascal import IntMatrix, RingMatrix, build_r, build_rx, build_u, build_w
 from rjpascal.ring import A, ONE, IntPoly, RingElem, X, _a_pow_cached, a_pow
 from rjpascal.spectral import _eigen_sides, _inverse_r, _specialized, involution_scale
@@ -521,7 +521,7 @@ class TestSerialization:
 
 @pytest.mark.parametrize(
     "cached", [build_r, build_rx, build_u, build_w, _a_pow_cached, _specialized, _inverse_r,
-               _eigen_sides, _row_table, _diagonal_table],
+               _eigen_sides, _row_table],
     ids=lambda f: f.__name__,
 )
 def test_caches_are_bounded(cached):

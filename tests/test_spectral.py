@@ -245,7 +245,10 @@ def test_float_x_does_not_poison_the_cache():
 @pytest.mark.parametrize("check, args", [
     (verify_involution, (3, 1.5)),
     (verify_eigenpair, (3, 1, -0.5)),
-], ids=["involution", "eigenpair"])
+    (verify_involution, (3, math.inf)),
+    (verify_involution, (3, -math.inf)),
+    (verify_involution, (3, math.nan)),
+], ids=["involution", "eigenpair", "inf", "-inf", "nan"])
 def test_fractional_x_rejected(check, args):
     with pytest.raises(ValueError, match="integer x"):
         check(*args)
