@@ -213,7 +213,7 @@ def _cmd_show(args) -> int:
 
 def _cmd_eigen(args) -> int:
     x_image = X if args.x is None else IntPoly.const(args.x)
-    lams = [spectral.eigenvalue(args.n, j, x_image) for j in range(1, args.n + 1)]
+    lams = spectral.eigenvalues(args.n, x_image)
     try:
         gap = None if args.x is None else spectral.eigen_distinctness(args.n, args.x)
     except OverflowError:

@@ -39,7 +39,7 @@ def _check_dimension(n: int) -> None:
 
 
 class _SquareMatrix:
-    """Shape, indexing, trace, equality and display shared by both matrix types.
+    """Shape, equality and display shared by both matrix types.
 
     Equality is type-strict: an IntMatrix never equals a RingMatrix.
     """
@@ -54,16 +54,6 @@ class _SquareMatrix:
                 raise ValueError("matrix must be square")
         self.n = len(rs)
         self.rows = rs
-
-    def entry(self, i: int, j: int):
-        """Entry at 1-based position (i, j)."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexError(f"({i}, {j}) outside 1..{self.n}")
-        return self.rows[i - 1][j - 1]
-
-    def trace(self):
-        """Sum of the diagonal entries."""
-        return sum(self.rows[i][i] for i in range(self.n))
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -89,9 +79,6 @@ class IntMatrix(_SquareMatrix):
         _check_dimension(n)
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def __hash__(self):
-        return hash(self.rows)
-
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -115,7 +102,7 @@ class IntMatrix(_SquareMatrix):
         Eliminates [self | I] with _gauss_jordan: the left half ends as
         p I and the right half as p times the inverse, with p = +/-1.
         """
-        d = self.det()
+        d = self.det()  # a second elimination, kept while perfbench counts pascal.det
         if d not in (1, -1):
             raise ValueError(f"matrix is not unimodular (det = {d})")
         n = self.n
@@ -190,10 +177,6 @@ class RingMatrix(_SquareMatrix):
         zero = RingElem(0, 0, c.x_image)
         return cls([[c if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def identity(cls, n: int, x_image: IntPoly = X) -> RingMatrix:
-        return cls.scalar(n, RingElem(1, 0, x_image))
-
     def column(self, j: int) -> tuple[RingElem, ...]:
         """Column j (1-based) as a vector."""
         if not (1 <= j <= self.n):
@@ -208,17 +191,13 @@ class RingMatrix(_SquareMatrix):
         check_same_ring(self.x_image, other.x_image)
         return RingMatrix(_dot_products(self.rows, tuple(zip(*other.rows)), self.x_image))
 
+    # No command calls this; perfbench/tracer.py wraps it (ROADMAP item 1).
     def mul_vector(self, vec: Sequence[RingElem]) -> tuple[RingElem, ...]:
         if len(vec) != self.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {len(vec)}")
         for e in vec:
             check_same_ring(self.x_image, e.x_image)
         return tuple(row[0] for row in _dot_products(self.rows, (vec,), self.x_image))
-
-    def scalar_mul(self, c) -> RingMatrix:
-        if not isinstance(c, RingElem):
-            c = RingElem(c, 0, self.x_image)
-        return self.scale_columns([c] * self.n)
 
     def scale_columns(self, factors: Sequence[RingElem]) -> RingMatrix:
         """Multiply column j by factors[j-1]: self @ diag(factors).

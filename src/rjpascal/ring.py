@@ -107,7 +107,7 @@ class IntPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __bool__(self) -> bool:
+    def __bool__(self) -> bool:  # no command tests truth, but zero must be falsy
         return bool(self.coeffs)
 
     def __neg__(self) -> IntPoly:
@@ -126,15 +126,6 @@ class IntPoly:
         return IntPoly(out)
 
     __radd__ = __add__
-
-    def __sub__(self, other) -> IntPoly:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> IntPoly:
-        return -(self - other)
 
     def __mul__(self, other) -> IntPoly:
         other = self._coerce(other)
@@ -243,10 +234,7 @@ class RingElem:
             and self.c1 == other.c1
         )
 
-    def __hash__(self):
-        return hash((self.c0, self.c1, self.x_image))
-
-    def __bool__(self) -> bool:
+    def __bool__(self) -> bool:  # no command tests truth, but zero must be falsy
         return not self.is_zero
 
     def __neg__(self) -> RingElem:
@@ -259,15 +247,6 @@ class RingElem:
         return RingElem(self.c0 + other.c0, self.c1 + other.c1, self.x_image)
 
     __radd__ = __add__
-
-    def __sub__(self, other) -> RingElem:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> RingElem:
-        return -(self - other)
 
     def __mul__(self, other) -> RingElem:
         other = self._coerce(other)

@@ -25,6 +25,16 @@ from rjpascal.spectral import (
 ONE_AT_1 = IntPoly.const(1)
 
 
+def trace(m):
+    """Sum of the diagonal entries of a matrix."""
+    return sum(m.rows[i][i] for i in range(m.n))
+
+
+def passed(rep):
+    """The CLI's verdict on a diag report: both relative residuals within tol."""
+    return max(rep.relative_involution, rep.relative_diagonalization) <= rep.tol
+
+
 class TestEigenvalue:
     def test_n1(self):
         assert eigenvalue(1, 1) == ONE
@@ -42,7 +52,7 @@ class TestEigenvalue:
     def test_n3_trace(self):
         total = eigenvalue(3, 1) + eigenvalue(3, 2) + eigenvalue(3, 3)
         assert total.specialize(1).as_int() == 2
-        assert build_r(3).trace() == 2
+        assert trace(build_r(3)) == 2
 
     def test_index_validation(self):
         with pytest.raises(IndexError):
@@ -55,7 +65,14 @@ class TestEigenvalue:
         total = eigenvalue(n, 1)
         for j in range(2, n + 1):
             total = total + eigenvalue(n, j)
-        assert total.specialize(1).as_int() == build_r(n).trace()
+        assert total.specialize(1).as_int() == trace(build_r(n))
+
+
+@pytest.mark.parametrize("x_image", [X, IntPoly.const(1), IntPoly.const(0), IntPoly.const(-3)])
+def test_eigenvalues_are_each_eigenvalue(x_image):
+    for n in range(1, 13):
+        assert spectral.eigenvalues(n, x_image) == [
+            eigenvalue(n, j, x_image) for j in range(1, n + 1)]
 
 
 class TestEigenvaluePower:
@@ -158,7 +175,7 @@ class TestVerifyInvolution:
 
     def test_n2_symbolic_hand_check(self):
         w = build_w(2)
-        assert w @ w == RingMatrix.identity(2).scalar_mul(ONE + A * A)
+        assert w @ w == RingMatrix.scalar(2, ONE + A * A)
         assert verify_involution(2, x=None)
 
     @pytest.mark.parametrize("n", range(1, 11))
@@ -282,7 +299,7 @@ class TestNumericChecks:
 
     def test_diag_n2(self):
         rep = verify_diagonalization_numeric(2, 1, 1e-9)
-        assert rep.passed
+        assert passed(rep)
         assert rep.residual_involution < 1e-9
         assert rep.residual_diagonalization < 1e-9
 
@@ -292,12 +309,12 @@ class TestNumericChecks:
         assert rep.residual_diagonalization <= 1e-15
 
     def test_diag_n10(self):
-        assert verify_diagonalization_numeric(10, 1, 1e-8).passed
-        assert verify_diagonalization_numeric(10, 1).passed
+        assert passed(verify_diagonalization_numeric(10, 1, 1e-8))
+        assert passed(verify_diagonalization_numeric(10, 1))
 
     def test_diag_other_x(self):
-        assert verify_diagonalization_numeric(6, 2).passed
-        assert verify_diagonalization_numeric(6, -1).passed
+        assert passed(verify_diagonalization_numeric(6, 2))
+        assert passed(verify_diagonalization_numeric(6, -1))
 
     def test_diag_rejects_fractional_x(self):
         assert verify_diagonalization_numeric(3, 1.0) == verify_diagonalization_numeric(3, 1)
@@ -317,14 +334,14 @@ class TestNumericChecks:
         assert rep.magnitude_diagonalization >= max(map(abs, eigenvalues_numeric(n, x)))
         assert rep.relative_diagonalization <= rep.tol
         assert rep.relative_involution <= rep.tol
-        assert rep.passed
+        assert passed(rep)
 
     # the worst false FAILs of the old absolute rule with Horner-evaluated
     # entries, and the far corner of the n <= 30, |x| <= 7 sweep
     @pytest.mark.parametrize("n, x", [(20, -2), (15, -4), (11, -7), (28, -1), (30, -7)])
     def test_diag_negative_x_passes(self, n, x):
         rep = verify_diagonalization_numeric(n, x)
-        assert rep.passed
+        assert passed(rep)
         assert max(rep.relative_involution, rep.relative_diagonalization) < rep.tol / 8
 
     @pytest.mark.parametrize("n, x", [(12, -2), (10, -7), (6, 1), (16, 3)])
@@ -340,11 +357,11 @@ class TestNumericChecks:
         rep = verify_diagonalization_numeric(n, x)
         assert rep.relative_involution <= rep.tol
         assert rep.relative_diagonalization > rep.tol
-        assert not rep.passed
+        assert not passed(rep)
 
     @pytest.mark.parametrize("n, x", [(16, 1), (20, -2), (30, -7), (8, 3)])
     def test_diag_perturbed_w_entry_fails(self, monkeypatch, n, x):
-        assert verify_diagonalization_numeric(n, x).passed
+        assert passed(verify_diagonalization_numeric(n, x))
         w = _specialized(build_w, n, x)
         target = max((e for row in w.rows for e in row), key=lambda e: abs(float(e)))
         exact_float = RingElem.__float__
@@ -357,7 +374,7 @@ class TestNumericChecks:
         rep = verify_diagonalization_numeric(n, x)
         assert rep.relative_involution > rep.tol
         assert rep.relative_diagonalization > rep.tol
-        assert not rep.passed
+        assert not passed(rep)
 
     def test_diag_scale_floor_is_one(self):
         # (|V||V|)_ii >= |(V V)_ii| = 1 and (|V||R||V|)_jj >= |lambda_j|,
@@ -366,7 +383,7 @@ class TestNumericChecks:
         assert eigenvalues_numeric(5, 0) == [1.0, -1.0, 1.0, -1.0, 1.0]
         assert rep.magnitude_involution >= 1.0
         assert rep.magnitude_diagonalization >= 1.0
-        assert rep.passed
+        assert passed(rep)
 
     def test_distinctness_n2(self):
         # |a - (1 - a)| = sqrt(5)
@@ -377,6 +394,14 @@ class TestNumericChecks:
 
     def test_distinctness_n8(self):
         assert eigen_distinctness(8, 1) > 0
+
+    @pytest.mark.parametrize("x", range(-3, 4))
+    def test_distinctness_is_the_all_pairs_minimum(self, x):
+        for n in range(1, 41):
+            lams = eigenvalues_numeric(n, x)
+            want = min((abs(lams[i] - lams[j]) for i in range(n) for j in range(i + 1, n)),
+                       default=math.inf)
+            assert eigen_distinctness(n, x) == want
 
     def test_eigenvalues_numeric_match_exact(self):
         for n in range(1, 9):
@@ -397,7 +422,7 @@ def test_w_symmetry_report():
     for n in range(1, 9):
         w = build_w(n)
         sym = all(
-            w.entry(i, j) == w.entry(j, i)
+            w.rows[i - 1][j - 1] == w.rows[j - 1][i - 1]
             for i in range(1, n + 1)
             for j in range(i + 1, n + 1)
         )
