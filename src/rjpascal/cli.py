@@ -192,9 +192,9 @@ def _double_range_error(what: str, n: int, x: int) -> str:
 def _cmd_show(args) -> int:
     if args.command == "show-r":
         if args.x is None:
-            matrix = build_rx(args.n)
             if args.format == "csv":
                 return _usage_error("csv is only valid for integer-valued output")
+            matrix = build_rx(args.n)
         else:
             matrix = build_rx(args.n).specialize(args.x).to_int_matrix()
     else:
@@ -252,6 +252,9 @@ def _cmd_verify(args) -> int:
         return _usage_error("the power check is defined at x = 1 only")
     if args.check == "diag" and x is None:
         return _usage_error("the diag check is numeric; pass an integer --x")
+    if args.m is not None and args.check not in ("power", "all"):
+        return _usage_error(f"--m sets the power check's exponent; --check "
+                            f"{args.check} runs no power check")
     exponents = [args.m] if args.m is not None else list(DEFAULT_POWER_RANGE)
     if "power" in checks and x == 1 and (err := _power_budget_error(n, exponents)):
         return _usage_error(err)

@@ -143,28 +143,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def exact_div(self, divisor: IntPoly) -> IntPoly:
-        """Quotient self / divisor in Z[x]; ExactDivisionError if not exact."""
-        divisor = self._coerce(divisor)
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dc = divisor.coeffs
-        lead = dc[-1]
-        quot = [0] * max(len(rem) - len(dc) + 1, 0)
-        for i in range(len(rem) - len(dc), -1, -1):
-            top = rem[i + len(dc) - 1]
-            q, r = divmod(top, lead)
-            if r:
-                raise ExactDivisionError(f"{self} is not divisible by {divisor}")
-            quot[i] = q
-            if q:
-                for j, d in enumerate(dc):
-                    rem[i + j] -= q * d
-        if any(rem):
-            raise ExactDivisionError(f"{self} is not divisible by {divisor}")
-        return IntPoly(quot)
-
     def coeff_strings(self) -> list[str]:
         """Coefficients as decimal strings, ascending degree (JSON form)."""
         return [str(c) for c in self.coeffs]
@@ -265,8 +243,7 @@ class RingElem:
 
     def __pow__(self, e: int) -> RingElem:
         if e < 0:
-            raise ValueError("negative powers: use a_pow for powers of a, "
-                             "or divide_exact for unit division")
+            raise ValueError("negative powers: use a_pow for powers of a")
         return power(self, e, RingElem(1, 0, self.x_image), operator.mul)
 
     def conjugate(self) -> RingElem:
@@ -279,19 +256,20 @@ class RingElem:
         assert n.c1.is_zero
         return n.c0
 
-    def divide_exact(self, divisor: RingElem) -> RingElem:
-        """Exact quotient self / divisor; ExactDivisionError if not exact.
+    def divide_exact(self, d: int) -> RingElem:
+        """Exact quotient self / d for a nonzero int d, taken coefficient by
+        coefficient in c0 and c1; ExactDivisionError if any coefficient is
+        not a multiple of d."""
+        if d == 0:
+            raise ZeroDivisionError(f"cannot divide {self} by 0")
 
-        A divisor in the coefficient ring (zero a-part) divides both parts
-        directly; any other divisor goes through its conjugate and norm.
-        """
-        divisor = self._coerce(divisor)
-        if divisor.c1.is_zero:
-            den = divisor.c0
-            return RingElem(self.c0.exact_div(den), self.c1.exact_div(den), self.x_image)
-        num = self * divisor.conjugate()
-        den = divisor.norm()
-        return RingElem(num.c0.exact_div(den), num.c1.exact_div(den), self.x_image)
+        def part(p: IntPoly) -> IntPoly:
+            qr = [divmod(c, d) for c in p.coeffs]
+            if any(r for _, r in qr):
+                raise ExactDivisionError(f"{self} is not divisible by {d}")
+            return IntPoly(q for q, _ in qr)
+
+        return RingElem(part(self.c0), part(self.c1), self.x_image)
 
     def specialize(self, x_value: int) -> RingElem:
         """Evaluate every coefficient at ``x_value`` (an exact integer).

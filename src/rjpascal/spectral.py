@@ -10,9 +10,10 @@ Because the scaled eigenvector matrix W satisfies
 W^2 = (1+a^2)^(n-1) I, integer powers of the Pascal matrix are
 W diag(lambda^m) W divided by (1+a^2)^(n-1).  The diagonal factor, with
 the conjugate of the divisor folded in, is applied by scaling column j
-of W, so one matrix product remains.  The division is performed exactly
-in the ring and any remainder or leftover a-component is a hard error,
-which makes the power routine a self-test of the whole formula chain.
+of W, so one matrix product remains.  The entries are then divided by
+the divisor's norm, an integer; any remainder or leftover a-component is
+a hard error, which makes the power routine a self-test of the whole
+formula chain.
 W is U with columns scaled by units, so the exact involution check also
 proves U invertible at every x.
 
@@ -109,8 +110,7 @@ def _eigen_sides(n: int, x: int | None) -> tuple[RingMatrix, RingMatrix]:
     per (n, x) for all n eigenpairs."""
     r = _specialized(build_rx, n, x)
     u = _specialized(build_u, n, x)
-    lams = [eigenvalue(n, j, u.x_image) for j in range(1, n + 1)]
-    return r @ u, u.scale_columns(lams)
+    return r @ u, u.scale_columns(eigenvalues(n, u.x_image))
 
 
 def involution_scale(n: int, x_image: IntPoly = X) -> RingElem:
@@ -135,16 +135,16 @@ def matrix_power_closed_form(n: int, m: int) -> IntMatrix:
 
     Computes W diag(lambda_j^m) W at x = 1 and divides each entry by
     (1 + a^2)^(n-1): it multiplies by the conjugate of that scale and
-    divides by its norm, (x^2 + 4)^(n-1) = 5^(n-1).  The conjugate is a
-    scalar, so it folds into the diagonal: column j of W is scaled by
-    lambda_j^m times the conjugate, n ring products, and one matrix
-    product remains.  Every quotient must be a plain integer; a failed
+    divides by its norm, the integer (x^2 + 4)^(n-1) = 5^(n-1).  The
+    conjugate is a scalar, so it folds into the diagonal: column j of W is
+    scaled by lambda_j^m times the conjugate, n ring products, and one
+    matrix product remains.  Every quotient must be a plain integer; a failed
     division or a leftover a-component raises (ExactDivisionError or
     ValueError) and would signal a formula bug, never an expected state.
     """
     w = _specialized(build_w, n, 1)
     scale = involution_scale(n, w.x_image)
-    conj, norm = scale.conjugate(), scale.norm()
+    conj, norm = scale.conjugate(), scale.norm().constant_value()
     factors = [eigenvalue_power(n, j, m, w.x_image) * conj for j in range(1, n + 1)]
     raw = w.scale_columns(factors) @ w
     return IntMatrix([[e.divide_exact(norm).as_int() for e in row] for row in raw.rows])

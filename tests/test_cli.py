@@ -53,6 +53,16 @@ class TestShow:
         assert code == 2
         assert "integer-valued" in err
 
+    def test_show_r_symbolic_csv_rejected_before_building(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError("R(x) was built for a rejected format")
+
+        monkeypatch.setattr(cli, "build_rx", refuse)
+        code, out, err = run(capsys, "show-r", "--n", "3000", "--x", "symbolic",
+                             "--format", "csv")
+        assert (code, out) == (2, "")
+        assert "integer-valued" in err
+
     def test_show_w_pretty(self, capsys):
         code, out, _ = run(capsys, "show-w", "--n", "2")
         assert code == 0
@@ -124,14 +134,15 @@ class TestVerify:
 
     @pytest.mark.parametrize("x", ["1", "symbolic", "-2"])
     def test_wrong_eigenvalue_fails_only_its_pair(self, capsys, monkeypatch, x):
-        true_eigenvalue = spectral.eigenvalue
+        true_eigenvalues = spectral.eigenvalues
 
-        def wrong_at_3(n, j, x_image):
-            lam = true_eigenvalue(n, j, x_image)
-            return -lam if j == 3 else lam
+        def wrong_at_3(n, x_image):
+            lams = true_eigenvalues(n, x_image)
+            lams[2] = -lams[2]
+            return lams
 
         spectral._eigen_sides.cache_clear()
-        monkeypatch.setattr(spectral, "eigenvalue", wrong_at_3)
+        monkeypatch.setattr(spectral, "eigenvalues", wrong_at_3)
         try:
             code, out, _ = run(capsys, "verify", "--n", "5", "--check", "eigen", "--x", x)
         finally:
@@ -224,6 +235,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--n", "3", "--check", "diag",
                            "--x", "symbolic")
         assert code == 2
+
+    @pytest.mark.parametrize("check", ["eigen", "involution", "diag"])
+    def test_m_without_power_check_rejected(self, capsys, check):
+        code, out, err = run(capsys, "verify", "--n", "2", "--check", check, "--m", "3")
+        assert (code, out) == (2, "")
+        assert "--m sets the power check's exponent" in err
+        assert f"--check {check} runs no power check" in err
 
     def test_pretty_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "2", "--check", "involution",

@@ -49,25 +49,6 @@ class TestIntPoly:
         assert p(2) == 9
         assert p(-1) == 6
 
-    def test_exact_div(self):
-        assert IntPoly((1, 2, 1)).exact_div(IntPoly((1, 1))) == IntPoly((1, 1))
-        assert IntPoly((4, 6)).exact_div(IntPoly((2,))) == IntPoly((2, 3))
-        with pytest.raises(ExactDivisionError):
-            IntPoly((1, 1)).exact_div(IntPoly((2,)))
-        with pytest.raises(ExactDivisionError):
-            IntPoly((1, 0, 1)).exact_div(IntPoly((1, 1)))
-        with pytest.raises(ZeroDivisionError):
-            X.exact_div(IntPoly())
-
-    def test_exact_div_random(self):
-        rng = random.Random(20240901)
-        for _ in range(200):
-            q = random_poly(rng)
-            d = random_poly(rng)
-            if d.is_zero:
-                continue
-            assert (q * d).exact_div(d) == q
-
     def test_str(self):
         assert str(IntPoly()) == "0"
         assert str(IntPoly((4, -1, 3))) == "3x^2 - x + 4"
@@ -277,40 +258,57 @@ class TestFloatAgainstDecimal:
 
 class TestDivisionAndExtraction:
     def test_divide_exact_roundtrip(self):
+        # Z[x] elements times a nonzero int, divided back by it
         rng = random.Random(4242)
         for _ in range(200):
             u = random_elem(rng)
-            d = random_elem(rng)
-            if d.is_zero:
-                continue
+            d = rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(1, 30))
             assert (u * d).divide_exact(d) == u
 
     def test_divide_exact_specialized(self):
         rng = random.Random(4343)
         for _ in range(100):
             u = random_elem(rng).specialize(1)
-            d = random_elem(rng).specialize(1)
-            if d.is_zero:
-                continue
+            d = rng.choice((-1, 1)) * rng.randint(1, 5 ** rng.randint(0, 40))
             assert (u * d).divide_exact(d) == u
 
     def test_divide_inexact_raises(self):
-        with pytest.raises(ExactDivisionError):
-            A.divide_exact(RingElem(2))
+        with pytest.raises(ExactDivisionError, match=r"^a is not divisible by 2$"):
+            A.divide_exact(2)
+        with pytest.raises(ZeroDivisionError, match="a by 0"):
+            A.divide_exact(0)
+        with pytest.raises(ZeroDivisionError):
+            ZERO.divide_exact(0)
 
     def test_divide_by_coefficient(self):
-        # a zero a-part divides both parts directly, here by 5 = N(2 + a) at x = 1
+        # both parts are divided, here by 5 = N(2 + a) at x = 1
         one = IntPoly.const(1)
         u = RingElem(10, -15, one)
         assert u.divide_exact(5) == RingElem(2, -3, one)
-        assert u.divide_exact(IntPoly.const(-5)) == RingElem(-2, 3, one)
-        assert RingElem(X * X + 4 * X, 2 * X).divide_exact(X) == RingElem(X + 4, 2)
+        assert u.divide_exact(-5) == RingElem(-2, 3, one)
+        assert ZERO.divide_exact(7) == ZERO
+        # over Z[x], every coefficient of c0 and of c1
+        v = RingElem(IntPoly((6, 0, -12)), IntPoly((0, 9, 3)))
+        assert v.divide_exact(3) == RingElem(IntPoly((2, 0, -4)), IntPoly((0, 3, 1)))
+        assert v.divide_exact(-3) == RingElem(IntPoly((-2, 0, 4)), IntPoly((0, -3, -1)))
 
     def test_divide_by_coefficient_inexact_raises(self):
-        with pytest.raises(ExactDivisionError):
-            RingElem(10, 7, IntPoly.const(1)).divide_exact(5)
-        with pytest.raises(ExactDivisionError):
-            RingElem(X, 1).divide_exact(X)
+        one = IntPoly.const(1)
+        cases = [
+            ((10,), (7,), one),     # only c1 leaves a remainder
+            ((7,), (10,), one),     # only c0
+            ((5, 0, 5), (5, 3), X), # only c1's x coefficient
+            ((5, 5, 2), (5,), X),   # only c0's x^2 coefficient
+        ]
+        for c0, c1, x_image in cases:
+            u = RingElem(IntPoly(c0), IntPoly(c1), x_image)
+            with pytest.raises(ExactDivisionError, match="not divisible by 5$") as err:
+                u.divide_exact(5)
+            assert str(u) in str(err.value)
+
+    def test_divide_exact_takes_an_int(self):
+        with pytest.raises(TypeError):
+            RingElem(10, 5).divide_exact(IntPoly.const(5))
 
     def test_norm(self):
         # N(a) = -1, N(1 + a^2) = x^2 + 4
