@@ -14,14 +14,34 @@ from rjpascal.binomial import (
     IdentityCase,
     InfiniteSupportError,
     binom,
-    check_alternating_delta,
-    check_double_delta,
-    check_star,
-    check_trinomial,
-    check_trinomial_companion,
-    check_vandermonde,
     sweep_identity,
 )
+
+
+def point_of(line):
+    """The one-point line of ``line``: (lhs, rhs) at a single point."""
+    def check(*params):
+        *outer, last = params
+        lhs, rhs = line(*outer, range(last, last + 1))
+        return lhs[0], rhs[0]
+    return check
+
+
+def line_of(point):
+    """A line that evaluates ``point`` at each value of the last parameter."""
+    def line(*params):
+        *outer, inner = params
+        pairs = [point(*outer, x) for x in inner]
+        return [lhs for lhs, _ in pairs], [rhs for _, rhs in pairs]
+    return line
+
+
+check_star = point_of(binomial.star_line)
+check_trinomial = point_of(binomial.trinomial_line)
+check_trinomial_companion = point_of(binomial.trinomial_companion_line)
+check_vandermonde = point_of(binomial.vandermonde_line)
+check_alternating_delta = point_of(binomial.alternating_delta_line)
+check_double_delta = point_of(binomial.double_delta_line)
 
 
 class TestBinom:
@@ -226,7 +246,7 @@ class TestSweep:
             lhs, rhs = check_star(n, j, k)
             return (lhs, rhs + 1) if (n, j, k) == (4, -2, 3) else (lhs, rhs)
 
-        monkeypatch.setitem(binomial._CHECKS, Identity.STAR, broken_star)
+        monkeypatch.setitem(binomial._LINES, Identity.STAR, line_of(broken_star))
         box = {"N": (-3, 5), "J": (-3, 5), "K": (-3, 5)}
         rep = sweep_identity(Identity.STAR, box)
         lhs, rhs = check_star(4, -2, 3)
@@ -237,6 +257,50 @@ class TestSweep:
         assert list(rep.failures[0].params) == ["N", "J", "K"]
         assert rep.skipped == []
         assert not rep.ok
+
+    def test_failures_in_product_order(self, monkeypatch):
+        # two mismatches on one line, at its first and last point, and one
+        # at the last point of a later line: three failures, in the order of
+        # itertools.product, each with that point's own sides
+        offsets = {(0, 1, -3): 5, (0, 1, 4): -1, (2, -1, 4): 7}
+
+        def broken_star(n, j, k):
+            lhs, rhs = check_star(n, j, k)
+            return lhs, rhs + offsets.get((n, j, k), 0)
+
+        monkeypatch.setitem(binomial._LINES, Identity.STAR, line_of(broken_star))
+        box = {"N": (-3, 4), "J": (-3, 4), "K": (-3, 4)}
+        rep = sweep_identity(Identity.STAR, box)
+        expected = []
+        for (n, j, k), offset in offsets.items():
+            lhs, rhs = check_star(n, j, k)
+            params = {"N": n, "J": j, "K": k}
+            expected.append(IdentityCase(Identity.STAR, params, lhs, rhs + offset))
+        assert rep.failures == expected
+        assert rep.cases_checked == 8 ** 3
+        assert rep.skipped == []
+
+    @pytest.mark.parametrize("identity", list(Identity), ids=lambda i: i.value)
+    def test_one_line_call_per_outer_combination(self, identity, monkeypatch):
+        box = {name: (-2, 3) for name in identity.param_names}
+        if identity is Identity.ALTERNATING_DELTA:
+            box = {"N": (0, 7)}
+        line = binomial._LINES[identity]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return line(*args)
+
+        monkeypatch.setitem(binomial._LINES, identity, counted)
+        rep = sweep_identity(identity, box)
+        *outer, inner = [range(lo, hi + 1) for lo, hi in box.values()]
+        # the companion's I < 0 lines are skipped without a call
+        companion = identity is Identity.TRINOMIAL_COMPANION
+        assert calls == [(*combo, inner) for combo in itertools.product(*outer)
+                         if not (companion and combo[0] < 0)]
+        assert rep.ok
+        assert rep.cases_checked == math.prod(map(len, (*outer, inner)))
 
     def test_skipped_records_order_and_params(self):
         rep = sweep_identity(
@@ -280,6 +344,24 @@ def reference_alternating_delta(n):
     return sum(terms[0::2]) - sum(terms[1::2]), 1 if n == 0 else 0
 
 
+def reference_trinomial(i, j, k):
+    return binom(i, j) * binom(j, k), binom(i, k) * binom(i - k, j - k)
+
+
+def reference_trinomial_companion(i, j, k):
+    return binom(i, j) * binom(j, k), binom(i, k) * binom(i - k, i - j)
+
+
+LINE_REFERENCES = {
+    Identity.STAR: reference_star,
+    Identity.TRINOMIAL: reference_trinomial,
+    Identity.TRINOMIAL_COMPANION: reference_trinomial_companion,
+    Identity.VANDERMONDE: reference_vandermonde,
+    Identity.ALTERNATING_DELTA: reference_alternating_delta,
+    Identity.DOUBLE_DELTA: reference_double_delta,
+}
+
+
 REFERENCES = [
     (check_star, reference_star, 3),
     (check_vandermonde, reference_vandermonde, 3),
@@ -305,6 +387,22 @@ class TestRowTables:
         points = itertools.product(range(-15, 28), repeat=arity)
         bad = [p for p in points if evaluate(check, p) != evaluate(reference, p)]
         assert bad == []
+
+    @pytest.mark.parametrize("identity", list(Identity), ids=lambda i: i.value)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_property_lines_match_point_references(self, identity, data):
+        # random outer parameters, negative ones included (the companion's
+        # I < 0 and Vandermonde's double-negative skips), and a last range
+        # that straddles 0 (a fresh N >= 0 range for the alternating sum)
+        outer = data.draw(st.tuples(*[st.integers(-15, 15)] * (len(identity.param_names) - 1)))
+        lo = data.draw(st.integers(0 if identity is Identity.ALTERNATING_DELTA else -10, 2))
+        inner = range(lo, data.draw(st.integers(lo, 20)) + 1)
+        if data.draw(st.booleans()):
+            binomial._row_table.cache_clear()
+        line = binomial._LINES[identity]
+        reference = line_of(LINE_REFERENCES[identity])
+        assert evaluate(line, (*outer, inner)) == evaluate(reference, (*outer, inner))
 
     def test_alternating_rows(self):
         for n in range(0, 45):
@@ -366,11 +464,11 @@ class TestRowTables:
         assert info.misses > binomial.ROW_CACHE_SIZE
         assert info.currsize <= binomial.ROW_CACHE_SIZE
         reference = {Identity.STAR: reference_star, Identity.VANDERMONDE: reference_vandermonde}
-        monkeypatch.setitem(binomial._CHECKS, identity, reference[identity])
+        monkeypatch.setitem(binomial._LINES, identity, line_of(reference[identity]))
         assert rep.to_json() == sweep_identity(identity, box).to_json()
         monkeypatch.undo()
         # every point once more, now in a different order, against the reference
-        check = binomial._CHECKS[identity]
+        check = point_of(binomial._LINES[identity])
         points = itertools.product(*(range(box[p][1], box[p][0] - 1, -1)
                                      for p in identity.param_names))
         assert [p for p in points if evaluate(check, p) != evaluate(reference[identity], p)] == []

@@ -39,6 +39,10 @@ def _commands() -> list[tuple[str, ...]]:
     for fmt in ("json", "pretty"):
         cmds.append(("identities", "--N", "0..6", "--J", "-3..5", "--K", "-3..5",
                      "--I", "-3..5", "--M", "-3..5", "--L", "0..5", "--format", fmt))
+    # the benchmark's identities workload: the default boxes and two wide boxes
+    cmds.append(("identities",))
+    for ident, names in (("star", "NJK"), ("vandermonde", "MNL")):
+        cmds.append(("identities", "--only", ident, *(f"--{name}=-12..24" for name in names)))
     return cmds
 
 
@@ -203,6 +207,9 @@ EXPECTED: dict[str, tuple[str, int]] = {
     'eigen --n 5 --x -2 --format json': ('cca1db0f849e06b093f756d7bcde8874d63321169b879893db33c8d7acd97ea6', 0),
     'identities --N 0..6 --J -3..5 --K -3..5 --I -3..5 --M -3..5 --L 0..5 --format json': ('de35efd3ae1f7b18db3bfb27f011bf48925ad91610c98b50a13b3e858f61509f', 0),
     'identities --N 0..6 --J -3..5 --K -3..5 --I -3..5 --M -3..5 --L 0..5 --format pretty': ('bead2c736a3113e168826e5fa0d6d4809db38700a2cb6430f6dac109273358e5', 0),
+    'identities': ('c6efe15d5f1acc054f75e56dc51da9dd15ed368dce205afcec74881da242632b', 0),
+    'identities --only star --N=-12..24 --J=-12..24 --K=-12..24': ('af151a978573d2cd25911e498af685adf75607f0ae2ca53e43d9a4bf0a17c9c3', 0),
+    'identities --only vandermonde --M=-12..24 --N=-12..24 --L=-12..24': ('46fb3a3b1e51d20f93ff77279ca9044b904f9ab30b962a396b4a7128c8704560', 0),
 }
 
 
