@@ -19,7 +19,6 @@ passed, 1 when some verification failed, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import re
@@ -167,17 +166,104 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-#: iterencode chunks joined into each write of _emit_json.
-_EMIT_BATCH = 4096
+#: Pieces of output that _emit_json gathers before a write, checked as each
+#: list or dict closes: writes of about 34 KB on the identity reports.
+_EMIT_BATCH = 1024
+
+_encode_str = json.encoder.encode_basestring_ascii
+_int_repr = int.__repr__
+
+
+def _json_scalar(o) -> str | None:
+    """``json.dumps(o)`` for a scalar, None for a list, tuple or dict."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return _int_repr(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    if isinstance(o, (list, tuple, dict)):
+        return None
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _emit_json(obj) -> None:
-    """Print ``json.dumps(obj, indent=2)``, written in batches of chunks so
-    the document is never held whole."""
-    chunks = json.JSONEncoder(indent=2).iterencode(obj)
-    while batch := list(itertools.islice(chunks, _EMIT_BATCH)):
-        sys.stdout.write("".join(batch))
-    sys.stdout.write("\n")
+    """Print ``json.dumps(obj, indent=2)`` in one pass over obj, written in
+    batches of _EMIT_BATCH pieces so the document is never held whole.
+    Raises TypeError where json.dumps would, and for a dict key that is not
+    a str.
+
+    json's own indented encoder is pure Python (its C encoder runs only
+    without indent) and yields through one generator per nesting level;
+    this walker appends each piece, indentation included, to one list.
+    str and int values, nearly all of the identity reports, are encoded
+    in the loops rather than through _json_scalar."""
+    write = sys.stdout.write
+    parts = []
+    append = parts.append
+
+    def walk(o, nl, head):
+        """Append container o, indented at nl and preceded by head."""
+        inner = nl + "  "
+        rest = "," + inner
+        if isinstance(o, dict):
+            if not o:
+                append(head + "{}")
+                return
+            sep = head + "{" + inner
+            for k, v in o.items():
+                key = sep + _encode_str(k) + ": "  # TypeError unless k is a str
+                t = type(v)
+                if t is str:
+                    append(key + _encode_str(v))
+                elif t is int:
+                    append(key + _int_repr(v))
+                elif t is dict or t is list or (text := _json_scalar(v)) is None:
+                    walk(v, inner, key)
+                else:
+                    append(key + text)
+                sep = rest
+            append(nl + "}")
+        else:
+            if not o:
+                append(head + "[]")
+                return
+            sep = head + "[" + inner
+            for v in o:
+                t = type(v)
+                if t is str:
+                    append(sep + _encode_str(v))
+                elif t is int:
+                    append(sep + _int_repr(v))
+                elif t is dict or t is list or (text := _json_scalar(v)) is None:
+                    walk(v, inner, sep)
+                else:
+                    append(sep + text)
+                sep = rest
+            append(nl + "]")
+        if len(parts) >= _EMIT_BATCH:
+            write("".join(parts))
+            parts.clear()
+
+    text = _json_scalar(obj)
+    if text is None:
+        walk(obj, "\n", "")
+    else:
+        append(text)
+    append("\n")
+    write("".join(parts))
 
 
 def _x_label(x):

@@ -1,11 +1,16 @@
 """CLI tests: flag surface, output formats, exit codes."""
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rjpascal import binomial, cli, spectral
 from rjpascal.binomial import Identity, sweep_identity
@@ -478,8 +483,26 @@ class TestDoubleRange:
         assert (code, out) == (2, "")
 
 
+#: JSON keys and strings: quotes, backslashes, control characters, lone
+#: surrogates and text outside ASCII, which json.dumps writes escaped.
+json_text = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t aZ\u00e9\u2028\ud800\U0001f600'),
+                    max_size=8) | st.text(st.characters(exclude_categories=()), max_size=8)
+json_scalars = (st.none() | st.booleans() | st.integers(-2 ** 300, 2 ** 300) | st.floats()
+                | st.sampled_from([-0.0, 1e308, math.nan, math.inf, -math.inf]) | json_text)
+
+
+def json_values(depth: int = 4):
+    """Scalars, lists, tuples and str-keyed dicts nested at most depth deep."""
+    values = json_scalars
+    for _ in range(depth):
+        values = (json_scalars | st.lists(values, max_size=4)
+                  | st.lists(values, max_size=3).map(tuple)
+                  | st.dictionaries(json_text, values, max_size=4))
+    return values
+
+
 class TestEmitJson:
-    """_emit_json prints json.dumps(obj, indent=2) in batches of chunks."""
+    """_emit_json prints json.dumps(obj, indent=2), written in batches."""
 
     OBJECTS = {
         "several-batches": [{"params": {"N": i, "K": -i}, "reason": "r" * (i % 7)}
@@ -494,6 +517,21 @@ class TestEmitJson:
         cli._emit_json(obj)
         assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
 
+    @settings(max_examples=300, deadline=None)
+    @given(json_values())
+    def test_same_bytes_as_dumps_for_any_document(self, obj):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit_json(obj)
+        assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize("obj", [{1, 2}, [0, {"a": {3}}], {1: 2}, {"a": {(1, 2): 3}},
+                                     [object()]],
+                             ids=["set", "nested-set", "int-key", "tuple-key", "object"])
+    def test_rejects_what_dumps_rejects_and_non_str_keys(self, obj):
+        with pytest.raises(TypeError):
+            cli._emit_json(obj)
+
     def test_writes_per_batch_not_per_chunk(self, monkeypatch):
         class CountingStdout:
             def __init__(self):
@@ -502,15 +540,17 @@ class TestEmitJson:
             def write(self, text):
                 self.parts.append(text)
 
-        obj = self.OBJECTS["several-batches"]
-        chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(obj))
-        batches = -(-chunks // cli._EMIT_BATCH)
-        assert batches >= 3
+        # The 1.05 MB Vandermonde report on -12..24 arrives in many writes
+        # of at most 1/16 of it each, so the document is never held whole
+        box = {name: (-12, 24) for name in "MNL"}
+        obj = [sweep_identity(Identity.VANDERMONDE, box).to_json()]
+        want = json.dumps(obj, indent=2) + "\n"
         stub = CountingStdout()
         monkeypatch.setattr(sys, "stdout", stub)
         cli._emit_json(obj)
-        assert "".join(stub.parts) == json.dumps(obj, indent=2) + "\n"
-        assert len(stub.parts) == batches + 1
+        assert "".join(stub.parts) == want
+        assert len(stub.parts) >= 16
+        assert max(map(len, stub.parts)) <= len(want) // 16
 
 
 class TestUsageErrors:
