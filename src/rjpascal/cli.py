@@ -14,13 +14,15 @@ Common flags: --n <int>, --m <int>, --x {1|<int>|symbolic},
 and per-parameter ranges such as --N -6..12.
 
 Exit status: 0 when everything requested succeeded and every verification
-passed, 1 when some verification failed, 2 on usage errors.
+passed, 1 when some verification failed, 2 on usage errors, 141 (as if
+killed by SIGPIPE) when the reader closed stdout before the output ended.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -34,6 +36,10 @@ _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
 #: One range flag per identity parameter, in first-appearance order.
 _RANGE_FLAGS = tuple(dict.fromkeys(f"--{p}" for ident in Identity for p in ident.param_names))
+
+#: Exit status when stdout is closed early: 128 + SIGPIPE, as a shell reports
+#: a process that the signal ended.
+EXIT_BROKEN_PIPE = 141
 
 VERIFY_CHECKS = ("eigen", "involution", "power", "diag", "all")
 DEFAULT_POWER_RANGE = range(-3, 7)
@@ -469,7 +475,16 @@ def main(argv=None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`rjpascal identities | head -1`).
+        # Python would report the error again when it flushes stdout at
+        # exit, so stdout is pointed at devnull first (the SIGPIPE note in
+        # the docs of the signal module).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -13,10 +13,12 @@ matrices share one dot-product kernel: each entry is three sums of
 plain int products, p0 q0, p1 q1 and (p0 + p1)(q0 + q1) (Karatsuba),
 reduced with a^2 = x a + 1 once per entry rather than once per term.
 Column scaling, M diag(f), is the same arithmetic on dot products of
-length 1.  Over Z[x] the ints are the values at x = 2^k, with
-k = bitlen(3 n Lp Lq) + 1 for dot products of length n and operand
-parts of l1 norm at most Lp and Lq (Kronecker substitution, von zur
-Gathen & Gerhard, Modern Computer Algebra, 3rd ed., 2013, section 8.4).
+length 1, and ``_upper_square`` forms only the entries of M @ M on and
+above the diagonal, packing M once for both operands.  Over Z[x] the
+ints are the values at x = 2^k, with k = bitlen(3 n Lp Lq) + 1 for dot
+products of length n and operand parts of l1 norm at most Lp and Lq
+(Kronecker substitution, von zur Gathen & Gerhard, Modern Computer
+Algebra, 3rd ed., 2013, section 8.4).
 One fraction-free Gauss-Jordan elimination, O(n^3), serves both the
 integer determinant and the unimodular inverse.
 """
@@ -310,12 +312,33 @@ def _dot_products(rows, cols, x_image: IntPoly) -> list[list[RingElem]]:
         x_image, lambda: 3 * len(cols[0]) * _l1(rows) * _l1(cols)
     )
     cols = _coefficients(cols, unwrap)
-    return [
-        [_entry(sum(map(mul, p0, q0)), sum(map(mul, p1, q1)), sum(map(mul, ps, qs)),
-                x, wrap, x_image)
-         for q0, q1, qs in cols]
-        for p0, p1, ps in _coefficients(rows, unwrap)
-    ]
+    return [[_dot(p, q, x, wrap, x_image) for q in cols]
+            for p in _coefficients(rows, unwrap)]
+
+
+def _upper_square(rows, x_image: IntPoly) -> list[list[RingElem]]:
+    """The entries of M @ M on and above the diagonal, for the square
+    matrix M with these rows: list i (0-based) holds columns i..n-1 of
+    row i, n(n+1)/2 dot products in all.
+
+    Both operands are M, so its parts are packed once, under
+    _dot_products' bound with Lp = Lq, and its columns are the transposes
+    of the packed rows.
+    """
+    x, unwrap, wrap = _packing(x_image, lambda: 3 * len(rows) * _l1(rows) ** 2)
+    packed = _coefficients(rows, unwrap)
+    p0s, p1s, pss = zip(*packed)
+    cols = list(zip(zip(*p0s), zip(*p1s), zip(*pss)))
+    return [[_dot(p, q, x, wrap, x_image) for q in cols[i:]]
+            for i, p in enumerate(packed)]
+
+
+def _dot(p, q, x: int, wrap, x_image: IntPoly) -> RingElem:
+    """One entry of a product from the packed parts (p0, p1, p0 + p1) of
+    a row p and a column q: three sums of int products, combined once."""
+    (p0, p1, ps), (q0, q1, qs) = p, q
+    return _entry(sum(map(mul, p0, q0)), sum(map(mul, p1, q1)), sum(map(mul, ps, qs)),
+                  x, wrap, x_image)
 
 
 @lru_cache(maxsize=BUILD_CACHE_SIZE)

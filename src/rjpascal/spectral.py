@@ -15,7 +15,11 @@ the divisor's norm, an integer; any remainder or leftover a-component is
 a hard error, which makes the power routine a self-test of the whole
 formula chain.
 W is U with columns scaled by units, so the exact involution check also
-proves U invertible at every x.
+proves U invertible at every x.  The check forms only the n(n+1)/2
+entries of W^2 on and above the diagonal: with b_i = C(n-1, i-1),
+b_i W_ij = b_j W_ji for every n, which the check verifies coefficient by
+coefficient, and this symmetry carries the upper triangle of W^2 to the
+lower one (the proof is in verify_involution).
 
 Eigenvalues and the involution scale take the image of x in the target
 ring (X for Z[x], a constant for an integer x) and are computed there
@@ -33,8 +37,8 @@ from functools import lru_cache
 from operator import mul, sub
 from typing import NamedTuple
 
-from .pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, build_r, build_rx,
-                     build_u, build_w)
+from .pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, _upper_square, build_r,
+                     build_rx, build_u, build_w)
 from .ring import X, IntPoly, RingElem, a_pow
 
 #: Default tolerance on a relative residual: 64 u, u = 2^-53.  An entry of
@@ -123,11 +127,35 @@ def verify_involution(n: int, x: int | None = 1) -> bool:
     """Exact check that W @ W = (1 + a^2)^(n-1) I.
 
     With ``x=None`` the comparison is over Z[x] coefficients, the
-    stronger polynomial-entry form of the statement.
+    stronger polynomial-entry form of the statement.  Only the entries of
+    W @ W on and above the diagonal are formed; a symmetry of W, checked
+    first, settles the rest.
     """
     w = _specialized(build_w, n, _integer_x(x))
-    scale = involution_scale(n, w.x_image)
-    return w @ w == RingMatrix.scalar(n, scale)
+    # With b_i = C(n-1, i-1), b_i W_ij = b_j W_ji for every n.  Summing the
+    # binomial theorem over u_ij's definition gives
+    #   sum_j u_ij t^(j-1) = a^(1-i) (1+t)^(n-i) (a^2 t - 1)^(i-1),
+    # and with W_ij = (-1)^j a^(n-j) u_ij, once more over i,
+    #   sum_ij b_i W_ij s^(i-1) t^(j-1) = -(a - s - t - a s t)^(n-1),
+    # which is symmetric in s and t.  So B W is symmetric, B = diag(b), and
+    # P = W W satisfies B P = W^T B W = P^T B: b_l P_li = b_i P_il.  Once
+    # P_il = scale * delta_il for i <= l, b_l P_li = 0 below the diagonal,
+    # so P_li = 0 there (b_l != 0, and the ring has no additive torsion).
+    # The symmetry is checked on this W, coefficient by coefficient, not
+    # assumed: a wrong entry fails either here or in the upper triangle.
+    b = [math.comb(n - 1, i) for i in range(n)]
+    rows = w.rows
+    if any(_times(b[i], rows[i][j]) != _times(b[j], rows[j][i])
+           for i in range(n) for j in range(i + 1, n)):
+        return False
+    want = RingMatrix.scalar(n, involution_scale(n, w.x_image)).rows
+    return all(got == list(row[i:])
+               for i, (got, row) in enumerate(zip(_upper_square(rows, w.x_image), want)))
+
+
+def _times(b: int, e: RingElem) -> tuple[list[int], list[int]]:
+    """The coefficients of b e: those of c0, then of c1, each times b."""
+    return [b * c for c in e.c0.coeffs], [b * c for c in e.c1.coeffs]
 
 
 def matrix_power_closed_form(n: int, m: int) -> IntMatrix:

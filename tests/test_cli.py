@@ -617,3 +617,23 @@ def test_cli_import_skips_dataclasses():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_closed_pipe_exits_quietly():
+    # `rjpascal identities | head -c 64`: the 600 KB report outgrows the
+    # pipe's buffer, so a write meets the closed pipe
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen([sys.executable, "-m", "rjpascal", "identities"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        head = proc.stdout.read(64)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert head.startswith(b"[")
+    assert err == b""
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE

@@ -416,14 +416,116 @@ class TestNumericChecks:
         assert abs(float_det([[float(e) for e in row] for row in u.rows])) > 1e-6
 
 
-def test_w_symmetry_report():
-    """Empirical report only: symmetry of W holds at n = 1, 2 and fails
-    from n = 3 on; no contract asserts either way."""
-    for n in range(1, 9):
-        w = build_w(n)
-        sym = all(
-            w.rows[i - 1][j - 1] == w.rows[j - 1][i - 1]
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-        )
-        print(f"W symmetric at n={n}: {sym}")
+def binomial_weights(n):
+    """b_i = C(n-1, i-1), i = 1..n, the weights that make B W symmetric."""
+    return [math.comb(n - 1, i) for i in range(n)]
+
+
+def assert_binomial_symmetry(w):
+    """b_i W_ij = b_j W_ji for every i < j, in the ring of W's entries."""
+    b, rows = binomial_weights(w.n), w.rows
+    for i in range(w.n):
+        for j in range(i + 1, w.n):
+            assert rows[i][j] * b[i] == rows[j][i] * b[j], (w.n, i + 1, j + 1)
+
+
+def test_w_binomial_symmetry_symbolic():
+    # W itself is symmetric only for n <= 2; B W is symmetric for every n,
+    # the fact that lets verify_involution form only half of W @ W
+    for n in range(1, 25):
+        assert_binomial_symmetry(build_w(n))
+
+
+@pytest.mark.parametrize("x", range(-3, 4))
+def test_w_binomial_symmetry_at_integer_x(x):
+    for n in range(1, 31):
+        assert_binomial_symmetry(build_w(n).specialize(x))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_w_generating_function(n):
+    """sum_ij b_i W_ij s^(i-1) t^(j-1) = -(a - s - t - a s t)^(n-1) over Z[x].
+
+    Both sides have degree at most n-1 in s and in t, so agreement on the
+    grid s, t in 0..n-1 proves the identity for this n."""
+    w, b = build_w(n), binomial_weights(n)
+    for s in range(n):
+        for t in range(n):
+            lhs = RingElem(0, 0)
+            for i in range(n):
+                for j in range(n):
+                    lhs = lhs + w.rows[i][j] * (b[i] * s ** i * t ** j)
+            assert lhs == -(RingElem(-s - t, 1 - s * t) ** (n - 1)), (s, t)
+
+
+def _faulty_w(monkeypatch, edit):
+    """Make verify_involution read W with ``edit(rows, n)`` applied to a
+    copy of its rows (0-based, entries in W's ring)."""
+    real = spectral._specialized
+
+    def specialized(build, n, x):
+        m = real(build, n, x)
+        if build is not build_w:
+            return m
+        rows = [list(row) for row in m.rows]
+        edit(rows, n)
+        return RingMatrix(rows)
+
+    monkeypatch.setattr(spectral, "_specialized", specialized)
+
+
+def _add(i, j, c):
+    """An edit that adds the integer c to entry (i, j), 1-based."""
+    def edit(rows, n):
+        rows[i - 1][j - 1] = rows[i - 1][j - 1] + c
+    return edit
+
+
+def _symmetric_pair(rows, n):
+    """Change W_24 by b_4 and W_42 by b_2: b_i W_ij = b_j W_ji still holds."""
+    b = binomial_weights(n)
+    _add(2, 4, b[3])(rows, n)
+    _add(4, 2, b[1])(rows, n)
+
+
+def _doubled(rows, n):
+    """2W: (2W)^2 = 4 (1 + a^2)^(n-1) I is zero off the diagonal."""
+    rows[:] = [[e * 2 for e in row] for row in rows]
+
+
+class TestInvolutionFaults:
+    """verify_involution returns False for a W with a wrong entry, wherever
+    the entry is, at x = 1 and over Z[x]."""
+
+    @pytest.mark.parametrize("x", [1, None], ids=["x=1", "symbolic"])
+    @pytest.mark.parametrize("edit", [
+        _add(2, 4, 1), _add(1, 5, -1), _add(3, 3, 1), _add(5, 5, -1),
+        _add(4, 2, 1), _add(5, 1, -1), _symmetric_pair, _doubled,
+    ], ids=["above", "above-corner", "diagonal", "diagonal-corner", "below",
+            "below-corner", "symmetric-pair", "doubled"])
+    def test_fault_fails(self, monkeypatch, edit, x):
+        assert verify_involution(5, x=x)
+        _faulty_w(monkeypatch, edit)
+        assert not verify_involution(5, x=x)
+
+    @pytest.mark.parametrize("x", [1, None], ids=["x=1", "symbolic"])
+    def test_n1_fault_fails(self, monkeypatch, x):
+        # W = [-1] becomes [0]; n = 1 has no product above the diagonal
+        _faulty_w(monkeypatch, _add(1, 1, 1))
+        assert not verify_involution(1, x=x)
+
+    def test_lower_triangle_is_checked(self, monkeypatch):
+        """M = (1+a^2) I + E_31 at n = 3: on and above the diagonal M^2 equals
+        (1+a^2)^2 I, but (M^2)_31 = 2 (1+a^2).  Only the symmetry check of
+        B M, which fails at (1, 3), sees it."""
+        s = ONE + A * A
+        m = [[s if i == j else RingElem(0, 0) for j in range(3)] for i in range(3)]
+        m[2][0] = ONE
+        square, want = RingMatrix(m) @ RingMatrix(m), RingMatrix.scalar(3, s * s)
+        assert all(square.rows[i][i:] == want.rows[i][i:] for i in range(3))
+        assert square != want
+
+        def edit(rows, n):
+            rows[:] = m
+        _faulty_w(monkeypatch, edit)
+        assert not verify_involution(3, x=None)
