@@ -28,7 +28,7 @@ import sys
 
 from . import spectral
 from .binomial import DEFAULT_BOXES, Identity, sweep_identity, validate_box
-from .pascal import build_r, build_rx, build_u, build_w
+from .pascal import build_rx, build_u, build_w
 from .ring import X, IntPoly
 
 
@@ -282,18 +282,13 @@ def _double_range_error(what: str, n: int, x: int) -> str:
 
 
 def _cmd_show(args) -> int:
-    if args.command == "show-r":
-        if args.x is None:
-            if args.format == "csv":
-                return _usage_error("csv is only valid for integer-valued output")
-            matrix = build_rx(args.n)
-        else:
-            matrix = build_rx(args.n).specialize(args.x).to_int_matrix()
-    else:
-        build = build_u if args.command == "show-u" else build_w
-        matrix = build(args.n)
-        if args.x is not None:
-            matrix = matrix.specialize(args.x)
+    if args.x is None and args.format == "csv":  # only show-r offers csv
+        return _usage_error("csv is only valid for integer-valued output")
+    matrix = {"show-r": build_rx, "show-u": build_u, "show-w": build_w}[args.command](args.n)
+    if args.x is not None:
+        matrix = matrix.specialize(args.x)
+        if args.command == "show-r":
+            matrix = matrix.to_int_matrix()
     if args.format == "csv":
         print(matrix.to_csv(), end="")
     elif args.format == "json":
@@ -344,11 +339,14 @@ def _cmd_verify(args) -> int:
         return _usage_error("the power check is defined at x = 1 only")
     if args.check == "diag" and x is None:
         return _usage_error("the diag check is numeric; pass an integer --x")
-    if args.m is not None and args.check not in ("power", "all"):
+    # under --check all, power runs only at x = 1 and diag only at an integer x
+    checks = [c for c in checks if (c != "power" or x == 1) and (c != "diag" or x is not None)]
+    if args.m is not None and "power" not in checks:
+        at = f" at x = {_x_label(x)}" if args.check == "all" else ""
         return _usage_error(f"--m sets the power check's exponent; --check "
-                            f"{args.check} runs no power check")
+                            f"{args.check} runs no power check{at}")
     exponents = [args.m] if args.m is not None else list(DEFAULT_POWER_RANGE)
-    if "power" in checks and x == 1 and (err := _power_budget_error(n, exponents)):
+    if "power" in checks and (err := _power_budget_error(n, exponents)):
         return _usage_error(err)
 
     reports = []
@@ -361,15 +359,11 @@ def _cmd_verify(args) -> int:
             ok = spectral.verify_involution(n, x=x)
             reports.append(_report("involution", n, {"x": _x_label(x)}, ok))
         elif check == "power":
-            if x != 1:
-                continue  # only defined at x = 1; skipped under --check all
             for m in exponents:
                 closed = spectral.matrix_power_closed_form(n, m)
                 ok = closed == spectral.matrix_power_oracle(n, m)
                 reports.append(_report("power", n, {"m": m}, ok))
         elif check == "diag":
-            if x is None:
-                continue  # numeric only; skipped under --check all
             try:
                 rep = spectral.verify_diagonalization_numeric(n, x, args.tol)
             except OverflowError:

@@ -1,11 +1,11 @@
 """Right-justified Pascal matrices and exact dense matrix algebra.
 
 ``build_r(n)`` right-justifies the first n rows of Pascal's triangle:
-entry (i, j) is C(i-1, n-j) with 1-based indices, so row i carries
-Pascal row i-1 pushed against the right edge.  ``build_rx`` is the
-one-parameter generalization whose (i, j) entry is C(i-1, n-j) x^(i+j-n-1);
-``build_u`` stacks its eigenvectors as columns and ``build_w`` scales
-column j of U by (-1)^j a^(n-j), which makes its square a scalar matrix.
+entry (i, j) is C(i-1, n-j) with 1-based indices.  ``build_rx`` is the
+one-parameter generalization C(i-1, n-j) x^(i+j-n-1), ``build_u`` stacks
+its eigenvectors as columns, and ``build_w`` scales column j of U by
+(-1)^j a^(n-j), which makes its square a scalar matrix.  All four are
+symmetric powers of 2x2 matrices, built by one recurrence (_symmetric_power).
 
 Matrices are immutable after construction and all public index
 contracts are 1-based to match the entry formulas.  Products of ring
@@ -29,7 +29,7 @@ from operator import add, matmul, mul
 from typing import Iterable, Sequence
 
 from .binomial import binom
-from .ring import IntPoly, RingElem, X, a_pow, check_same_ring, power
+from .ring import A, ONE, ZERO, IntPoly, RingElem, X, check_same_ring, power
 
 #: Dimensions kept by each builder's cache.
 BUILD_CACHE_SIZE = 64
@@ -341,74 +341,79 @@ def _dot(p, q, x: int, wrap, x_image: IntPoly) -> RingElem:
                   x, wrap, x_image)
 
 
+#: S(M)_ij = [t^(j-1)] (M11 + M12 t)^(n-i) (M21 + M22 t)^(i-1) is Sym^(n-1) M
+#: (Carlitz, Fibonacci Quart. 3, 1965): R(x) = S(Q), U = S(E) as -a^-1 = x - a,
+#: and W = -S(F), F = E diag(a, -1).  Row i of S(M) S(M') is generated by
+#: (M11 X + M12 Y)^(n-i) (M21 X + M22 Y)^(i-1) at X = M'11 + M'12 t and
+#: Y = M'21 + M'22 t, so S(F) = S(E) S(diag(a, -1)) = U diag((-1)^(j-1) a^(n-j)).
+_Q = ((ZERO, ONE), (ONE, RingElem(X)))
+_E = ((ONE, ONE), (RingElem(X, -1), A))
+_F = ((A, -ONE), (-ONE, -A))
+
+
+def _symmetric_power(n: int, m) -> RingMatrix:
+    """S(M) for m = ((M11, M12), (M21, M22)) with M12 = +/-1 (see _Q).
+
+    With A = M11 + M12 t and B = M21 + M22 t, row 1 is A^(n-1) by the
+    binomial theorem, and row i + 1 is row i times B divided by A: an exact
+    division that, from the top, only multiplies by 1/M12 = M12.  Its
+    O(n^2) ring products run on bare ints (_packing).
+    """
+    # _packing's bound: with |c| the l1 norm, N(c0 + c1 a) = |c0| + 2|c1| is
+    # subadditive and submultiplicative: p q = (p0 q0 + p1 q1) + (p0 q1 +
+    # p1 q0 + x p1 q1) a and |x c| = |c|, so N(p q) <= |p0||q0| + 2|p0||q1| +
+    # 2|p1||q0| + 3|p1||q1| <= N(p) N(q), as 2^2 >= 2 + 1.  So is N summed
+    # over the coefficients in t, and max(N(A), N(B))^(n-1) bounds row i.
+    # Only entries are read back, and x -> 2^k is a ring homomorphism.
+    _check_dimension(n)
+    x_image = m[0][0].x_image
+    x, unwrap, wrap = _packing(x_image, lambda: max(
+        sum(sum(map(abs, e.c0.coeffs)) + 2 * sum(map(abs, e.c1.coeffs)) for e in row)
+        for row in m) ** (n - 1))
+    (a, (s, s1)), (b0, b1) = [[(unwrap(e.c0), unwrap(e.c1)) for e in r] for r in m]
+    if s1 or s not in (1, -1):
+        raise ValueError("the row recurrence needs M12 = 1 or -1")
+
+    def times(p, q):  # (p0 + p1 a)(q0 + q1 a), a^2 = x a + 1
+        (p0, p1), (q0, q1) = p, q
+        return p0 * q0 + p1 * q1, p0 * q1 + p1 * q0 + p1 * q1 * x
+
+    powers = [(1, 0)]  # [t^j] A^(n-1) = C(n-1, j) M11^(n-1-j) M12^j
+    for _ in range(n - 1):
+        powers.append(times(powers[-1], a))
+    cs = [binom(n - 1, j) * s ** j for j in range(n)]
+    rows = [[(c * p0, c * p1) for c, (p0, p1) in zip(cs, reversed(powers))]]
+    for _ in range(n - 1):
+        # [t^d] of r B = A q: M21 r_d + M22 r_(d-1) = M11 q_d + M12 q_(d-1)
+        r, q, new = rows[-1] + [(0, 0)], (0, 0), []
+        for d in range(n, 0, -1):
+            (u0, u1), (v0, v1), (w0, w1) = times(b0, r[d]), times(b1, r[d - 1]), times(a, q)
+            q = (s * (u0 + v0 - w0), s * (u1 + v1 - w1))
+            new.append(q)
+        rows.append(new[::-1])
+    return RingMatrix([[RingElem(wrap(c0), wrap(c1), x_image) for c0, c1 in r] for r in rows])
+
+
 @lru_cache(maxsize=BUILD_CACHE_SIZE)
 def build_r(n: int) -> IntMatrix:
-    """The right-justified Pascal matrix: entry (i, j) = C(i-1, n-j)."""
-    _check_dimension(n)
-    return IntMatrix(
-        [[binom(i - 1, n - j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    )
+    """The right-justified Pascal matrix C(i-1, n-j): build_rx(n) at x = 1."""
+    return build_rx(n).specialize(1).to_int_matrix()
 
 
 @lru_cache(maxsize=BUILD_CACHE_SIZE)
 def build_rx(n: int) -> RingMatrix:
-    """One-parameter family: entry (i, j) = C(i-1, n-j) x^(i+j-n-1).
-
-    Whenever the exponent i+j-n-1 is negative the binomial factor is zero
-    (n-j > i-1 forces it), so every entry is a genuine polynomial.
-    """
-    _check_dimension(n)
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            c = binom(i - 1, n - j)
-            if c == 0:
-                row.append(RingElem(0, 0))
-                continue
-            e = i + j - n - 1
-            assert e >= 0, f"negative exponent materialized at ({i}, {j})"
-            row.append(RingElem(IntPoly([0] * e + [c]), 0))
-        rows.append(row)
-    return RingMatrix(rows)
+    """Entry (i, j) = C(i-1, n-j) x^(i+j-n-1): S(Q), row i is t^(n-i) (1 + x t)^(i-1)."""
+    return _symmetric_power(n, _Q)
 
 
 @lru_cache(maxsize=BUILD_CACHE_SIZE)
 def build_u(n: int) -> RingMatrix:
-    """Eigenvector columns: u(i,j) = sum_{k=1..j} (-1)^(i-k) C(i-1,k-1) C(n-i,j-k) a^(2k-i-1)."""
-    _check_dimension(n)
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            c0, c1 = [], []
-            for k in range(1, j + 1):
-                c = binom(i - 1, k - 1) * binom(n - i, j - k)
-                if c == 0:
-                    continue
-                if (i - k) % 2:
-                    c = -c
-                term = a_pow(2 * k - i - 1)
-                _add_multiple(c0, term.c0, c)
-                _add_multiple(c1, term.c1, c)
-            row.append(RingElem(IntPoly(c0), IntPoly(c1)))
-        rows.append(row)
-    return RingMatrix(rows)
-
-
-def _add_multiple(acc: list[int], p: IntPoly, c: int) -> None:
-    """acc += c p on coefficient lists, in place."""
-    acc.extend([0] * (len(p.coeffs) - len(acc)))
-    for d, v in enumerate(p.coeffs):
-        acc[d] += c * v
+    """Eigenvector columns: u(i,j) = sum_{k=1..j} (-1)^(i-k) C(i-1,k-1) C(n-i,j-k) a^(2k-i-1),
+    the binomial theorem on row i of S(E), a^(1-i) (1+t)^(n-i) (a^2 t - 1)^(i-1)."""
+    return _symmetric_power(n, _E)
 
 
 @lru_cache(maxsize=BUILD_CACHE_SIZE)
 def build_w(n: int) -> RingMatrix:
-    """Scaled eigenvector matrix: column j of build_u(n) times (-1)^j a^(n-j).
-
-    Its square is (1 + a^2)^(n-1) times the identity.
-    """
-    return build_u(n).scale_columns(
-        [-a_pow(n - j) if j % 2 else a_pow(n - j) for j in range(1, n + 1)]
-    )
+    """Column j of build_u(n) times (-1)^j a^(n-j), so W^2 = (1 + a^2)^(n-1) I: -S(F)."""
+    return RingMatrix([[-e for e in row] for row in _symmetric_power(n, _F).rows])

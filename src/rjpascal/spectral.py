@@ -14,9 +14,10 @@ of W, so one matrix product remains.  The entries are then divided by
 the divisor's norm, an integer; any remainder or leftover a-component is
 a hard error, which makes the power routine a self-test of the whole
 formula chain.
-W is U with columns scaled by units, so the exact involution check also
-proves U invertible at every x.  The check forms only the n(n+1)/2
-entries of W^2 on and above the diagonal: with b_i = C(n-1, i-1),
+W = -S(F) and U = S(E) with F = E diag(a, -1), and S is multiplicative
+(pascal), so W is U with columns scaled by units: the exact involution
+check also proves U invertible at every x.  The check forms only the
+n(n+1)/2 entries of W^2 on and above the diagonal: with b_i = C(n-1, i-1),
 b_i W_ij = b_j W_ji for every n, which the check verifies coefficient by
 coefficient, and this symmetry carries the upper triangle of W^2 to the
 lower one (the proof is in verify_involution).
@@ -132,12 +133,10 @@ def verify_involution(n: int, x: int | None = 1) -> bool:
     first, settles the rest.
     """
     w = _specialized(build_w, n, _integer_x(x))
-    # With b_i = C(n-1, i-1), b_i W_ij = b_j W_ji for every n.  Summing the
-    # binomial theorem over u_ij's definition gives
-    #   sum_j u_ij t^(j-1) = a^(1-i) (1+t)^(n-i) (a^2 t - 1)^(i-1),
-    # and with W_ij = (-1)^j a^(n-j) u_ij, once more over i,
-    #   sum_ij b_i W_ij s^(i-1) t^(j-1) = -(a - s - t - a s t)^(n-1),
-    # which is symmetric in s and t.  So B W is symmetric, B = diag(b), and
+    # With b_i = C(n-1, i-1), b_i W_ij = b_j W_ji for every n.  W = -S(F)
+    # (pascal), and the binomial theorem over the rows of S(F) gives
+    #   sum_ij b_i W_ij s^(i-1) t^(j-1) = -(F11 + F12 t + F21 s + F22 s t)^(n-1),
+    # symmetric in s and t as F12 = F21.  So B W is symmetric, B = diag(b), and
     # P = W W satisfies B P = W^T B W = P^T B: b_l P_li = b_i P_il.  Once
     # P_il = scale * delta_il for i <= l, b_l P_li = 0 below the diagonal,
     # so P_li = 0 there (b_l != 0, and the ring has no additive torsion).

@@ -354,10 +354,15 @@ class TestPowerBudget:
         assert cli.power_digits(1, 10 ** 4000) == 1
         assert run(capsys, "power", "--n", "1", "--m", "9" * 23) == (0, "[ 1 ]\n", "")
 
-    def test_budget_ignored_where_power_is_skipped(self, capsys):
-        code, _, _ = run(capsys, "verify", "--n", "2", "--check", "all",
-                         "--x", "symbolic", "--m", "9" * 23)
-        assert code == 0
+    def test_m_refused_where_power_is_skipped(self, capsys):
+        # --check all runs the power check at x = 1 only; elsewhere --m is a
+        # usage error, as under --check eigen, before any budget estimate
+        for x in ("symbolic", "0", "2", "-2"):
+            code, out, err = run(capsys, "verify", "--n", "2", "--check", "all",
+                                 "--x", x, "--m", "9" * 23)
+            assert (code, out) == (2, ""), x
+            assert "--m sets the power check's exponent" in err
+            assert f"--check all runs no power check at x = {x}" in err
 
 
 class TestIdentities:

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rjpascal.binomial import _row_table
-from rjpascal.pascal import IntMatrix, RingMatrix, build_r, build_rx, build_u, build_w
+from rjpascal.pascal import (_E, _F, _Q, IntMatrix, RingMatrix, _symmetric_power, build_r,
+                             build_rx, build_u, build_w)
 from rjpascal.ring import A, ONE, IntPoly, RingElem, X, _a_pow_cached, a_pow
 from rjpascal.spectral import _eigen_sides, _inverse_r, _specialized, involution_scale
 
@@ -25,6 +26,32 @@ def u_entry_numeric(n, i, j, x_value):
         c = math.comb(i - 1, k - 1) * math.comb(n - i, j - k)
         total += (-1.0) ** (i - k) * c * a ** (2 * k - i - 1)
     return total
+
+
+def rx_entry_by_formula(n, i, j):
+    """The paper's C(i-1, n-j) x^(i+j-n-1); the exponent is negative only
+    where the binomial is zero."""
+    c = math.comb(i - 1, n - j)
+    return RingElem(IntPoly([0] * (i + j - n - 1) + [c])) if c else RingElem(0)
+
+
+def u_entry_by_sum(n, i, j):
+    """The paper's u(i,j) = sum_k (-1)^(i-k) C(i-1,k-1) C(n-i,j-k) a^(2k-i-1)
+    over Z[x], term by term with RingElem arithmetic."""
+    total = RingElem(0)
+    for k in range(1, j + 1):
+        c = math.comb(i - 1, k - 1) * math.comb(n - i, j - k)
+        total = total + a_pow(2 * k - i - 1) * ((-1) ** abs(i - k) * c)
+    return total
+
+
+def w_entry_by_formula(n, i, j):
+    """The paper's w(i,j) = (-1)^j a^(n-j) u(i,j)."""
+    return a_pow(n - j) * u_entry_by_sum(n, i, j) * (-1) ** j
+
+
+def by_formula(entry, n):
+    return RingMatrix([[entry(n, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
 
 
 class TestBuildR:
@@ -73,7 +100,7 @@ class TestBuildRx:
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_no_negative_exponent_materialized(self, n):
-        # construction asserts e >= 0 whenever the coefficient is nonzero
+        # left of the anti-diagonal every entry is zero, and none has an a-part
         m = build_rx(n)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -85,6 +112,12 @@ class TestBuildRx:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_specialize_at_one_gives_r(self, n):
         assert build_rx(n).specialize(1).to_int_matrix() == build_r(n)
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_entries_match_paper_formula(self, n):
+        assert build_rx(n) == by_formula(rx_entry_by_formula, n)
+        assert build_r(n) == IntMatrix(
+            [[math.comb(i - 1, n - j) for j in range(1, n + 1)] for i in range(1, n + 1)])
 
 
 class TestBuildU:
@@ -116,18 +149,9 @@ class TestBuildU:
                 got = float(u.rows[i - 1][j - 1].specialize(int(x_value)))
                 assert got == pytest.approx(want, abs=1e-9 * (1 + abs(want)))
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", [*range(1, 13), 24])
     def test_entries_match_exact_sum(self, n):
-        # the paper's entry over Z[x], term by term with RingElem arithmetic:
-        # u(i,j) = sum_k (-1)^(i-k) C(i-1,k-1) C(n-i,j-k) a^(2k-i-1)
-        u = build_u(n)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                total = RingElem(0)
-                for k in range(1, j + 1):
-                    c = math.comb(i - 1, k - 1) * math.comb(n - i, j - k)
-                    total = total + a_pow(2 * k - i - 1) * ((-1) ** abs(i - k) * c)
-                assert u.rows[i - 1][j - 1] == total
+        assert build_u(n) == by_formula(u_entry_by_sum, n)
 
 
 class TestBuildW:
@@ -143,18 +167,64 @@ class TestBuildW:
             ]
         )
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", [*range(1, 13), 24])
     def test_column_scaling_relation(self, n):
-        # the paper's explicit entry, symbolically:
-        # w(i,j) = (-1)^j a^(n-j) sum_r (-1)^(i-r) C(i-1,r-1) C(n-i,j-r) a^(2r-i-1)
-        w = build_w(n)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                total = RingElem(0)
-                for r in range(1, j + 1):
-                    c = math.comb(i - 1, r - 1) * math.comb(n - i, j - r)
-                    total = total + a_pow(2 * r - i - 1) * ((-1) ** abs(i - r) * c)
-                assert w.rows[i - 1][j - 1] == a_pow(n - j) * total * (-1) ** j
+        assert build_w(n) == by_formula(w_entry_by_formula, n)
+
+
+def perturbations(m):
+    """Every 2x2 matrix that differs from m in one entry, by + 1 or by
+    negation, keeping M12 = +/-1 as _symmetric_power requires."""
+    for i, j in itertools.product(range(2), repeat=2):
+        e = m[i][j]
+        for changed in ([-e] if (i, j) == (0, 1) else [e + 1, -e]):
+            if changed != e:
+                rows = [list(row) for row in m]
+                rows[i][j] = changed
+                yield (i, j), rows
+
+
+def l1(p):
+    return sum(map(abs, p.coeffs))
+
+
+class TestSymmetricPower:
+    # S(Q) = R(x), S(E) = U and S(F) = -W, each against the paper's formula
+    CASES = {"Q": (_Q, rx_entry_by_formula, 1), "E": (_E, u_entry_by_sum, 1),
+             "F": (_F, w_entry_by_formula, -1)}
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_any_changed_entry_is_caught(self, name):
+        m, entry, sign = self.CASES[name]
+        n = 4
+        want = by_formula(lambda n, i, j: entry(n, i, j) * sign, n)
+        assert _symmetric_power(n, m) == want
+        changed = list(perturbations(m))
+        assert {where for where, _ in changed} == set(itertools.product(range(2), repeat=2))
+        for where, rows in changed:
+            assert _symmetric_power(n, rows) != want, (name, where)
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_coefficients_within_the_proved_bound(self, n):
+        # max(N(M11) + N(M12), N(M21) + N(M22))^(n-1), N(c0 + c1 a) =
+        # ||c0||_1 + 2 ||c1||_1, bounds every coefficient, so every one lies
+        # below 2^(k-1) for the packing's k = bitlen(bound) + 1
+        for m, built in ((_Q, build_rx(n)), (_E, build_u(n)), (_F, build_w(n))):
+            bound = max(sum(l1(e.c0) + 2 * l1(e.c1) for e in row) for row in m) ** (n - 1)
+            k = bound.bit_length() + 1
+            top = max(abs(c) for row in built.rows for e in row for c in e.c0.coeffs + e.c1.coeffs)
+            assert top <= bound < 2 ** (k - 1)
+
+    @pytest.mark.parametrize("x_value", [-2, 0, 1, 3])
+    def test_integer_x_matches_specialization(self, x_value):
+        for m, build in ((_Q, build_rx), (_E, build_u)):
+            at_x = [[e.specialize(x_value) for e in row] for row in m]
+            for n in range(1, 9):
+                assert _symmetric_power(n, at_x) == build(n).specialize(x_value)
+
+    def test_rejects_a_divisor_that_is_not_a_unit(self):
+        with pytest.raises(ValueError, match="M12"):
+            _symmetric_power(3, ((ONE, ONE + ONE), (ONE, A)))
 
 
 class TestMatrixAlgebra:
