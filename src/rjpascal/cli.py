@@ -284,11 +284,10 @@ def _double_range_error(what: str, n: int, x: int) -> str:
 def _cmd_show(args) -> int:
     if args.x is None and args.format == "csv":  # only show-r offers csv
         return _usage_error("csv is only valid for integer-valued output")
-    matrix = {"show-r": build_rx, "show-u": build_u, "show-w": build_w}[args.command](args.n)
-    if args.x is not None:
-        matrix = matrix.specialize(args.x)
-        if args.command == "show-r":
-            matrix = matrix.to_int_matrix()
+    build = {"show-r": build_rx, "show-u": build_u, "show-w": build_w}[args.command]
+    matrix = build(args.n, args.x)
+    if args.x is not None and args.command == "show-r":
+        matrix = matrix.to_int_matrix()
     if args.format == "csv":
         print(matrix.to_csv(), end="")
     elif args.format == "json":

@@ -5,7 +5,8 @@ entry (i, j) is C(i-1, n-j) with 1-based indices.  ``build_rx`` is the
 one-parameter generalization C(i-1, n-j) x^(i+j-n-1), ``build_u`` stacks
 its eigenvectors as columns, and ``build_w`` scales column j of U by
 (-1)^j a^(n-j), which makes its square a scalar matrix.  All four are
-symmetric powers of 2x2 matrices, built by one recurrence (_symmetric_power).
+symmetric powers of 2x2 matrices, built by one recurrence (_symmetric_power)
+directly in the target ring: over Z[x], or at an integer x.
 
 Matrices are immutable after construction and all public index
 contracts are 1-based to match the entry formulas.  Products of ring
@@ -223,9 +224,6 @@ class RingMatrix(_SquareMatrix):
             for row in _coefficients(self.rows, unwrap)
         ])
 
-    def specialize(self, x_value: int) -> RingMatrix:
-        return RingMatrix([[e.specialize(x_value) for e in row] for row in self.rows])
-
     def to_int_matrix(self) -> IntMatrix:
         """Convert when every entry is a plain integer; ValueError otherwise."""
         return IntMatrix([[e.as_int() for e in row] for row in self.rows])
@@ -271,16 +269,17 @@ def _packing(x_image: IntPoly, bound):
     unwrap turns a coefficient polynomial into an int, x is the int that x
     becomes, and wrap turns a result int back into a polynomial.  At an
     integer x the ints are the constants themselves.  Over Z[x] they are
-    the values at x = 2^k with k = bitlen(bound()) + 1; bound() must bound
-    every coefficient of every result in absolute value, because a
+    the values at x = 2^k with k = max(2, bitlen(bound()) + 1); bound() must
+    bound every coefficient of every result in absolute value, because a
     polynomial whose coefficients all lie below 2^(k-1) in absolute value
-    is the balanced base-2^k digit expansion of its value at 2^k.
+    is the balanced base-2^k digit expansion of its value at 2^k.  The
+    floor of 2 keeps a digit step of _digits shrinking v when bound() is 0.
     """
     if x_image.degree() < 1:
         return x_image.constant_value(), IntPoly.constant_value, IntPoly.const
     if x_image != X:
         raise ValueError(f"products need x to map to X or to an integer, not {x_image}")
-    k = bound().bit_length() + 1
+    k = max(2, bound().bit_length() + 1)
     x = 1 << k
     return x, (lambda c: c(x)), (lambda v: _digits(v, k))
 
@@ -351,14 +350,19 @@ _E = ((ONE, ONE), (RingElem(X, -1), A))
 _F = ((A, -ONE), (-ONE, -A))
 
 
-def _symmetric_power(n: int, m) -> RingMatrix:
-    """S(M) for m = ((M11, M12), (M21, M22)) with M12 = +/-1 (see _Q).
+def _symmetric_power(n: int, m, x: int | None = None) -> RingMatrix:
+    """S(M) for m = ((M11, M12), (M21, M22)) with M12 = +/-1 (see _Q), at
+    the int x, or over Z[x] when x is None.
 
     With A = M11 + M12 t and B = M21 + M22 t, row 1 is A^(n-1) by the
     binomial theorem, and row i + 1 is row i times B divided by A: an exact
     division that, from the top, only multiplies by 1/M12 = M12.  Its
     O(n^2) ring products run on bare ints (_packing).
     """
+    # Each entry of S(M) is a polynomial in M's entries (the recurrence only
+    # adds, multiplies and multiplies by M12 = +/-1), and x -> c is a ring
+    # homomorphism, so S(M at c), run in Z[a]/(a^2 - c a - 1), is S(M) at c.
+    #
     # _packing's bound: with |c| the l1 norm, N(c0 + c1 a) = |c0| + 2|c1| is
     # subadditive and submultiplicative: p q = (p0 q0 + p1 q1) + (p0 q1 +
     # p1 q0 + x p1 q1) a and |x c| = |c|, so N(p q) <= |p0||q0| + 2|p0||q1| +
@@ -366,6 +370,10 @@ def _symmetric_power(n: int, m) -> RingMatrix:
     # over the coefficients in t, and max(N(A), N(B))^(n-1) bounds row i.
     # Only entries are read back, and x -> 2^k is a ring homomorphism.
     _check_dimension(n)
+    if x is not None:
+        if type(x) is not int:
+            raise ValueError(f"x must be an int, or None for Z[x], got {x!r}")
+        m = [[e.specialize(x) for e in row] for row in m]
     x_image = m[0][0].x_image
     x, unwrap, wrap = _packing(x_image, lambda: max(
         sum(sum(map(abs, e.c0.coeffs)) + 2 * sum(map(abs, e.c1.coeffs)) for e in row)
@@ -396,24 +404,26 @@ def _symmetric_power(n: int, m) -> RingMatrix:
 
 @lru_cache(maxsize=BUILD_CACHE_SIZE)
 def build_r(n: int) -> IntMatrix:
-    """The right-justified Pascal matrix C(i-1, n-j): build_rx(n) at x = 1."""
-    return build_rx(n).specialize(1).to_int_matrix()
+    """The right-justified Pascal matrix C(i-1, n-j): build_rx at x = 1."""
+    return build_rx(n, 1).to_int_matrix()
 
 
-@lru_cache(maxsize=BUILD_CACHE_SIZE)
-def build_rx(n: int) -> RingMatrix:
-    """Entry (i, j) = C(i-1, n-j) x^(i+j-n-1): S(Q), row i is t^(n-i) (1 + x t)^(i-1)."""
-    return _symmetric_power(n, _Q)
+# typed=True: 1, 1.0 and True hash alike, and only the int may key a matrix.
+@lru_cache(maxsize=BUILD_CACHE_SIZE, typed=True)
+def build_rx(n: int, x: int | None = None) -> RingMatrix:
+    """Entry (i, j) = C(i-1, n-j) x^(i+j-n-1): S(Q), row i is t^(n-i) (1 + x t)^(i-1).
+    Like build_u and build_w, it is over Z[x] when x is None, else at the int x."""
+    return _symmetric_power(n, _Q, x)
 
 
-@lru_cache(maxsize=BUILD_CACHE_SIZE)
-def build_u(n: int) -> RingMatrix:
+@lru_cache(maxsize=BUILD_CACHE_SIZE, typed=True)
+def build_u(n: int, x: int | None = None) -> RingMatrix:
     """Eigenvector columns: u(i,j) = sum_{k=1..j} (-1)^(i-k) C(i-1,k-1) C(n-i,j-k) a^(2k-i-1),
     the binomial theorem on row i of S(E), a^(1-i) (1+t)^(n-i) (a^2 t - 1)^(i-1)."""
-    return _symmetric_power(n, _E)
+    return _symmetric_power(n, _E, x)
 
 
-@lru_cache(maxsize=BUILD_CACHE_SIZE)
-def build_w(n: int) -> RingMatrix:
-    """Column j of build_u(n) times (-1)^j a^(n-j), so W^2 = (1 + a^2)^(n-1) I: -S(F)."""
-    return RingMatrix([[-e for e in row] for row in _symmetric_power(n, _F).rows])
+@lru_cache(maxsize=BUILD_CACHE_SIZE, typed=True)
+def build_w(n: int, x: int | None = None) -> RingMatrix:
+    """Column j of build_u(n, x) times (-1)^j a^(n-j), so W^2 = (1 + a^2)^(n-1) I: -S(F)."""
+    return RingMatrix([[-e for e in row] for row in _symmetric_power(n, _F, x).rows])

@@ -6,11 +6,10 @@ degree in a never exceeds 1 and equality is plain structural equality.
 a is a unit: a^-1 = a - x, because a*(a - x) = a^2 - a*x = 1.
 
 Every element remembers the image of x in its coefficient ring: the
-indeterminate itself for the generic ring, or a constant after
-``specialize``.  Specializing at x = 1 lands in Z[a]/(a^2 - a - 1),
-exact arithmetic of the golden ratio; multiplication then reduces with
-the specialized relation, so ``specialize`` commutes with all ring
-operations exactly.
+indeterminate itself for the generic ring, or an integer, such as 1 for
+Z[a]/(a^2 - a - 1), exact arithmetic of the golden ratio.  Products
+reduce with that ring's relation, so ``specialize`` (x to an integer)
+commutes with all ring operations exactly.
 
 All values are immutable after construction and all operations are pure,
 so elements can be shared freely across threads.

@@ -22,9 +22,9 @@ b_i W_ij = b_j W_ji for every n, which the check verifies coefficient by
 coefficient, and this symmetry carries the upper triangle of W^2 to the
 lower one (the proof is in verify_involution).
 
-Eigenvalues and the involution scale take the image of x in the target
-ring (X for Z[x], a constant for an integer x) and are computed there
-directly; specializing the Z[x] value gives the same element.
+Matrices, eigenvalues and the involution scale are computed directly in
+the target ring: the builders take x itself, the scalars the image of x
+(X for Z[x], a constant for an integer x).
 
 Numeric checks round each entry once from its exact value and sum each
 product entry with ``math.fsum``; both residuals are judged relative to
@@ -89,19 +89,11 @@ def _integer_x(x: int | float | None) -> int | None:
     return int(x)
 
 
-@lru_cache(maxsize=BUILD_CACHE_SIZE)
-def _specialized(build, n: int, x: int | None) -> RingMatrix:
-    """build(n) with x specialized to the integer ``x``; over Z[x] when None.
-    Callers pass x through _integer_x first, so 1.0 never keys a float entry."""
-    m = build(n)
-    return m if x is None else m.specialize(x)
-
-
 def verify_eigenpair(n: int, p: int, x: int | None = 1) -> bool:
     """Exact check that the matrix maps column p of U to lambda_p times it.
 
-    ``x`` selects the coefficient ring: an integer specializes there
-    (default 1, the golden-ratio case), None keeps Z[x] coefficients.
+    ``x`` selects the coefficient ring: an integer x (default 1, the
+    golden-ratio case), or None for Z[x] coefficients.
     Column p of R(x) U is compared with column p of U Lambda (_eigen_sides).
     """
     _check_index(n, p)
@@ -113,9 +105,8 @@ def verify_eigenpair(n: int, p: int, x: int | None = 1) -> bool:
 def _eigen_sides(n: int, x: int | None) -> tuple[RingMatrix, RingMatrix]:
     """R(x) U and U Lambda, Lambda = diag(lambda_1..lambda_n), computed once
     per (n, x) for all n eigenpairs."""
-    r = _specialized(build_rx, n, x)
-    u = _specialized(build_u, n, x)
-    return r @ u, u.scale_columns(eigenvalues(n, u.x_image))
+    u = build_u(n, x)
+    return build_rx(n, x) @ u, u.scale_columns(eigenvalues(n, u.x_image))
 
 
 def involution_scale(n: int, x_image: IntPoly = X) -> RingElem:
@@ -132,7 +123,7 @@ def verify_involution(n: int, x: int | None = 1) -> bool:
     W @ W on and above the diagonal are formed; a symmetry of W, checked
     first, settles the rest.
     """
-    w = _specialized(build_w, n, _integer_x(x))
+    w = build_w(n, _integer_x(x))
     # With b_i = C(n-1, i-1), b_i W_ij = b_j W_ji for every n.  W = -S(F)
     # (pascal), and the binomial theorem over the rows of S(F) gives
     #   sum_ij b_i W_ij s^(i-1) t^(j-1) = -(F11 + F12 t + F21 s + F22 s t)^(n-1),
@@ -169,7 +160,7 @@ def matrix_power_closed_form(n: int, m: int) -> IntMatrix:
     division or a leftover a-component raises (ExactDivisionError or
     ValueError) and would signal a formula bug, never an expected state.
     """
-    w = _specialized(build_w, n, 1)
+    w = build_w(n, 1)
     scale = involution_scale(n, w.x_image)
     conj, norm = scale.conjugate(), scale.norm().constant_value()
     factors = [eigenvalue_power(n, j, m, w.x_image) * conj for j in range(1, n + 1)]
@@ -241,10 +232,10 @@ def verify_diagonalization_numeric(
     report the residuals of V@V - I and V@R@V - diag(lambda), judged on
     one relative scale (see DiagonalizationReport and DEFAULT_TOL)."""
     x = _integer_x(x)
-    w = _specialized(build_w, n, x)
+    w = build_w(n, x)
     root = math.sqrt(float(involution_scale(n, w.x_image)))
     v = [[float(e) / root for e in row] for row in w.rows]
-    r = [[float(e) for e in row] for row in _specialized(build_rx, n, x).rows]
+    r = [[float(e) for e in row] for row in build_rx(n, x).rows]
     vv, vrv = _product(v, v), _product(_product(v, r), v)
     for i, lam in enumerate(eigenvalues_numeric(n, x)):
         vv[i][i] -= 1.0

@@ -59,7 +59,7 @@ class TestShow:
         assert "integer-valued" in err
 
     def test_show_r_symbolic_csv_rejected_before_building(self, capsys, monkeypatch):
-        def refuse(n):
+        def refuse(n, x):
             raise AssertionError("R(x) was built for a rejected format")
 
         monkeypatch.setattr(cli, "build_rx", refuse)
@@ -82,7 +82,7 @@ class TestShow:
     def test_show_u_json_roundtrip_at_one(self, capsys):
         code, out, _ = run(capsys, "show-u", "--n", "3", "--format", "json")
         assert code == 0
-        assert json.loads(out) == build_u(3).specialize(1).to_json()
+        assert json.loads(out) == build_u(3, 1).to_json()
 
     def test_show_w_csv_rejected_by_parser(self, capsys):
         code, _, err = run(capsys, "show-w", "--n", "2", "--format", "csv")

@@ -43,6 +43,9 @@ def _commands() -> list[tuple[str, ...]]:
     cmds.append(("identities",))
     for ident, names in (("star", "NJK"), ("vandermonde", "MNL")):
         cmds.append(("identities", "--only", ident, *(f"--{name}=-12..24" for name in names)))
+    # builds at an integer x beyond the sizes above
+    for cmd in ("show-w --n 24 --x -2", "show-u --n 16 --x 3", "power --n 32 --m -3"):
+        cmds.append((*cmd.split(), "--format", "json"))
     return cmds
 
 
@@ -210,6 +213,9 @@ EXPECTED: dict[str, tuple[str, int]] = {
     'identities': ('c6efe15d5f1acc054f75e56dc51da9dd15ed368dce205afcec74881da242632b', 0),
     'identities --only star --N=-12..24 --J=-12..24 --K=-12..24': ('af151a978573d2cd25911e498af685adf75607f0ae2ca53e43d9a4bf0a17c9c3', 0),
     'identities --only vandermonde --M=-12..24 --N=-12..24 --L=-12..24': ('46fb3a3b1e51d20f93ff77279ca9044b904f9ab30b962a396b4a7128c8704560', 0),
+    'show-w --n 24 --x -2 --format json': ('f45abb06aad79da371b11728a7ed7018bb16a9aeb89c4baee9ea64fd0fc3160b', 0),
+    'show-u --n 16 --x 3 --format json': ('1ec422e2ce9cbc4a7e59065cf0608a6b88f27baf4d44841a4f5289de234c9489', 0),
+    'power --n 32 --m -3 --format json': ('62f1a12bfe1afd25a06b3170fb86369cc163029808d4f9995d7b4314ce71b1fc', 0),
 }
 
 

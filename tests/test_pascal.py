@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rjpascal import pascal
 from rjpascal.binomial import _row_table
-from rjpascal.pascal import (_E, _F, _Q, IntMatrix, RingMatrix, _symmetric_power, build_r,
-                             build_rx, build_u, build_w)
+from rjpascal.pascal import (_E, _F, _Q, IntMatrix, RingMatrix, _packing, _symmetric_power,
+                             build_r, build_rx, build_u, build_w)
 from rjpascal.ring import A, ONE, IntPoly, RingElem, X, _a_pow_cached, a_pow
-from rjpascal.spectral import _eigen_sides, _inverse_r, _specialized, involution_scale
+from rjpascal.spectral import _eigen_sides, _inverse_r, involution_scale
 
 ONE_AT_1 = IntPoly.const(1)
 
@@ -52,6 +53,11 @@ def w_entry_by_formula(n, i, j):
 
 def by_formula(entry, n):
     return RingMatrix([[entry(n, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
+
+
+def evaluated(m, x_value):
+    """The Z[x] matrix m with every entry evaluated at the integer x_value."""
+    return RingMatrix([[e.specialize(x_value) for e in row] for row in m.rows])
 
 
 class TestBuildR:
@@ -111,7 +117,7 @@ class TestBuildRx:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_specialize_at_one_gives_r(self, n):
-        assert build_rx(n).specialize(1).to_int_matrix() == build_r(n)
+        assert evaluated(build_rx(n), 1).to_int_matrix() == build_r(n)
 
     @pytest.mark.parametrize("n", range(1, 25))
     def test_entries_match_paper_formula(self, n):
@@ -125,7 +131,7 @@ class TestBuildU:
         assert build_u(1) == RingMatrix([[RingElem(1)]])
 
     def test_n2_first_column(self):
-        col = build_u(2).specialize(1).column(1)
+        col = build_u(2, 1).column(1)
         assert col == (
             RingElem(1, 0, ONE_AT_1),
             RingElem(1, -1, ONE_AT_1),  # 1 - a
@@ -133,7 +139,7 @@ class TestBuildU:
 
     def test_n2_second_column(self):
         # oracle-verified: the second eigenvector is (1, a)
-        col = build_u(2).specialize(1).column(2)
+        col = build_u(2, 1).column(2)
         assert col == (
             RingElem(1, 0, ONE_AT_1),
             RingElem(0, 1, ONE_AT_1),
@@ -142,11 +148,11 @@ class TestBuildU:
     @pytest.mark.parametrize("x_value", [1.0, 2.0])
     @pytest.mark.parametrize("n", range(1, 8))
     def test_entries_match_numeric_oracle(self, n, x_value):
-        u = build_u(n)
+        u = build_u(n, int(x_value))
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 want = u_entry_numeric(n, i, j, x_value)
-                got = float(u.rows[i - 1][j - 1].specialize(int(x_value)))
+                got = float(u.rows[i - 1][j - 1])
                 assert got == pytest.approx(want, abs=1e-9 * (1 + abs(want)))
 
     @pytest.mark.parametrize("n", [*range(1, 13), 24])
@@ -159,7 +165,7 @@ class TestBuildW:
         assert build_w(1) == RingMatrix([[RingElem(-1)]])
 
     def test_n2_at_one(self):
-        w = build_w(2).specialize(1)
+        w = build_w(2, 1)
         assert w == RingMatrix(
             [
                 [RingElem(0, -1, ONE_AT_1), RingElem(1, 0, ONE_AT_1)],
@@ -208,19 +214,42 @@ class TestSymmetricPower:
     def test_coefficients_within_the_proved_bound(self, n):
         # max(N(M11) + N(M12), N(M21) + N(M22))^(n-1), N(c0 + c1 a) =
         # ||c0||_1 + 2 ||c1||_1, bounds every coefficient, so every one lies
-        # below 2^(k-1) for the packing's k = bitlen(bound) + 1
+        # below 2^(k-1) for the packing's k = max(2, bitlen(bound) + 1)
         for m, built in ((_Q, build_rx(n)), (_E, build_u(n)), (_F, build_w(n))):
             bound = max(sum(l1(e.c0) + 2 * l1(e.c1) for e in row) for row in m) ** (n - 1)
             k = bound.bit_length() + 1
             top = max(abs(c) for row in built.rows for e in row for c in e.c0.coeffs + e.c1.coeffs)
             assert top <= bound < 2 ** (k - 1)
 
-    @pytest.mark.parametrize("x_value", [-2, 0, 1, 3])
+    @pytest.mark.parametrize("x_value", range(-3, 4))
     def test_integer_x_matches_specialization(self, x_value):
-        for m, build in ((_Q, build_rx), (_E, build_u)):
-            at_x = [[e.specialize(x_value) for e in row] for row in m]
-            for n in range(1, 9):
-                assert _symmetric_power(n, at_x) == build(n).specialize(x_value)
+        # built at x, against the Z[x] build evaluated entry by entry
+        for build in (build_rx, build_u, build_w):
+            for n in range(1, 13):
+                assert build(n, x_value) == evaluated(build(n), x_value), (build, n)
+
+    @pytest.mark.parametrize("x_value", [-2, 0, 1, 3])
+    def test_integer_x_builds_in_the_target_ring(self, monkeypatch, x_value):
+        # only the 2x2 matrix is specialized: no base-2^k unpacking, and no
+        # polynomial evaluation beyond the two parts of M's four entries
+        evaluations = []
+        horner = IntPoly.__call__
+
+        def counted(self, value):
+            evaluations.append(self)
+            return horner(self, value)
+
+        def refuse(v, k):
+            raise AssertionError("base-2^k digits unpacked at an integer x")
+
+        monkeypatch.setattr(pascal, "_digits", refuse)
+        monkeypatch.setattr(IntPoly, "__call__", counted)
+        for build in (build_rx, build_u, build_w):
+            build.cache_clear()
+            evaluations.clear()
+            m = build(24, x_value)
+            assert m.x_image == IntPoly.const(x_value)
+            assert len(evaluations) <= 8, (build, len(evaluations))
 
     def test_rejects_a_divisor_that_is_not_a_unit(self):
         with pytest.raises(ValueError, match="M12"):
@@ -239,7 +268,7 @@ class TestMatrixAlgebra:
         assert build_r(2) @ build_r(2) == IntMatrix([[1, 1], [1, 2]])
 
     def test_w2_squared_is_scalar(self):
-        w = build_w(2).specialize(1)
+        w = build_w(2, 1)
         scale = (ONE + A * A).specialize(1)  # 2 + a
         assert w @ w == RingMatrix.scalar(2, scale)
 
@@ -263,18 +292,18 @@ class TestMatrixAlgebra:
             RingMatrix([[A, A.specialize(1)], [A, A]])
 
     def test_mixed_x_images_in_product_rejected(self):
-        w = build_w(2)
+        w, w1 = build_w(2), build_w(2, 1)
         with pytest.raises(ValueError):
-            w @ w.specialize(1)
+            w @ w1
         with pytest.raises(ValueError):
-            w.specialize(1) @ w.specialize(2)
+            w1 @ build_w(2, 2)
         with pytest.raises(ValueError):
-            w.mul_vector(w.specialize(1).column(1))
+            w.mul_vector(w1.column(1))
         with pytest.raises(ValueError):
-            w.specialize(1).mul_vector((RingElem(1, 0, ONE_AT_1), A))
+            w1.mul_vector((RingElem(1, 0, ONE_AT_1), A))
 
     def test_equality_is_type_strict(self):
-        ring_r = build_rx(2).specialize(1)
+        ring_r = build_rx(2, 1)
         assert ring_r.to_int_matrix() == build_r(2)
         assert ring_r != build_r(2)
         assert build_r(2) != ring_r
@@ -411,6 +440,13 @@ class TestProductKernel:
         monkeypatch.setattr(IntPoly, "__rmul__", refuse)
         assert w @ w == want
 
+    def test_packing_of_a_zero_bound(self):
+        # k = bitlen(0) + 1 = 1 would leave _digits unable to shrink v > 0
+        x, unwrap, wrap = _packing(X, lambda: 0)
+        assert x == 4
+        for v in (1, 2, 3, 12345, 2 ** 100):
+            assert wrap(v)(x) == v
+
     def test_other_polynomial_images_rejected(self):
         # the bound on k holds only when x maps to X itself
         m = RingMatrix([[RingElem(X, 1, IntPoly((1, 1)))]])
@@ -421,7 +457,7 @@ class TestProductKernel:
 
     @pytest.mark.parametrize("x_image", X_IMAGES, ids=str)
     def test_result_stays_in_the_ring(self, x_image):
-        w = build_w(3) if x_image == X else build_w(3).specialize(x_image.constant_value())
+        w = build_w(3, None if x_image == X else x_image.constant_value())
         scaled = w.scale_columns(w.rows[0]).rows[0]
         for e in (w @ w).rows[0] + w.mul_vector(w.column(1)) + scaled:
             assert e.x_image == x_image
@@ -570,8 +606,8 @@ class TestSerialization:
 
 
 @pytest.mark.parametrize(
-    "cached", [build_r, build_rx, build_u, build_w, _a_pow_cached, _specialized, _inverse_r,
-               _eigen_sides, _row_table],
+    "cached", [build_r, build_rx, build_u, build_w, _a_pow_cached, _inverse_r, _eigen_sides,
+               _row_table],
     ids=lambda f: f.__name__,
 )
 def test_caches_are_bounded(cached):

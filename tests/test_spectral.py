@@ -9,7 +9,6 @@ from rjpascal.ring import A, ONE, IntPoly, RingElem, X
 from rjpascal.spectral import (
     DEFAULT_TOL,
     _inverse_r,
-    _specialized,
     eigen_distinctness,
     eigenvalue,
     eigenvalue_power,
@@ -115,10 +114,11 @@ class TestSpecializeCommutes:
 
 @pytest.mark.parametrize("x", [None, 1, 0, -2, 3])
 def test_specialized_builders(x):
-    # the cache keys on x: each entry is the builder's matrix in x's own ring
+    # the cache keys on x: each entry is the Z[x] matrix evaluated at x
     for build in (build_rx, build_u, build_w):
-        want = build(4) if x is None else build(4).specialize(x)
-        assert _specialized(build, 4, x) == want
+        want = build(4) if x is None else RingMatrix(
+            [[e.specialize(x) for e in row] for row in build(4).rows])
+        assert build(4, x) == want
 
 
 class TestEigenPair:
@@ -142,8 +142,8 @@ class TestVerifyEigenpair:
 
     def test_n2_hand_computation(self):
         # R (1, 1-a) = (1-a, 2-a) = (1-a) * (1, 1-a) at x = 1
-        r = build_rx(2).specialize(1)
-        col = build_u(2).specialize(1).column(1)
+        r = build_rx(2, 1)
+        col = build_u(2, 1).column(1)
         lhs = r.mul_vector(col)
         assert lhs == (RingElem(1, -1, ONE_AT_1), RingElem(2, -1, ONE_AT_1))
         assert verify_eigenpair(2, 1)
@@ -248,15 +248,28 @@ class TestMatrixPower:
 def test_float_x_does_not_poison_the_cache():
     # an integral float names the integer's ring, so it must not leave
     # float-coefficient matrices cached under the integer's key
-    _specialized.cache_clear()
+    for build in (build_rx, build_u, build_w):
+        build.cache_clear()
     assert verify_involution(3, x=1.0)
     assert verify_eigenpair(3, 2, x=2.0)
     got = matrix_power_closed_form(3, 2)
     assert got == matrix_power_oracle(3, 2)
     assert all(type(e) is int for row in got.rows for e in row)
     assert all(type(c) is int for build in (build_rx, build_u, build_w)
-               for row in _specialized(build, 3, 2).rows for e in row
+               for row in build(3, 2).rows for e in row
                for c in e.c0.coeffs + e.c1.coeffs)
+
+
+@pytest.mark.parametrize("x", [1.0, 2.5, True, "1"], ids=repr)
+def test_builders_reject_non_integer_x(x):
+    # 1, 1.0 and True hash alike, so only an int may key a cached matrix;
+    # the check runs before any entry is stored
+    for build in (build_rx, build_u, build_w):
+        build(3, 1)
+        size = build.cache_info().currsize
+        with pytest.raises(ValueError, match="x must be an int"):
+            build(3, x)
+        assert build.cache_info().currsize == size
 
 
 @pytest.mark.parametrize("check, args", [
@@ -362,7 +375,7 @@ class TestNumericChecks:
     @pytest.mark.parametrize("n, x", [(16, 1), (20, -2), (30, -7), (8, 3)])
     def test_diag_perturbed_w_entry_fails(self, monkeypatch, n, x):
         assert passed(verify_diagonalization_numeric(n, x))
-        w = _specialized(build_w, n, x)
+        w = build_w(n, x)
         target = max((e for row in w.rows for e in row), key=lambda e: abs(float(e)))
         exact_float = RingElem.__float__
 
@@ -412,7 +425,7 @@ class TestNumericChecks:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_eigenbasis_independent(self, n):
-        u = _specialized(build_u, n, 1)
+        u = build_u(n, 1)
         assert abs(float_det([[float(e) for e in row] for row in u.rows])) > 1e-6
 
 
@@ -439,7 +452,7 @@ def test_w_binomial_symmetry_symbolic():
 @pytest.mark.parametrize("x", range(-3, 4))
 def test_w_binomial_symmetry_at_integer_x(x):
     for n in range(1, 31):
-        assert_binomial_symmetry(build_w(n).specialize(x))
+        assert_binomial_symmetry(build_w(n, x))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -461,17 +474,12 @@ def test_w_generating_function(n):
 def _faulty_w(monkeypatch, edit):
     """Make verify_involution read W with ``edit(rows, n)`` applied to a
     copy of its rows (0-based, entries in W's ring)."""
-    real = spectral._specialized
-
-    def specialized(build, n, x):
-        m = real(build, n, x)
-        if build is not build_w:
-            return m
-        rows = [list(row) for row in m.rows]
+    def faulty(n, x):
+        rows = [list(row) for row in build_w(n, x).rows]
         edit(rows, n)
         return RingMatrix(rows)
 
-    monkeypatch.setattr(spectral, "_specialized", specialized)
+    monkeypatch.setattr(spectral, "build_w", faulty)
 
 
 def _add(i, j, c):
