@@ -29,7 +29,7 @@ import sys
 from . import spectral
 from .binomial import DEFAULT_BOXES, Identity, sweep_identity, validate_box
 from .pascal import build_rx, build_u, build_w
-from .ring import X, IntPoly
+from .ring import X, ExactDivisionError, IntPoly
 
 
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
@@ -324,10 +324,13 @@ def _cmd_eigen(args) -> int:
     return 0
 
 
-def _report(check: str, n: int, params: dict, passed: bool, residual=None) -> dict:
+def _report(check: str, n: int, params: dict, passed: bool, residual=None,
+            error=None) -> dict:
     obj = {"check": check, "n": n, "params": params, "pass": passed}
     if residual is not None:
         obj["residual"] = residual
+    if error is not None:
+        obj["error"] = error
     return obj
 
 
@@ -359,7 +362,11 @@ def _cmd_verify(args) -> int:
             reports.append(_report("involution", n, {"x": _x_label(x)}, ok))
         elif check == "power":
             for m in exponents:
-                closed = spectral.matrix_power_closed_form(n, m)
+                try:
+                    closed = spectral.matrix_power_closed_form(n, m)
+                except (ExactDivisionError, ValueError) as exc:
+                    reports.append(_report("power", n, {"m": m}, False, error=str(exc)))
+                    continue
                 ok = closed == spectral.matrix_power_oracle(n, m)
                 reports.append(_report("power", n, {"m": m}, ok))
         elif check == "diag":
@@ -379,14 +386,19 @@ def _cmd_verify(args) -> int:
             tag = "PASS" if rep["pass"] else "FAIL"
             extra = "".join(f" {k}={v}" for k, v in rep["params"].items())
             res = f" residual={rep['residual']:.3g}" if "residual" in rep else ""
-            print(f"[{tag}] {rep['check']} n={rep['n']}{extra}{res}")
+            err = f" error: {rep['error']}" if "error" in rep else ""
+            print(f"[{tag}] {rep['check']} n={rep['n']}{extra}{res}{err}")
     return 0 if all(rep["pass"] for rep in reports) else 1
 
 
 def _cmd_power(args) -> int:
     if err := _power_budget_error(args.n, [args.m]):
         return _usage_error(err)
-    result = spectral.matrix_power_closed_form(args.n, args.m)
+    try:
+        result = spectral.matrix_power_closed_form(args.n, args.m)
+    except (ExactDivisionError, ValueError) as exc:
+        print(f"rjpascal: error: the closed form failed: {exc}", file=sys.stderr)
+        return 1
     if args.format == "csv":
         print(result.to_csv(), end="")
     elif args.format == "json":

@@ -14,12 +14,12 @@ matrices share one dot-product kernel: each entry is three sums of
 plain int products, p0 q0, p1 q1 and (p0 + p1)(q0 + q1) (Karatsuba),
 reduced with a^2 = x a + 1 once per entry rather than once per term.
 Column scaling, M diag(f), is the same arithmetic on dot products of
-length 1, and ``_upper_square`` forms only the entries of M @ M on and
-above the diagonal, packing M once for both operands.  Over Z[x] the
-ints are the values at x = 2^k, with k = bitlen(3 n Lp Lq) + 1 for dot
-products of length n and operand parts of l1 norm at most Lp and Lq
-(Kronecker substitution, von zur Gathen & Gerhard, Modern Computer
-Algebra, 3rd ed., 2013, section 8.4).
+length 1, and ``_upper_square`` forms only the entries of M @ M, or of
+M diag(f) M, on and above the diagonal, packing M once for both
+operands.  Over Z[x] the ints are the values at x = 2^k, with
+k = bitlen(3 n Lp Lq) + 1 for dot products of length n and operand parts
+of l1 norm at most Lp and Lq (Kronecker substitution, von zur Gathen &
+Gerhard, Modern Computer Algebra, 3rd ed., 2013, section 8.4).
 One fraction-free Gauss-Jordan elimination, O(n^3), serves both the
 integer determinant and the unimodular inverse.
 """
@@ -315,19 +315,37 @@ def _dot_products(rows, cols, x_image: IntPoly) -> list[list[RingElem]]:
             for p in _coefficients(rows, unwrap)]
 
 
-def _upper_square(rows, x_image: IntPoly) -> list[list[RingElem]]:
-    """The entries of M @ M on and above the diagonal, for the square
-    matrix M with these rows: list i (0-based) holds columns i..n-1 of
-    row i, n(n+1)/2 dot products in all.
+def _upper_square(rows, x_image: IntPoly, factors=None) -> list[list[RingElem]]:
+    """The entries of M diag(f) M on and above the diagonal, for the square
+    matrix M with these rows and the factors f (M @ M when there are none):
+    list i (0-based) holds columns i..n-1 of row i, n(n+1)/2 dot products
+    in all.
 
-    Both operands are M, so its parts are packed once, under
-    _dot_products' bound with Lp = Lq, and its columns are the transposes
-    of the packed rows.
+    M is packed once for both operands: the columns are the transposes of
+    the packed rows, and the left operand is the packed rows, each entry
+    p_ij times f_j on bare ints when there are factors.
     """
-    x, unwrap, wrap = _packing(x_image, lambda: 3 * len(rows) * _l1(rows) ** 2)
+    # Without factors this is _dot_products' bound with Lp = Lq = L.  With
+    # them the left operand has the parts of p f: c0 = p0 f0 + p1 f1 and
+    # c1 = p0 f1 + p1 f0 + x p1 f1, and x only shifts, so each part has l1
+    # norm at most 3 L Lf (l1 is subadditive and submultiplicative).  Dot
+    # products of length n of such parts with parts of M are then bounded
+    # by 3 n (3 L Lf) L = 9 n L^2 Lf.
+    n = len(rows)
+    x, unwrap, wrap = _packing(x_image, lambda: 3 * n * _l1(rows) ** 2 if factors is None
+                               else 9 * n * _l1(rows) ** 2 * _l1((factors,)))
     packed = _coefficients(rows, unwrap)
     p0s, p1s, pss = zip(*packed)
     cols = list(zip(zip(*p0s), zip(*p1s), zip(*pss)))
+    if factors is not None:
+        f0, f1, _ = _coefficients((factors,), unwrap)[0]
+        f0x = [g + x * h for g, h in zip(f0, f1)]  # (p0 + p1 a) f = c0 + (p0 f1 + p1 f0x) a
+        scaled = []
+        for p0, p1, _ in packed:
+            c0 = list(map(add, map(mul, p0, f0), map(mul, p1, f1)))
+            c1 = list(map(add, map(mul, p0, f1), map(mul, p1, f0x)))
+            scaled.append((c0, c1, list(map(add, c0, c1))))
+        packed = scaled
     return [[_dot(p, q, x, wrap, x_image) for q in cols[i:]]
             for i, p in enumerate(packed)]
 

@@ -6,21 +6,23 @@ check is one matrix identity per (n, x), R(x) U = U Lambda with
 Lambda = diag(lambda_1..lambda_n): both sides are computed once, and
 eigenpair p compares their columns p.
 
-Because the scaled eigenvector matrix W satisfies
-W^2 = (1+a^2)^(n-1) I, integer powers of the Pascal matrix are
-W diag(lambda^m) W divided by (1+a^2)^(n-1).  The diagonal factor, with
-the conjugate of the divisor folded in, is applied by scaling column j
-of W, so one matrix product remains.  The entries are then divided by
-the divisor's norm, an integer; any remainder or leftover a-component is
-a hard error, which makes the power routine a self-test of the whole
-formula chain.
 W = -S(F) and U = S(E) with F = E diag(a, -1), and S is multiplicative
 (pascal), so W is U with columns scaled by units: the exact involution
-check also proves U invertible at every x.  The check forms only the
-n(n+1)/2 entries of W^2 on and above the diagonal: with b_i = C(n-1, i-1),
-b_i W_ij = b_j W_ji for every n, which the check verifies coefficient by
-coefficient, and this symmetry carries the upper triangle of W^2 to the
-lower one (the proof is in verify_involution).
+check W^2 = (1+a^2)^(n-1) I also proves U invertible at every x.  With
+b_i = C(n-1, i-1), b_i W_ij = b_j W_ji for every n (_binomially_symmetric
+checks it coefficient by coefficient), so B W is symmetric, B = diag(b),
+and so is B W D W for every diagonal D.  The involution check therefore
+forms only the n(n+1)/2 entries of W^2 on and above the diagonal (the
+proof is in verify_involution).
+
+Because of the involution, integer powers of the Pascal matrix are
+W diag(lambda^m) W divided by (1+a^2)^(n-1).  The diagonal factor, with
+the conjugate of the divisor folded in, scales the packed left operand,
+and only the entries on and above the diagonal are formed and divided by
+the divisor's norm, an integer; any remainder or leftover a-component is
+a hard error, which makes the power routine a self-test of the whole
+formula chain.  The symmetry gives the entries below the diagonal by an
+exact integer division each (the proof is in matrix_power_closed_form).
 
 Matrices, eigenvalues and the involution scale are computed directly in
 the target ring: the builders take x itself, the scalars the image of x
@@ -40,7 +42,7 @@ from typing import NamedTuple
 
 from .pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, _upper_square, build_r,
                      build_rx, build_u, build_w)
-from .ring import X, IntPoly, RingElem, a_pow
+from .ring import X, ExactDivisionError, IntPoly, RingElem, a_pow
 
 #: Default tolerance on a relative residual: 64 u, u = 2^-53.  An entry of
 #: V is within 3.5u of exact, of R or lambda within u, and an fsum dot
@@ -58,24 +60,34 @@ def _check_index(n: int, j: int) -> None:
 def eigenvalue(n: int, j: int, x_image: IntPoly = X) -> RingElem:
     """The j-th eigenvalue (-1)^(n+j) a^(2j-n-1), 1 <= j <= n, in the ring
     where x maps to ``x_image``."""
-    return eigenvalue_power(n, j, 1, x_image)
+    _check_index(n, j)
+    lam = a_pow(2 * j - n - 1, x_image)
+    return -lam if (n + j) % 2 else lam
 
 
-def eigenvalues(n: int, x_image: IntPoly = X) -> list[RingElem]:
-    """lambda_1..lambda_n in the ring where x maps to ``x_image``; each is
-    -a^2 times the one before, one ring product per eigenvalue."""
-    step = -a_pow(2, x_image)
-    lams = [eigenvalue(n, 1, x_image)]
-    for _ in range(n - 1):
-        lams.append(lams[-1] * step)
+def eigenvalues(n: int, x_image: IntPoly = X, m: int = 1) -> list[RingElem]:
+    """lambda_1^m..lambda_n^m in the ring where x maps to ``x_image``.
+    lambda_(j+1) = -a^2 lambda_j, so each is (-a^2)^m times the one before,
+    one ring product per eigenvalue.  At n = 1 no step is formed: a^(2m)
+    is not needed there, and for a huge |m| it could not be computed."""
+    lams = [eigenvalue_power(n, 1, m, x_image)]
+    if n > 1:
+        step = a_pow(2 * m, x_image)
+        step = -step if m % 2 else step
+        for _ in range(n - 1):
+            lams.append(lams[-1] * step)
     return lams
 
 
 def eigenvalue_power(n: int, j: int, m: int, x_image: IntPoly = X) -> RingElem:
-    """lambda_j^m for any integer m; negative m negates the a-exponent."""
+    """lambda_j^m for any integer m.  The a-exponents of lambda_j and
+    lambda_(n+1-j) cancel, so lambda_j^-1 = (-1)^(n+1) lambda_(n+1-j), whose
+    |m|-th power is lambda_j^m for m < 0."""
     _check_index(n, j)
-    lam = a_pow(m * (2 * j - n - 1), x_image)
-    return -lam if ((n + j) % 2 and m % 2) else lam
+    if m >= 0:
+        return eigenvalue(n, j, x_image) ** m
+    inverse = eigenvalue(n, n + 1 - j, x_image)
+    return (inverse if n % 2 else -inverse) ** -m
 
 
 def _integer_x(x: int | float | None) -> int | None:
@@ -124,28 +136,50 @@ def verify_involution(n: int, x: int | None = 1) -> bool:
     first, settles the rest.
     """
     w = build_w(n, _integer_x(x))
-    # With b_i = C(n-1, i-1), b_i W_ij = b_j W_ji for every n.  W = -S(F)
-    # (pascal), and the binomial theorem over the rows of S(F) gives
-    #   sum_ij b_i W_ij s^(i-1) t^(j-1) = -(F11 + F12 t + F21 s + F22 s t)^(n-1),
-    # symmetric in s and t as F12 = F21.  So B W is symmetric, B = diag(b), and
-    # P = W W satisfies B P = W^T B W = P^T B: b_l P_li = b_i P_il.  Once
-    # P_il = scale * delta_il for i <= l, b_l P_li = 0 below the diagonal,
-    # so P_li = 0 there (b_l != 0, and the ring has no additive torsion).
-    # The symmetry is checked on this W, coefficient by coefficient, not
-    # assumed: a wrong entry fails either here or in the upper triangle.
-    b = [math.comb(n - 1, i) for i in range(n)]
-    rows = w.rows
-    if any(_times(b[i], rows[i][j]) != _times(b[j], rows[j][i])
-           for i in range(n) for j in range(i + 1, n)):
+    # B W is symmetric (_binomially_symmetric), so P = W W satisfies
+    # B P = W^T B W = P^T B: b_l P_li = b_i P_il.  Once P_il = scale * delta_il
+    # for i <= l, b_l P_li = 0 below the diagonal, so P_li = 0 there
+    # (b_l != 0, and the ring has no additive torsion).
+    if not _binomially_symmetric(w):
         return False
     want = RingMatrix.scalar(n, involution_scale(n, w.x_image)).rows
     return all(got == list(row[i:])
-               for i, (got, row) in enumerate(zip(_upper_square(rows, w.x_image), want)))
+               for i, (got, row) in enumerate(zip(_upper_square(w.rows, w.x_image), want)))
+
+
+def _binomially_symmetric(w: RingMatrix) -> bool:
+    """Whether b_i W_ij = b_j W_ji for every i < j, b_i = C(n-1, i-1),
+    compared coefficient by coefficient: B W is symmetric, B = diag(b).
+
+    It holds for every n: W = -S(F) (pascal), and the binomial theorem over
+    the rows of S(F) gives
+      sum_ij b_i W_ij s^(i-1) t^(j-1) = -(F11 + F12 t + F21 s + F22 s t)^(n-1),
+    symmetric in s and t as F12 = F21.  The checks test it on the W they
+    are given rather than assume it.
+    """
+    b = [math.comb(w.n - 1, i) for i in range(w.n)]
+    rows = w.rows
+    return all(_times(b[i], rows[i][j]) == _times(b[j], rows[j][i])
+               for i in range(w.n) for j in range(i + 1, w.n))
 
 
 def _times(b: int, e: RingElem) -> tuple[list[int], list[int]]:
     """The coefficients of b e: those of c0, then of c1, each times b."""
     return [b * c for c in e.c0.coeffs], [b * c for c in e.c1.coeffs]
+
+
+@lru_cache(maxsize=BUILD_CACHE_SIZE)
+def _power_setup(n: int) -> tuple[RingMatrix, list[int], RingElem, int]:
+    """W at x = 1, checked binomially symmetric, with b_i = C(n-1, i-1) and
+    the conjugate and integer norm of (1 + a^2)^(n-1): what the closed form
+    needs once per n for every m.  ValueError if W is not symmetric."""
+    w = build_w(n, 1)
+    if not _binomially_symmetric(w):
+        raise ValueError(f"W at n = {n} fails b_i W_ij = b_j W_ji, "
+                         "so its lower triangle cannot be mirrored")
+    scale = involution_scale(n, w.x_image)
+    return (w, [math.comb(n - 1, i) for i in range(n)], scale.conjugate(),
+            scale.norm().constant_value())
 
 
 def matrix_power_closed_form(n: int, m: int) -> IntMatrix:
@@ -154,18 +188,32 @@ def matrix_power_closed_form(n: int, m: int) -> IntMatrix:
     Computes W diag(lambda_j^m) W at x = 1 and divides each entry by
     (1 + a^2)^(n-1): it multiplies by the conjugate of that scale and
     divides by its norm, the integer (x^2 + 4)^(n-1) = 5^(n-1).  The
-    conjugate is a scalar, so it folds into the diagonal: column j of W is
-    scaled by lambda_j^m times the conjugate, n ring products, and one
-    matrix product remains.  Every quotient must be a plain integer; a failed
-    division or a leftover a-component raises (ExactDivisionError or
-    ValueError) and would signal a formula bug, never an expected state.
+    conjugate is a scalar, so it folds into the diagonal factors, which
+    scale the packed left operand of W diag(f) W.  Only the n(n+1)/2
+    entries on and above the diagonal are formed and divided; those below
+    follow from W's binomial symmetry.  Every quotient must be a plain
+    integer; a failed division, a leftover a-component or a W that is not
+    binomially symmetric raises (ExactDivisionError or ValueError) and
+    would signal a formula bug, never an expected state.
     """
-    w = build_w(n, 1)
-    scale = involution_scale(n, w.x_image)
-    conj, norm = scale.conjugate(), scale.norm().constant_value()
-    factors = [eigenvalue_power(n, j, m, w.x_image) * conj for j in range(1, n + 1)]
-    raw = w.scale_columns(factors) @ w
-    return IntMatrix([[e.divide_exact(norm).as_int() for e in row] for row in raw.rows])
+    # B W = W^T B (_binomially_symmetric), so P = W D W with D diagonal has
+    # P^T B = W^T D (B W) = (B W) D W = B P, as diagonal matrices commute:
+    # b_l P_li = b_i P_il.  R^m = P / norm for D = diag(lambda^m) conj, so
+    # below the diagonal R^m_il = b_l R^m_li / b_i, an exact division.
+    w, b, conj, norm = _power_setup(n)
+    factors = [lam * conj for lam in eigenvalues(n, w.x_image, m)]
+    rows = [[0] * n for _ in range(n)]
+    for i, upper in enumerate(_upper_square(w.rows, w.x_image, factors)):
+        rows[i][i:] = [e.divide_exact(norm).as_int() for e in upper]
+    for i in range(1, n):
+        for l in range(i):
+            q, r = divmod(b[l] * rows[l][i], b[i])
+            if r:
+                raise ExactDivisionError(
+                    f"b_{l + 1} R_{l + 1},{i + 1} = {b[l] * rows[l][i]} is not divisible "
+                    f"by b_{i + 1} = {b[i]}")
+            rows[i][l] = q
+    return IntMatrix(rows)
 
 
 def matrix_power_oracle(n: int, m: int) -> IntMatrix:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from rjpascal import binomial, cli, spectral
 from rjpascal.binomial import Identity, sweep_identity
-from rjpascal.pascal import build_r, build_u, build_w
+from rjpascal.pascal import BUILD_CACHE_SIZE, RingMatrix, build_r, build_u, build_w
 from rjpascal.spectral import matrix_power_oracle
 
 
@@ -259,6 +260,51 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "2", "--check", "involution")
         assert code == 1
         assert json.loads(out)[0]["pass"] is False
+
+
+def _w_with_one_entry_off(monkeypatch, i, j):
+    """spectral.build_w with entry (i, j), 1-based, off by one, and a fresh
+    cache for the closed form's per-n W."""
+    def faulty(n, x):
+        rows = [list(row) for row in build_w(n, x).rows]
+        rows[i - 1][j - 1] = rows[i - 1][j - 1] + 1
+        return RingMatrix(rows)
+
+    monkeypatch.setattr(spectral, "build_w", faulty)
+    monkeypatch.setattr(spectral, "_power_setup", lru_cache(maxsize=BUILD_CACHE_SIZE)(
+        spectral._power_setup.__wrapped__))
+
+
+class TestFailedClosedForm:
+    """A closed form that raises is a FAIL report under verify and an error
+    under power, never a traceback."""
+
+    # (2, 4) breaks W's binomial symmetry (ValueError); (3, 3) keeps it and
+    # leaves a remainder in the division by 5^(n-1) (ExactDivisionError)
+    @pytest.mark.parametrize("entry, error", [((2, 4), "b_i W_ij"), ((3, 3), "not divisible")])
+    def test_verify_reports_fail(self, capsys, monkeypatch, entry, error):
+        _w_with_one_entry_off(monkeypatch, *entry)
+        code, out, err = run(capsys, "verify", "--n", "5", "--check", "power")
+        assert (code, err) == (1, "")
+        reports = json.loads(out)
+        assert [rep["params"] for rep in reports] == [{"m": m} for m in range(-3, 7)]
+        assert all(rep["pass"] is False and error in rep["error"] for rep in reports)
+        code, out, err = run(capsys, "verify", "--n", "5", "--check", "power", "--m", "2",
+                             "--format", "pretty")
+        assert (code, err) == (1, "")
+        assert out.startswith("[FAIL] power n=5 m=2 error: ") and error in out
+
+    @pytest.mark.parametrize("entry", [(2, 4), (3, 3)])
+    def test_power_exits_1(self, capsys, monkeypatch, entry):
+        _w_with_one_entry_off(monkeypatch, *entry)
+        code, out, err = run(capsys, "power", "--n", "5", "--m", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("rjpascal: error: ") and err.count("\n") == 1
+
+    def test_passing_reports_have_no_error_key(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "5", "--check", "all")
+        assert code == 0
+        assert all("error" not in rep for rep in json.loads(out))
 
 
 class TestPower:

@@ -46,6 +46,11 @@ def _commands() -> list[tuple[str, ...]]:
     # builds at an integer x beyond the sizes above
     for cmd in ("show-w --n 24 --x -2", "show-u --n 16 --x 3", "power --n 32 --m -3"):
         cmds.append((*cmd.split(), "--format", "json"))
+    # the power check and powers with half of W diag(lambda^m) W formed: an
+    # even and an odd n, and n = 1, where no eigenvalue step is formed
+    cmds += [tuple(cmd.split()) for cmd in (
+        "verify --n 16 --check power --format pretty", "power --n 17 --m -6 --format json",
+        "power --n 1 --m 99999999999999999999999")]
     return cmds
 
 
@@ -216,6 +221,9 @@ EXPECTED: dict[str, tuple[str, int]] = {
     'show-w --n 24 --x -2 --format json': ('f45abb06aad79da371b11728a7ed7018bb16a9aeb89c4baee9ea64fd0fc3160b', 0),
     'show-u --n 16 --x 3 --format json': ('1ec422e2ce9cbc4a7e59065cf0608a6b88f27baf4d44841a4f5289de234c9489', 0),
     'power --n 32 --m -3 --format json': ('62f1a12bfe1afd25a06b3170fb86369cc163029808d4f9995d7b4314ce71b1fc', 0),
+    'verify --n 16 --check power --format pretty': ('ba102cb97fda7c1f4eb43f51504e292d86b3bc11a557dcf4499bc4e63f5b9398', 0),
+    'power --n 17 --m -6 --format json': ('1bc04f41dcc874f44703b401eb3da6c97c9ef9b1abab91afec474c26b6a6bd07', 0),
+    'power --n 1 --m 99999999999999999999999': ('733d9cb1f42f0dfa5db0eb97d8abcb1e64831ec80167e2206ea06bb386267a98', 0),
 }
 
 

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from rjpascal import pascal
 from rjpascal.binomial import _row_table
 from rjpascal.pascal import (_E, _F, _Q, IntMatrix, RingMatrix, _packing, _symmetric_power,
-                             build_r, build_rx, build_u, build_w)
+                             _upper_square, build_r, build_rx, build_u, build_w)
 from rjpascal.ring import A, ONE, IntPoly, RingElem, X, _a_pow_cached, a_pow
-from rjpascal.spectral import _eigen_sides, _inverse_r, involution_scale
+from rjpascal.spectral import _eigen_sides, _inverse_r, _power_setup, involution_scale
 
 ONE_AT_1 = IntPoly.const(1)
 
@@ -396,6 +396,30 @@ class TestProductKernel:
         want = RingMatrix([[e * c for e, c in zip(row, f)] for row in a.rows])
         assert a.scale_columns(f) == want
 
+    @settings(max_examples=150, deadline=None)
+    @given(operands())
+    def test_upper_square_matches_definition(self, ops):
+        a, _, f = ops
+        scaled = RingMatrix([[e * c for e, c in zip(row, f)] for row in a.rows])
+        for factors, left in ((None, a), (f, scaled)):
+            want = product_by_definition(left, a).rows
+            got = _upper_square(a.rows, a.x_image, factors)
+            assert got == [list(row[i:]) for i, row in enumerate(want)]
+
+    # With factors the bound is 9 n L^2 Lf.  For p = c (1 + a), c = 2^100 or
+    # 2^100 x^2, and f = 1 + a, p f p = c^2 (1 + a)^3 =
+    # c^2 ((4 + x) + (4 + 3x + x^2) a).  At n = 2 the coefficient 4 c^2,
+    # summed over two terms, is 2^203, so the bound without the factor 3
+    # that p f adds, 3 n L^2 Lf = 6 2^200, is one bit short and reads it as
+    # a digit of the wrong sign.
+    @pytest.mark.parametrize("c", [IntPoly.const(2 ** 100), IntPoly([0, 0, 2 ** 100])],
+                             ids=["constant", "monomial"])
+    def test_near_bound_upper_square_with_factors(self, c):
+        m = RingMatrix([[RingElem(c, c)] * 2] * 2)
+        f = [RingElem(1, 1)] * 2
+        want = (m.scale_columns(f) @ m).rows
+        assert _upper_square(m.rows, X, f) == [list(row[i:]) for i, row in enumerate(want)]
+
     # Column scaling is the kernel at dot length 1, k = bitlen(3 Lp Lf) + 1.
     # Each entry squared has a coefficient of 2 2^200 = 2^201 (p0 q0 and
     # p1 q1 land on one degree), within a factor 3/2 of 3 Lp Lf = 3 2^200,
@@ -607,7 +631,7 @@ class TestSerialization:
 
 @pytest.mark.parametrize(
     "cached", [build_r, build_rx, build_u, build_w, _a_pow_cached, _inverse_r, _eigen_sides,
-               _row_table],
+               _power_setup, _row_table],
     ids=lambda f: f.__name__,
 )
 def test_caches_are_bounded(cached):

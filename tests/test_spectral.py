@@ -1,11 +1,13 @@
 """Unit tests for eigen verification, involution, and exact powers."""
 import math
+from functools import lru_cache
 
 import pytest
 
 from rjpascal import spectral
-from rjpascal.pascal import IntMatrix, RingMatrix, build_r, build_rx, build_u, build_w
-from rjpascal.ring import A, ONE, IntPoly, RingElem, X
+from rjpascal.pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, build_r, build_rx,
+                             build_u, build_w)
+from rjpascal.ring import A, ONE, ExactDivisionError, IntPoly, RingElem, X, a_pow
 from rjpascal.spectral import (
     DEFAULT_TOL,
     _inverse_r,
@@ -72,6 +74,26 @@ def test_eigenvalues_are_each_eigenvalue(x_image):
     for n in range(1, 13):
         assert spectral.eigenvalues(n, x_image) == [
             eigenvalue(n, j, x_image) for j in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("x_image", [X, IntPoly.const(1), IntPoly.const(0), IntPoly.const(-3)])
+def test_eigenvalues_to_the_m(x_image):
+    # (-1)^((n+j) m) a^(m (2j-n-1)), one a_pow each
+    for n in range(1, 13):
+        for m in range(-4, 6):
+            want = [a_pow(m * (2 * j - n - 1), x_image) * (-1) ** ((n + j) * m % 2)
+                    for j in range(1, n + 1)]
+            assert spectral.eigenvalues(n, x_image, m) == want, (n, m)
+
+
+def test_eigenvalues_form_no_step_at_n1(monkeypatch):
+    # a^(2m) for m = 10^23 would not finish; at n = 1 nothing needs it
+    def bounded(e, x_image=X):
+        assert abs(e) < 10 ** 6, e
+        return a_pow(e, x_image)
+
+    monkeypatch.setattr(spectral, "a_pow", bounded)
+    assert spectral.eigenvalues(1, ONE_AT_1, 10 ** 23) == [RingElem(1, 0, ONE_AT_1)]
 
 
 class TestEigenvaluePower:
@@ -216,9 +238,9 @@ class TestMatrixPower:
         assert matrix_power_oracle(3, 1) == build_r(3)
         assert matrix_power_oracle(1, 7) == IntMatrix([[1]])
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_oracle_equivalence(self, n):
-        for m in range(-2, 5):
+        for m in range(-6, 9):
             assert matrix_power_closed_form(n, m) == matrix_power_oracle(n, m)
 
     @pytest.mark.parametrize("n, m", [(4, 2000), (4, -2000), (8, 500), (8, -500)])
@@ -229,6 +251,26 @@ class TestMatrixPower:
     def test_inverse_consistency(self, n):
         inv = matrix_power_closed_form(n, -1)
         assert inv @ build_r(n) == IntMatrix.identity(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_forms_only_the_upper_triangle(self, monkeypatch, n):
+        # n(n+1)/2 divisions per call, and no ring matrix product
+        calls = []
+        original = RingElem.divide_exact
+
+        def counted(self, d):
+            calls.append(d)
+            return original(self, d)
+
+        def refuse(self, other):
+            raise AssertionError("RingMatrix product inside the closed form")
+
+        monkeypatch.setattr(RingElem, "divide_exact", counted)
+        monkeypatch.setattr(RingMatrix, "__matmul__", refuse)
+        for m in (-3, 0, 4):
+            calls.clear()
+            assert matrix_power_closed_form(n, m) == matrix_power_oracle(n, m)
+            assert calls == [5 ** (n - 1)] * (n * (n + 1) // 2)
 
     def test_oracle_inverts_once_per_n(self, monkeypatch):
         calls = []
@@ -472,14 +514,20 @@ def test_w_generating_function(n):
 
 
 def _faulty_w(monkeypatch, edit):
-    """Make verify_involution read W with ``edit(rows, n)`` applied to a
-    copy of its rows (0-based, entries in W's ring)."""
+    """Make the checks read W with ``edit(rows, n)`` applied to a copy of
+    its rows (0-based, entries in W's ring).
+
+    The closed form keeps W per n (spectral._power_setup), so it gets a
+    fresh cache for the test: no W from before the patch answers for it,
+    and none from during it outlives it."""
     def faulty(n, x):
         rows = [list(row) for row in build_w(n, x).rows]
         edit(rows, n)
         return RingMatrix(rows)
 
     monkeypatch.setattr(spectral, "build_w", faulty)
+    monkeypatch.setattr(spectral, "_power_setup", lru_cache(maxsize=BUILD_CACHE_SIZE)(
+        spectral._power_setup.__wrapped__))
 
 
 def _add(i, j, c):
@@ -501,16 +549,18 @@ def _doubled(rows, n):
     rows[:] = [[e * 2 for e in row] for row in rows]
 
 
+FAULTS = [_add(2, 4, 1), _add(1, 5, -1), _add(3, 3, 1), _add(5, 5, -1),
+          _add(4, 2, 1), _add(5, 1, -1), _symmetric_pair, _doubled]
+FAULT_IDS = ["above", "above-corner", "diagonal", "diagonal-corner", "below",
+             "below-corner", "symmetric-pair", "doubled"]
+
+
 class TestInvolutionFaults:
     """verify_involution returns False for a W with a wrong entry, wherever
     the entry is, at x = 1 and over Z[x]."""
 
     @pytest.mark.parametrize("x", [1, None], ids=["x=1", "symbolic"])
-    @pytest.mark.parametrize("edit", [
-        _add(2, 4, 1), _add(1, 5, -1), _add(3, 3, 1), _add(5, 5, -1),
-        _add(4, 2, 1), _add(5, 1, -1), _symmetric_pair, _doubled,
-    ], ids=["above", "above-corner", "diagonal", "diagonal-corner", "below",
-            "below-corner", "symmetric-pair", "doubled"])
+    @pytest.mark.parametrize("edit", FAULTS, ids=FAULT_IDS)
     def test_fault_fails(self, monkeypatch, edit, x):
         assert verify_involution(5, x=x)
         _faulty_w(monkeypatch, edit)
@@ -537,3 +587,35 @@ class TestInvolutionFaults:
             rows[:] = m
         _faulty_w(monkeypatch, edit)
         assert not verify_involution(3, x=None)
+
+
+class TestPowerFaults:
+    """matrix_power_closed_form raises, or differs from the oracle, for a W
+    with a wrong entry, wherever the entry is."""
+
+    @pytest.mark.parametrize("m", [-3, 0, 1, 6])
+    @pytest.mark.parametrize("edit", FAULTS, ids=FAULT_IDS)
+    def test_fault_fails(self, monkeypatch, edit, m):
+        want = matrix_power_oracle(5, m)
+        assert matrix_power_closed_form(5, m) == want
+        _faulty_w(monkeypatch, edit)
+        try:
+            got = matrix_power_closed_form(5, m)
+        except (ExactDivisionError, ValueError):
+            return
+        assert got != want
+
+    @pytest.mark.parametrize("edit", [_add(4, 2, 1), _add(5, 1, -1), _add(2, 4, 1)],
+                             ids=["below", "below-corner", "above"])
+    def test_asymmetric_w_is_refused_not_mirrored(self, monkeypatch, edit):
+        # the lower triangle is mirrored only from a W that passed the
+        # symmetry check, so a one-sided edit is refused before any product
+        _faulty_w(monkeypatch, edit)
+        with pytest.raises(ValueError, match="b_i W_ij = b_j W_ji"):
+            matrix_power_closed_form(5, 2)
+
+    def test_patch_leaves_no_faulty_w_behind(self, monkeypatch):
+        _faulty_w(monkeypatch, _doubled)
+        assert matrix_power_closed_form(4, 2) != matrix_power_oracle(4, 2)
+        monkeypatch.undo()
+        assert matrix_power_closed_form(4, 2) == matrix_power_oracle(4, 2)
