@@ -9,17 +9,18 @@ symmetric powers of 2x2 matrices, built by one recurrence (_symmetric_power)
 directly in the target ring: over Z[x], or at an integer x.
 
 Matrices are immutable after construction and all public index
-contracts are 1-based to match the entry formulas.  Products of ring
-matrices share one dot-product kernel: each entry is three sums of
-plain int products, p0 q0, p1 q1 and (p0 + p1)(q0 + q1) (Karatsuba),
-reduced with a^2 = x a + 1 once per entry rather than once per term.
-Column scaling, M diag(f), is the same arithmetic on dot products of
-length 1, and ``_upper_square`` forms only the entries of M @ M, or of
-M diag(f) M, on and above the diagonal, packing M once for both
-operands.  Over Z[x] the ints are the values at x = 2^k, with
-k = bitlen(3 n Lp Lq) + 1 for dot products of length n and operand parts
-of l1 norm at most Lp and Lq (Kronecker substitution, von zur Gathen &
-Gerhard, Modern Computer Algebra, 3rd ed., 2013, section 8.4).
+contracts are 1-based to match the entry formulas.  The ring kernels
+here run on bare ints: each element is packed as the ints of its parts
+c0 and c1, and one ring product (_times) reduces with a^2 = x a + 1.
+Products of ring matrices share one dot-product kernel (_dot): each entry
+is three sums of plain int products, p0 q0, p1 q1 and (p0 + p1)(q0 + q1)
+(Karatsuba), reduced once per entry rather than once per term.  Column
+scaling, M diag(f), is written once (_scaled), and ``_upper_square`` forms
+only the entries of M diag(f) M on and above the diagonal, packing M once
+for both operands.  Over Z[x] the ints are the values at x = 2^k
+(Kronecker substitution, von zur Gathen & Gerhard, Modern Computer
+Algebra, 3rd ed., 2013, section 8.4), with k bounded by one norm N, the
+same for every kernel (_packing).
 One fraction-free Gauss-Jordan elimination, O(n^3), serves both the
 integer determinant and the unimodular inverse.
 """
@@ -203,25 +204,16 @@ class RingMatrix(_SquareMatrix):
         return tuple(row[0] for row in _dot_products(self.rows, (vec,), self.x_image))
 
     def scale_columns(self, factors: Sequence[RingElem]) -> RingMatrix:
-        """Multiply column j by factors[j-1]: self @ diag(factors).
-
-        Entry (i, j) times f_j is a dot product of length 1, so it runs on
-        the product kernel's bare coefficients with the kernel's bound at
-        n = 1: k = bitlen(3 Lp Lf) + 1, Lf the largest l1 norm of a factor's
-        parts (see _dot_products).
-        """
+        """Multiply column j by factors[j-1]: self @ diag(factors), on bare
+        ints (_scaled) with the bound N(M) N(f) (see _packing)."""
         if len(factors) != self.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {len(factors)}")
         for f in factors:
             check_same_ring(self.x_image, f.x_image)
-        x, unwrap, wrap = _packing(
-            self.x_image, lambda: 3 * _l1(self.rows) * _l1((factors,))
-        )
-        fs = _coefficients((factors,), unwrap)[0]
+        x, unwrap, wrap = _packing(self.x_image, lambda: _norm(self.rows) * _norm((factors,)))
         return RingMatrix([
-            [_entry(p0 * q0, p1 * q1, ps * qs, x, wrap, self.x_image)
-             for p0, p1, ps, q0, q1, qs in zip(*row, *fs)]
-            for row in _coefficients(self.rows, unwrap)
+            [RingElem(wrap(c0), wrap(c1), self.x_image) for c0, c1 in zip(c0s, c1s)]
+            for c0s, c1s, _ in _scaled(_coefficients(self.rows, unwrap), factors, x, unwrap)
         ])
 
     def to_int_matrix(self) -> IntMatrix:
@@ -245,9 +237,10 @@ def _coefficients(vectors, unwrap) -> list[tuple[list, list, list]]:
     return [(p0, p1, list(map(add, p0, p1))) for p0, p1 in parts]
 
 
-def _l1(vectors) -> int:
-    """The largest l1 norm (sum of absolute coefficients) of any c0 or c1."""
-    return max(sum(map(abs, c.coeffs)) for v in vectors for e in v for c in (e.c0, e.c1))
+def _norm(vectors) -> int:
+    """The largest N(e) = ||c0||_1 + 2 ||c1||_1 of any entry e (see _packing)."""
+    return max(sum(map(abs, e.c0.coeffs)) + 2 * sum(map(abs, e.c1.coeffs))
+               for v in vectors for e in v)
 
 
 def _digits(v: int, k: int) -> IntPoly:
@@ -275,6 +268,15 @@ def _packing(x_image: IntPoly, bound):
     is the balanced base-2^k digit expansion of its value at 2^k.  The
     floor of 2 keeps a digit step of _digits shrinking v when bound() is 0.
     """
+    # Every kernel's bound is a product of _norm, by one lemma.  With |c| the
+    # l1 norm, N(c0 + c1 a) = |c0| + 2|c1| bounds every coefficient of c0 and
+    # c1, and is subadditive.  It is submultiplicative: p q = (p0 q0 + p1 q1)
+    # + (p0 q1 + p1 q0 + x p1 q1) a, |x c| = |c| at x = X and | | is
+    # submultiplicative, so N(p q) <= |p0||q0| + 2|p0||q1| + 2|p1||q0| +
+    # 3|p1||q1| <= N(p) N(q), as 2^2 >= 2 + 1.  So a dot product of length n
+    # has N <= n N(p) N(q), and M diag(f) M has entries of N <= n N(M)^2 N(f).
+    # Only results are read back, and x -> 2^k is a ring homomorphism, so
+    # the ints in between (Karatsuba sums, scaled operands) need no bound.
     if x_image.degree() < 1:
         return x_image.constant_value(), IntPoly.constant_value, IntPoly.const
     if x_image != X:
@@ -284,78 +286,59 @@ def _packing(x_image: IntPoly, bound):
     return x, (lambda c: c(x)), (lambda v: _digits(v, k))
 
 
-def _entry(d0: int, d2: int, s: int, x: int, wrap, x_image: IntPoly) -> RingElem:
-    """sum p q from the sums d0 of p0 q0, d2 of p1 q1 and s of
-    (p0 + p1)(q0 + q1): s - d0 - d2 is the sum of p0 q1 + p1 q0, and
-    a^2 = x a + 1 turns d2 a^2 into d2 x a + d2."""
-    return RingElem(wrap(d0 + d2), wrap(s - d0 - d2 + x * d2), x_image)
+def _times(p, q, x: int):
+    """(p0 + p1 a)(q0 + q1 a) on the packed pairs p and q, as a^2 = x a + 1."""
+    (p0, p1), (q0, q1) = p, q
+    t = p1 * q1
+    return p0 * q0 + t, p0 * q1 + p1 * q0 + x * t
+
+
+def _scaled(packed, factors, x: int, unwrap) -> list[tuple]:
+    """The packed rows (c0, c1, c0 + c1) of M diag(f), from the packed
+    rows of M (_coefficients) and the factors f."""
+    fs = [(unwrap(f.c0), unwrap(f.c1)) for f in factors]
+    out = []
+    for p0, p1, _ in packed:
+        c0, c1 = zip(*[_times(p, f, x) for p, f in zip(zip(p0, p1), fs)])
+        out.append((c0, c1, list(map(add, c0, c1))))
+    return out
 
 
 def _dot_products(rows, cols, x_image: IntPoly) -> list[list[RingElem]]:
-    """sum_k row[k] * col[k] for every row and column, all in one ring.
-
-    With p = p0 + p1 a and q = q0 + q1 a, each entry sums p0 q0, p1 q1 and
-    (p0 + p1)(q0 + q1) over k on bare integers (_packing), then combines
-    them once (_entry): three products per term instead of four.
-    """
-    # Every coefficient of a product p q is at most ||p||_1 ||q||_1 in
-    # absolute value, so each sum over k of n part products (p0 q0, p1 q1,
-    # p0 q1 or p1 q0) has coefficients of at most n Lp Lq, where Lp and Lq
-    # are the largest l1 norms of the two operands' parts.  c0 adds two
-    # such sums and c1 three, one of them multiplied by x, which only
-    # shifts it.  So every result coefficient is at most B = 3 n Lp Lq.
-    # The Karatsuba sum of (p0 + p1)(q0 + q1) is an exact int that the
-    # bound need not cover: only c0 and c1 are read back from digits, and
-    # they are the values at 2^k of the same polynomials as above.
-    x, unwrap, wrap = _packing(
-        x_image, lambda: 3 * len(cols[0]) * _l1(rows) * _l1(cols)
-    )
+    """sum_k row[k] * col[k] for every row and column, all in one ring,
+    with the bound n N(rows) N(cols) (_packing)."""
+    x, unwrap, wrap = _packing(x_image, lambda: len(cols[0]) * _norm(rows) * _norm(cols))
     cols = _coefficients(cols, unwrap)
     return [[_dot(p, q, x, wrap, x_image) for q in cols]
             for p in _coefficients(rows, unwrap)]
 
 
-def _upper_square(rows, x_image: IntPoly, factors=None) -> list[list[RingElem]]:
+def _upper_square(rows, x_image: IntPoly, factors) -> list[list[RingElem]]:
     """The entries of M diag(f) M on and above the diagonal, for the square
-    matrix M with these rows and the factors f (M @ M when there are none):
-    list i (0-based) holds columns i..n-1 of row i, n(n+1)/2 dot products
-    in all.
+    matrix M with these rows and the factors f, with the bound
+    n N(M)^2 N(f) (_packing): list i (0-based) holds columns i..n-1 of
+    row i, n(n+1)/2 dot products in all.
 
     M is packed once for both operands: the columns are the transposes of
-    the packed rows, and the left operand is the packed rows, each entry
-    p_ij times f_j on bare ints when there are factors.
+    the packed rows, and the left operand is the packed rows scaled by f.
     """
-    # Without factors this is _dot_products' bound with Lp = Lq = L.  With
-    # them the left operand has the parts of p f: c0 = p0 f0 + p1 f1 and
-    # c1 = p0 f1 + p1 f0 + x p1 f1, and x only shifts, so each part has l1
-    # norm at most 3 L Lf (l1 is subadditive and submultiplicative).  Dot
-    # products of length n of such parts with parts of M are then bounded
-    # by 3 n (3 L Lf) L = 9 n L^2 Lf.
     n = len(rows)
-    x, unwrap, wrap = _packing(x_image, lambda: 3 * n * _l1(rows) ** 2 if factors is None
-                               else 9 * n * _l1(rows) ** 2 * _l1((factors,)))
+    x, unwrap, wrap = _packing(x_image, lambda: n * _norm(rows) ** 2 * _norm((factors,)))
     packed = _coefficients(rows, unwrap)
     p0s, p1s, pss = zip(*packed)
     cols = list(zip(zip(*p0s), zip(*p1s), zip(*pss)))
-    if factors is not None:
-        f0, f1, _ = _coefficients((factors,), unwrap)[0]
-        f0x = [g + x * h for g, h in zip(f0, f1)]  # (p0 + p1 a) f = c0 + (p0 f1 + p1 f0x) a
-        scaled = []
-        for p0, p1, _ in packed:
-            c0 = list(map(add, map(mul, p0, f0), map(mul, p1, f1)))
-            c1 = list(map(add, map(mul, p0, f1), map(mul, p1, f0x)))
-            scaled.append((c0, c1, list(map(add, c0, c1))))
-        packed = scaled
     return [[_dot(p, q, x, wrap, x_image) for q in cols[i:]]
-            for i, p in enumerate(packed)]
+            for i, p in enumerate(_scaled(packed, factors, x, unwrap))]
 
 
 def _dot(p, q, x: int, wrap, x_image: IntPoly) -> RingElem:
     """One entry of a product from the packed parts (p0, p1, p0 + p1) of
-    a row p and a column q: three sums of int products, combined once."""
+    a row p and a column q.  With d0, d2 and s the sums of p0 q0, p1 q1 and
+    (p0 + p1)(q0 + q1), s - d0 - d2 is the sum of p0 q1 + p1 q0, and
+    a^2 = x a + 1 turns d2 a^2 into d2 x a + d2: three products per term."""
     (p0, p1, ps), (q0, q1, qs) = p, q
-    return _entry(sum(map(mul, p0, q0)), sum(map(mul, p1, q1)), sum(map(mul, ps, qs)),
-                  x, wrap, x_image)
+    d0, d2 = sum(map(mul, p0, q0)), sum(map(mul, p1, q1))
+    return RingElem(wrap(d0 + d2), wrap(sum(map(mul, ps, qs)) - d0 - d2 + x * d2), x_image)
 
 
 #: S(M)_ij = [t^(j-1)] (M11 + M12 t)^(n-i) (M21 + M22 t)^(i-1) is Sym^(n-1) M
@@ -381,39 +364,32 @@ def _symmetric_power(n: int, m, x: int | None = None) -> RingMatrix:
     # adds, multiplies and multiplies by M12 = +/-1), and x -> c is a ring
     # homomorphism, so S(M at c), run in Z[a]/(a^2 - c a - 1), is S(M) at c.
     #
-    # _packing's bound: with |c| the l1 norm, N(c0 + c1 a) = |c0| + 2|c1| is
-    # subadditive and submultiplicative: p q = (p0 q0 + p1 q1) + (p0 q1 +
-    # p1 q0 + x p1 q1) a and |x c| = |c|, so N(p q) <= |p0||q0| + 2|p0||q1| +
-    # 2|p1||q0| + 3|p1||q1| <= N(p) N(q), as 2^2 >= 2 + 1.  So is N summed
-    # over the coefficients in t, and max(N(A), N(B))^(n-1) bounds row i.
-    # Only entries are read back, and x -> 2^k is a ring homomorphism.
+    # _packing's bound: N (see _packing), summed over the coefficients in t,
+    # is subadditive and submultiplicative too, so max(N(A), N(B))^(n-1)
+    # bounds row i, the coefficients of A^(n-i) B^(i-1).
     _check_dimension(n)
     if x is not None:
         if type(x) is not int:
             raise ValueError(f"x must be an int, or None for Z[x], got {x!r}")
         m = [[e.specialize(x) for e in row] for row in m]
     x_image = m[0][0].x_image
-    x, unwrap, wrap = _packing(x_image, lambda: max(
-        sum(sum(map(abs, e.c0.coeffs)) + 2 * sum(map(abs, e.c1.coeffs)) for e in row)
-        for row in m) ** (n - 1))
+    x, unwrap, wrap = _packing(
+        x_image, lambda: max(sum(_norm([[e]]) for e in row) for row in m) ** (n - 1))
     (a, (s, s1)), (b0, b1) = [[(unwrap(e.c0), unwrap(e.c1)) for e in r] for r in m]
     if s1 or s not in (1, -1):
         raise ValueError("the row recurrence needs M12 = 1 or -1")
 
-    def times(p, q):  # (p0 + p1 a)(q0 + q1 a), a^2 = x a + 1
-        (p0, p1), (q0, q1) = p, q
-        return p0 * q0 + p1 * q1, p0 * q1 + p1 * q0 + p1 * q1 * x
-
     powers = [(1, 0)]  # [t^j] A^(n-1) = C(n-1, j) M11^(n-1-j) M12^j
     for _ in range(n - 1):
-        powers.append(times(powers[-1], a))
+        powers.append(_times(powers[-1], a, x))
     cs = [binom(n - 1, j) * s ** j for j in range(n)]
     rows = [[(c * p0, c * p1) for c, (p0, p1) in zip(cs, reversed(powers))]]
     for _ in range(n - 1):
         # [t^d] of r B = A q: M21 r_d + M22 r_(d-1) = M11 q_d + M12 q_(d-1)
         r, q, new = rows[-1] + [(0, 0)], (0, 0), []
         for d in range(n, 0, -1):
-            (u0, u1), (v0, v1), (w0, w1) = times(b0, r[d]), times(b1, r[d - 1]), times(a, q)
+            (u0, u1), (v0, v1), (w0, w1) = (
+                _times(b0, r[d], x), _times(b1, r[d - 1], x), _times(a, q, x))
             q = (s * (u0 + v0 - w0), s * (u1 + v1 - w1))
             new.append(q)
         rows.append(new[::-1])

@@ -143,13 +143,15 @@ def verify_involution(n: int, x: int | None = 1) -> bool:
     if not _binomially_symmetric(w):
         return False
     want = RingMatrix.scalar(n, involution_scale(n, w.x_image)).rows
+    ones = [RingElem(1, 0, w.x_image)] * n
     return all(got == list(row[i:])
-               for i, (got, row) in enumerate(zip(_upper_square(w.rows, w.x_image), want)))
+               for i, (got, row) in enumerate(zip(_upper_square(w.rows, w.x_image, ones), want)))
 
 
-def _binomially_symmetric(w: RingMatrix) -> bool:
-    """Whether b_i W_ij = b_j W_ji for every i < j, b_i = C(n-1, i-1),
-    compared coefficient by coefficient: B W is symmetric, B = diag(b).
+def _binomially_symmetric(w: RingMatrix) -> list[int] | None:
+    """b, b_i = C(n-1, i-1), if b_i W_ij = b_j W_ji for every i < j,
+    compared coefficient by coefficient (B W is symmetric, B = diag(b));
+    None otherwise.
 
     It holds for every n: W = -S(F) (pascal), and the binomial theorem over
     the rows of S(F) gives
@@ -159,8 +161,8 @@ def _binomially_symmetric(w: RingMatrix) -> bool:
     """
     b = [math.comb(w.n - 1, i) for i in range(w.n)]
     rows = w.rows
-    return all(_times(b[i], rows[i][j]) == _times(b[j], rows[j][i])
-               for i in range(w.n) for j in range(i + 1, w.n))
+    return b if all(_times(b[i], rows[i][j]) == _times(b[j], rows[j][i])
+                    for i in range(w.n) for j in range(i + 1, w.n)) else None
 
 
 def _times(b: int, e: RingElem) -> tuple[list[int], list[int]]:
@@ -174,12 +176,12 @@ def _power_setup(n: int) -> tuple[RingMatrix, list[int], RingElem, int]:
     the conjugate and integer norm of (1 + a^2)^(n-1): what the closed form
     needs once per n for every m.  ValueError if W is not symmetric."""
     w = build_w(n, 1)
-    if not _binomially_symmetric(w):
+    b = _binomially_symmetric(w)
+    if b is None:
         raise ValueError(f"W at n = {n} fails b_i W_ij = b_j W_ji, "
                          "so its lower triangle cannot be mirrored")
     scale = involution_scale(n, w.x_image)
-    return (w, [math.comb(n - 1, i) for i in range(n)], scale.conjugate(),
-            scale.norm().constant_value())
+    return w, b, scale.conjugate(), scale.norm().constant_value()
 
 
 def matrix_power_closed_form(n: int, m: int) -> IntMatrix:

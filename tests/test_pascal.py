@@ -365,16 +365,20 @@ class TestProductKernel:
         assert a.mul_vector(v) == tuple(dot_by_definition(row, v) for row in a.rows)
 
     # Over Z[x] the kernel reads each result coefficient from one base-2^k
-    # digit, with k = bitlen(3 n Lp Lq) + 1.  Equal constants 2^100 at
-    # n = 4 bring the largest result coefficient to 2^203, within a factor
-    # 3/2 of 3 n Lp Lq; all-ones polynomials bring it to 26, against a largest
-    # operand coefficient of 1.  So a k below the bound, or one taken from
-    # max|coeff| in place of the l1 norm, garbles a digit.
+    # digit, with k = bitlen(n N(p) N(q)) + 1 and N(c0 + c1 a) = ||c0||_1 +
+    # 2 ||c1||_1 (pascal._packing).  Entries 2^100 with c1 = 0 at n = 4
+    # bring the largest result coefficient to 2^202, the bound itself, so a
+    # k one bit short, or the factor n dropped, garbles that digit.  The
+    # all-ones polynomials bring it to 26 against a largest operand
+    # coefficient of 1, so a k taken from max|coeff| in place of the l1
+    # norm garbles it too.
     @pytest.mark.parametrize("n, entry", [
         (4, RingElem(2 ** 100, 2 ** 100)),
         (4, RingElem(-2 ** 100, 2 ** 100)),
         (1, RingElem(IntPoly([1] * 9), IntPoly([1] * 9))),
-    ], ids=["constants", "mixed-signs", "all-ones"])
+        (4, RingElem(2 ** 100)),
+        (4, RingElem(IntPoly([0, 0, -2 ** 100]))),
+    ], ids=["constants", "mixed-signs", "all-ones", "c0-constants", "c0-monomials"])
     def test_near_bound_operands(self, n, entry):
         m = RingMatrix([[entry] * n] * n)
         assert m @ m == product_by_definition(m, m)
@@ -401,35 +405,43 @@ class TestProductKernel:
     def test_upper_square_matches_definition(self, ops):
         a, _, f = ops
         scaled = RingMatrix([[e * c for e, c in zip(row, f)] for row in a.rows])
-        for factors, left in ((None, a), (f, scaled)):
+        ones = [RingElem(1, 0, a.x_image)] * a.n
+        for factors, left in ((ones, a), (f, scaled)):
             want = product_by_definition(left, a).rows
             got = _upper_square(a.rows, a.x_image, factors)
             assert got == [list(row[i:]) for i, row in enumerate(want)]
 
-    # With factors the bound is 9 n L^2 Lf.  For p = c (1 + a), c = 2^100 or
-    # 2^100 x^2, and f = 1 + a, p f p = c^2 (1 + a)^3 =
-    # c^2 ((4 + x) + (4 + 3x + x^2) a).  At n = 2 the coefficient 4 c^2,
-    # summed over two terms, is 2^203, so the bound without the factor 3
-    # that p f adds, 3 n L^2 Lf = 6 2^200, is one bit short and reads it as
-    # a digit of the wrong sign.
-    @pytest.mark.parametrize("c", [IntPoly.const(2 ** 100), IntPoly([0, 0, 2 ** 100])],
-                             ids=["constant", "monomial"])
-    def test_near_bound_upper_square_with_factors(self, c):
-        m = RingMatrix([[RingElem(c, c)] * 2] * 2)
-        f = [RingElem(1, 1)] * 2
-        want = (m.scale_columns(f) @ m).rows
+    # The bound of M diag(f) M is n N(M)^2 N(f).  Entries and factors with
+    # c1 = 0 meet it: at n = 4, M all 2^100 and f all g, every entry is
+    # 4 2^200 g, so a k one bit short, or the factor n dropped, garbles its
+    # top digit; g = 1 is the involution check's W W.  For p = c (1 + a),
+    # c = 2^100 or 2^100 x^2, and f = 1 + a, p f p = c^2 (1 + a)^3 =
+    # c^2 ((4 + x) + (4 + 3x + x^2) a): the coefficient 4 c^2, summed over
+    # two terms at n = 2, carries across a digit unless k covers it.
+    @pytest.mark.parametrize("n, entry, factor", [
+        (2, RingElem(2 ** 100, 2 ** 100), RingElem(1, 1)),
+        (2, RingElem(IntPoly([0, 0, 2 ** 100]), IntPoly([0, 0, 2 ** 100])), RingElem(1, 1)),
+        (4, RingElem(2 ** 100), RingElem(1)),
+        (4, RingElem(2 ** 100), RingElem(2 ** 50)),
+    ], ids=["constant", "monomial", "c0-ones", "c0-constants"])
+    def test_near_bound_upper_square_with_factors(self, n, entry, factor):
+        m = RingMatrix([[entry] * n] * n)
+        f = [factor] * n
+        scaled = RingMatrix([[e * factor for e in row] for row in m.rows])
+        want = product_by_definition(scaled, m).rows
         assert _upper_square(m.rows, X, f) == [list(row[i:]) for i, row in enumerate(want)]
 
-    # Column scaling is the kernel at dot length 1, k = bitlen(3 Lp Lf) + 1.
-    # Each entry squared has a coefficient of 2 2^200 = 2^201 (p0 q0 and
-    # p1 q1 land on one degree), within a factor 3/2 of 3 Lp Lf = 3 2^200,
-    # so a k one bit short (or the factor 3 dropped) reads 2^201 as a digit
-    # of the wrong sign.
+    # Column scaling has the bound N(M) N(f).  An entry 2^100 with c1 = 0
+    # squares to 2^200, the bound itself, so a k one bit short reads it as
+    # a digit of the wrong sign.  The entries with c1 = c0 put p0 q0 and
+    # p1 q1 on one coefficient, 2 2^200.
     @pytest.mark.parametrize("entry", [
         RingElem(2 ** 100, 2 ** 100),
         RingElem(-2 ** 100, 2 ** 100),
         RingElem(IntPoly([0, 0, 2 ** 100]), IntPoly([0, 0, 2 ** 100])),
-    ], ids=["constants", "mixed-signs", "monomials"])
+        RingElem(2 ** 100),
+        RingElem(IntPoly([0, -2 ** 100])),
+    ], ids=["constants", "mixed-signs", "monomials", "c0-constants", "c0-monomials"])
     def test_near_bound_scaling(self, entry):
         m = RingMatrix([[entry] * 2] * 2)
         want = entry * entry
