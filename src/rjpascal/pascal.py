@@ -15,12 +15,13 @@ c0 and c1, and one ring product (_times) reduces with a^2 = x a + 1.
 Products of ring matrices share one dot-product kernel (_dot): each entry
 is three sums of plain int products, p0 q0, p1 q1 and (p0 + p1)(q0 + q1)
 (Karatsuba), reduced once per entry rather than once per term.  Column
-scaling, M diag(f), is written once (_scaled), and ``_upper_square`` forms
-only the entries of M diag(f) M on and above the diagonal, packing M once
-for both operands.  Over Z[x] the ints are the values at x = 2^k
-(Kronecker substitution, von zur Gathen & Gerhard, Modern Computer
-Algebra, 3rd ed., 2013, section 8.4), with k bounded by one norm N, the
-same for every kernel (_packing).
+scaling, M diag(f), is written once (_scaled).  ``_upper_square`` takes
+packed rows and factor pairs and returns the pairs (c0, c1) of the entries
+of M diag(f) M on and above the diagonal; its callers pack and read back.
+Over Z[x] the ints are the values at x = 2^k (Kronecker substitution,
+von zur Gathen & Gerhard, Modern Computer Algebra, 3rd ed., 2013,
+section 8.4), with k bounded by one norm N, the same for every kernel
+(_packing).
 One fraction-free Gauss-Jordan elimination, O(n^3), serves both the
 integer determinant and the unimodular inverse.
 """
@@ -174,13 +175,6 @@ class RingMatrix(_SquareMatrix):
                     raise ValueError("entries mix different x images")
         self.x_image = x_image
 
-    @classmethod
-    def scalar(cls, n: int, c: RingElem) -> RingMatrix:
-        """c times the identity, built directly: c on the diagonal, 0 elsewhere."""
-        _check_dimension(n)
-        zero = RingElem(0, 0, c.x_image)
-        return cls([[c if i == j else zero for j in range(n)] for i in range(n)])
-
     def column(self, j: int) -> tuple[RingElem, ...]:
         """Column j (1-based) as a vector."""
         if not (1 <= j <= self.n):
@@ -211,9 +205,10 @@ class RingMatrix(_SquareMatrix):
         for f in factors:
             check_same_ring(self.x_image, f.x_image)
         x, unwrap, wrap = _packing(self.x_image, lambda: _norm(self.rows) * _norm((factors,)))
+        fs = [(unwrap(f.c0), unwrap(f.c1)) for f in factors]
         return RingMatrix([
             [RingElem(wrap(c0), wrap(c1), self.x_image) for c0, c1 in zip(c0s, c1s)]
-            for c0s, c1s, _ in _scaled(_coefficients(self.rows, unwrap), factors, x, unwrap)
+            for c0s, c1s, _ in _scaled(_coefficients(self.rows, unwrap), fs, x)
         ])
 
     def to_int_matrix(self) -> IntMatrix:
@@ -274,7 +269,8 @@ def _packing(x_image: IntPoly, bound):
     # + (p0 q1 + p1 q0 + x p1 q1) a, |x c| = |c| at x = X and | | is
     # submultiplicative, so N(p q) <= |p0||q0| + 2|p0||q1| + 2|p1||q0| +
     # 3|p1||q1| <= N(p) N(q), as 2^2 >= 2 + 1.  So a dot product of length n
-    # has N <= n N(p) N(q), and M diag(f) M has entries of N <= n N(M)^2 N(f).
+    # has N <= n N(p) N(q), and M diag(f) M has entries of N <= n N(M)^2 N(f)
+    # (spectral.verify_involution reads W W at half the width from that bound).
     # Only results are read back, and x -> 2^k is a ring homomorphism, so
     # the ints in between (Karatsuba sums, scaled operands) need no bound.
     if x_image.degree() < 1:
@@ -293,13 +289,12 @@ def _times(p, q, x: int):
     return p0 * q0 + t, p0 * q1 + p1 * q0 + x * t
 
 
-def _scaled(packed, factors, x: int, unwrap) -> list[tuple]:
+def _scaled(packed, factors, x: int) -> list[tuple]:
     """The packed rows (c0, c1, c0 + c1) of M diag(f), from the packed
-    rows of M (_coefficients) and the factors f."""
-    fs = [(unwrap(f.c0), unwrap(f.c1)) for f in factors]
+    rows of M (_coefficients) and the packed factor pairs (f0, f1)."""
     out = []
     for p0, p1, _ in packed:
-        c0, c1 = zip(*[_times(p, f, x) for p, f in zip(zip(p0, p1), fs)])
+        c0, c1 = zip(*[_times(p, f, x) for p, f in zip(zip(p0, p1), factors)])
         out.append((c0, c1, list(map(add, c0, c1))))
     return out
 
@@ -309,36 +304,33 @@ def _dot_products(rows, cols, x_image: IntPoly) -> list[list[RingElem]]:
     with the bound n N(rows) N(cols) (_packing)."""
     x, unwrap, wrap = _packing(x_image, lambda: len(cols[0]) * _norm(rows) * _norm(cols))
     cols = _coefficients(cols, unwrap)
-    return [[_dot(p, q, x, wrap, x_image) for q in cols]
+    return [[RingElem(wrap(c0), wrap(c1), x_image) for c0, c1 in (_dot(p, q, x) for q in cols)]
             for p in _coefficients(rows, unwrap)]
 
 
-def _upper_square(rows, x_image: IntPoly, factors) -> list[list[RingElem]]:
-    """The entries of M diag(f) M on and above the diagonal, for the square
-    matrix M with these rows and the factors f, with the bound
-    n N(M)^2 N(f) (_packing): list i (0-based) holds columns i..n-1 of
-    row i, n(n+1)/2 dot products in all.
+def _upper_square(packed, factors, x: int) -> list[list[tuple[int, int]]]:
+    """The entries (c0, c1) of M diag(f) M on and above the diagonal, from
+    the packed rows of the square matrix M (_coefficients) and the packed
+    factor pairs (f0, f1), all at the int x: list i (0-based) holds columns
+    i..n-1 of row i, n(n+1)/2 dot products in all.  The caller packs, and
+    reads the pairs back; over Z[x] it picks x = 2^k for the entries it reads.
 
-    M is packed once for both operands: the columns are the transposes of
-    the packed rows, and the left operand is the packed rows scaled by f.
+    The columns are the transposes of the packed rows, and the left operand
+    is the packed rows scaled by f, so M is packed once for both operands.
     """
-    n = len(rows)
-    x, unwrap, wrap = _packing(x_image, lambda: n * _norm(rows) ** 2 * _norm((factors,)))
-    packed = _coefficients(rows, unwrap)
     p0s, p1s, pss = zip(*packed)
     cols = list(zip(zip(*p0s), zip(*p1s), zip(*pss)))
-    return [[_dot(p, q, x, wrap, x_image) for q in cols[i:]]
-            for i, p in enumerate(_scaled(packed, factors, x, unwrap))]
+    return [[_dot(p, q, x) for q in cols[i:]] for i, p in enumerate(_scaled(packed, factors, x))]
 
 
-def _dot(p, q, x: int, wrap, x_image: IntPoly) -> RingElem:
-    """One entry of a product from the packed parts (p0, p1, p0 + p1) of
-    a row p and a column q.  With d0, d2 and s the sums of p0 q0, p1 q1 and
+def _dot(p, q, x: int) -> tuple[int, int]:
+    """One entry (c0, c1) of a product from the packed parts (p0, p1, p0 + p1)
+    of a row p and a column q.  With d0, d2 and s the sums of p0 q0, p1 q1 and
     (p0 + p1)(q0 + q1), s - d0 - d2 is the sum of p0 q1 + p1 q0, and
     a^2 = x a + 1 turns d2 a^2 into d2 x a + d2: three products per term."""
     (p0, p1, ps), (q0, q1, qs) = p, q
     d0, d2 = sum(map(mul, p0, q0)), sum(map(mul, p1, q1))
-    return RingElem(wrap(d0 + d2), wrap(sum(map(mul, ps, qs)) - d0 - d2 + x * d2), x_image)
+    return d0 + d2, sum(map(mul, ps, qs)) - d0 - d2 + x * d2
 
 
 #: S(M)_ij = [t^(j-1)] (M11 + M12 t)^(n-i) (M21 + M22 t)^(i-1) is Sym^(n-1) M
@@ -351,13 +343,14 @@ _E = ((ONE, ONE), (RingElem(X, -1), A))
 _F = ((A, -ONE), (-ONE, -A))
 
 
-def _symmetric_power(n: int, m, x: int | None = None) -> RingMatrix:
-    """S(M) for m = ((M11, M12), (M21, M22)) with M12 = +/-1 (see _Q), at
-    the int x, or over Z[x] when x is None.
+def _symmetric_power(n: int, m, x: int | None = None, sign: int = 1) -> RingMatrix:
+    """sign S(M), sign = 1 or -1, for m = ((M11, M12), (M21, M22)) with
+    M12 = +/-1 (see _Q), at the int x, or over Z[x] when x is None.
 
     With A = M11 + M12 t and B = M21 + M22 t, row 1 is A^(n-1) by the
     binomial theorem, and row i + 1 is row i times B divided by A: an exact
-    division that, from the top, only multiplies by 1/M12 = M12.  Its
+    division that, from the top, only multiplies by 1/M12 = M12.  The
+    recurrence is linear, so the sign goes on row 1's binomials.  Its
     O(n^2) ring products run on bare ints (_packing).
     """
     # Each entry of S(M) is a polynomial in M's entries (the recurrence only
@@ -382,7 +375,7 @@ def _symmetric_power(n: int, m, x: int | None = None) -> RingMatrix:
     powers = [(1, 0)]  # [t^j] A^(n-1) = C(n-1, j) M11^(n-1-j) M12^j
     for _ in range(n - 1):
         powers.append(_times(powers[-1], a, x))
-    cs = [binom(n - 1, j) * s ** j for j in range(n)]
+    cs = [sign * binom(n - 1, j) * s ** j for j in range(n)]
     rows = [[(c * p0, c * p1) for c, (p0, p1) in zip(cs, reversed(powers))]]
     for _ in range(n - 1):
         # [t^d] of r B = A q: M21 r_d + M22 r_(d-1) = M11 q_d + M12 q_(d-1)
@@ -420,4 +413,4 @@ def build_u(n: int, x: int | None = None) -> RingMatrix:
 @lru_cache(maxsize=BUILD_CACHE_SIZE, typed=True)
 def build_w(n: int, x: int | None = None) -> RingMatrix:
     """Column j of build_u(n, x) times (-1)^j a^(n-j), so W^2 = (1 + a^2)^(n-1) I: -S(F)."""
-    return RingMatrix([[-e for e in row] for row in _symmetric_power(n, _F, x).rows])
+    return _symmetric_power(n, _F, x, -1)

@@ -13,7 +13,10 @@ b_i = C(n-1, i-1), b_i W_ij = b_j W_ji for every n (_binomially_symmetric
 checks it coefficient by coefficient), so B W is symmetric, B = diag(b),
 and so is B W D W for every diagonal D.  The involution check therefore
 forms only the n(n+1)/2 entries of W^2 on and above the diagonal (the
-proof is in verify_involution).
+proof is in verify_involution).  Over Z[x] it compares values at x = 2^h,
+half the Kronecker width, as x -> -x, a -> -a grades the ring.  Both
+checks pass W packed to ints and factor pairs to pascal._upper_square,
+and compare or divide the pairs (c0, c1) it returns.
 
 Because of the involution, integer powers of the Pascal matrix are
 W diag(lambda^m) W divided by (1+a^2)^(n-1).  The diagonal factor, with
@@ -40,8 +43,8 @@ from functools import lru_cache
 from operator import mul, sub
 from typing import NamedTuple
 
-from .pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, _upper_square, build_r,
-                     build_rx, build_u, build_w)
+from .pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, _coefficients, _norm,
+                     _upper_square, build_r, build_rx, build_u, build_w)
 from .ring import X, ExactDivisionError, IntPoly, RingElem, a_pow
 
 #: Default tolerance on a relative residual: 64 u, u = 2^-53.  An entry of
@@ -131,9 +134,11 @@ def verify_involution(n: int, x: int | None = 1) -> bool:
     """Exact check that W @ W = (1 + a^2)^(n-1) I.
 
     With ``x=None`` the comparison is over Z[x] coefficients, the
-    stronger polynomial-entry form of the statement.  Only the entries of
-    W @ W on and above the diagonal are formed; a symmetry of W, checked
-    first, settles the rest.
+    stronger polynomial-entry form of the statement; it runs on the
+    values at x = 2^h, h = _half_width(bound), after checking that W is
+    homogeneous (_homogeneous).  Only the entries of W @ W on and above
+    the diagonal are formed; a symmetry of W, checked first, settles the
+    rest.  The entries are compared as pairs of ints; none is unpacked.
     """
     w = build_w(n, _integer_x(x))
     # B W is symmetric (_binomially_symmetric), so P = W W satisfies
@@ -142,10 +147,43 @@ def verify_involution(n: int, x: int | None = 1) -> bool:
     # (b_l != 0, and the ring has no additive torsion).
     if not _binomially_symmetric(w):
         return False
-    want = RingMatrix.scalar(n, involution_scale(n, w.x_image)).rows
-    ones = [RingElem(1, 0, w.x_image)] * n
-    return all(got == list(row[i:])
-               for i, (got, row) in enumerate(zip(_upper_square(w.rows, w.x_image, ones), want)))
+    scale = involution_scale(n, w.x_image)
+    if w.x_image.degree() < 1:
+        x = w.x_image.constant_value()
+    else:
+        # sigma: x -> -x, a -> -a fixes a^2 - x a - 1, so it is a ring
+        # automorphism.  Call e homogeneous of parity p when sigma(e) = (-1)^p e;
+        # parities add in products and are kept by sums.  W_ij (1-based) has
+        # parity n - i + j - 1: row i of -S(F) is -(a - t)^(n-i) (-1 - a t)^(i-1),
+        # homogeneous of parity n - i when t counts as odd.  So (W W)_il has
+        # parity 2n - 2 + l - i = i + l, and the scale, 2 + x a to the n - 1,
+        # parity 0: each entry of D = W W - scale I is homogeneous.  Both are
+        # checked, not assumed.  By pascal._packing's lemma D's coefficients are
+        # at most n N(W)^2 + N(scale) < 2^(2h - 1) in absolute value.  A homogeneous
+        # c0 or c1 is x^p g(x^2), and g's coefficients are then the balanced
+        # base-4^h digits of g(4^h), so D = 0 iff D at x = 2^h is 0 (_half_width).
+        if not (_homogeneous(scale, 0) and all(
+                _homogeneous(e, (n - i + j - 1) % 2)
+                for i, row in enumerate(w.rows) for j, e in enumerate(row))):
+            return False
+        x = 1 << _half_width(n * _norm(w.rows) ** 2 + _norm([[scale]]))
+    want = (scale.c0(x), scale.c1(x))
+    upper = _upper_square(_coefficients(w.rows, lambda c: c(x)), [(1, 0)] * n, x)
+    return all(row == [want] + [(0, 0)] * (n - 1 - i) for i, row in enumerate(upper))
+
+
+def _homogeneous(e: RingElem, parity: int) -> bool:
+    """Whether c0 has only powers x^d with d = parity and c1 only powers
+    with d = parity + 1 (mod 2): sigma(e) = (-1)^parity e (verify_involution)."""
+    return not any(e.c0.coeffs[1 - parity::2]) and not any(e.c1.coeffs[parity::2])
+
+
+def _half_width(bound: int) -> int:
+    """The least h with bound < 2^(2h - 1): h = ceil(k / 2) for Kronecker's
+    k = bitlen(bound) + 1.  If g's coefficients lie below 2^(2h - 1) in
+    absolute value, they are the balanced base-4^h digits of g(4^h), so
+    x^p g(x^2) is zero iff its value at x = 2^h is."""
+    return bound.bit_length() // 2 + 1
 
 
 def _binomially_symmetric(w: RingMatrix) -> list[int] | None:
@@ -171,17 +209,19 @@ def _times(b: int, e: RingElem) -> tuple[list[int], list[int]]:
 
 
 @lru_cache(maxsize=BUILD_CACHE_SIZE)
-def _power_setup(n: int) -> tuple[RingMatrix, list[int], RingElem, int]:
-    """W at x = 1, checked binomially symmetric, with b_i = C(n-1, i-1) and
-    the conjugate and integer norm of (1 + a^2)^(n-1): what the closed form
-    needs once per n for every m.  ValueError if W is not symmetric."""
+def _power_setup(n: int) -> tuple[list, list[int], RingElem, int]:
+    """W at x = 1, checked binomially symmetric and packed (pascal._coefficients),
+    with b_i = C(n-1, i-1) and the conjugate and integer norm of (1 + a^2)^(n-1):
+    what the closed form needs once per n for every m.  ValueError if W is
+    not symmetric."""
     w = build_w(n, 1)
     b = _binomially_symmetric(w)
     if b is None:
         raise ValueError(f"W at n = {n} fails b_i W_ij = b_j W_ji, "
                          "so its lower triangle cannot be mirrored")
     scale = involution_scale(n, w.x_image)
-    return w, b, scale.conjugate(), scale.norm().constant_value()
+    return (_coefficients(w.rows, IntPoly.constant_value), b, scale.conjugate(),
+            scale.norm().constant_value())
 
 
 def matrix_power_closed_form(n: int, m: int) -> IntMatrix:
@@ -202,11 +242,14 @@ def matrix_power_closed_form(n: int, m: int) -> IntMatrix:
     # P^T B = W^T D (B W) = (B W) D W = B P, as diagonal matrices commute:
     # b_l P_li = b_i P_il.  R^m = P / norm for D = diag(lambda^m) conj, so
     # below the diagonal R^m_il = b_l R^m_li / b_i, an exact division.
-    w, b, conj, norm = _power_setup(n)
-    factors = [lam * conj for lam in eigenvalues(n, w.x_image, m)]
+    packed, b, conj, norm = _power_setup(n)
+    x_image = conj.x_image
+    factors = [(f.c0.constant_value(), f.c1.constant_value())
+               for f in (lam * conj for lam in eigenvalues(n, x_image, m))]
     rows = [[0] * n for _ in range(n)]
-    for i, upper in enumerate(_upper_square(w.rows, w.x_image, factors)):
-        rows[i][i:] = [e.divide_exact(norm).as_int() for e in upper]
+    for i, upper in enumerate(_upper_square(packed, factors, 1)):
+        rows[i][i:] = [RingElem(c0, c1, x_image).divide_exact(norm).as_int()
+                       for c0, c1 in upper]
     for i in range(1, n):
         for l in range(i):
             q, r = divmod(b[l] * rows[l][i], b[i])

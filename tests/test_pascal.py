@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from rjpascal import pascal
 from rjpascal.binomial import _row_table
-from rjpascal.pascal import (_E, _F, _Q, IntMatrix, RingMatrix, _packing, _symmetric_power,
-                             _upper_square, build_r, build_rx, build_u, build_w)
+from rjpascal.pascal import (_E, _F, _Q, IntMatrix, RingMatrix, _coefficients, _norm, _packing,
+                             _symmetric_power, _upper_square, build_r, build_rx, build_u,
+                             build_w)
 from rjpascal.ring import A, ONE, IntPoly, RingElem, X, _a_pow_cached, a_pow
 from rjpascal.spectral import _eigen_sides, _inverse_r, _power_setup, involution_scale
 
@@ -256,11 +257,17 @@ class TestSymmetricPower:
             _symmetric_power(3, ((ONE, ONE + ONE), (ONE, A)))
 
 
+def scalar_matrix(n, c):
+    """c times the n x n identity, in c's ring."""
+    zero = RingElem(0, 0, c.x_image)
+    return RingMatrix([[c if i == j else zero for j in range(n)] for i in range(n)])
+
+
 class TestMatrixAlgebra:
     def test_identity_neutral(self):
         w = build_w(3)
-        assert w @ RingMatrix.scalar(3, ONE) == w
-        assert RingMatrix.scalar(3, ONE) @ w == w
+        assert w @ scalar_matrix(3, ONE) == w
+        assert scalar_matrix(3, ONE) @ w == w
         r = build_r(3)
         assert r @ IntMatrix.identity(3) == r
 
@@ -270,7 +277,7 @@ class TestMatrixAlgebra:
     def test_w2_squared_is_scalar(self):
         w = build_w(2, 1)
         scale = (ONE + A * A).specialize(1)  # 2 + a
-        assert w @ w == RingMatrix.scalar(2, scale)
+        assert w @ w == scalar_matrix(2, scale)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -351,6 +358,15 @@ def product_by_definition(a, b):
     return RingMatrix([[dot_by_definition(row, col) for col in cols] for row in a.rows])
 
 
+def upper_square_at_bound(m, factors):
+    """pascal._upper_square on m and the factors, packed by _packing with the
+    bound n N(M)^2 N(f) of M diag(f) M, its pairs read back as ring elements."""
+    x, unwrap, wrap = _packing(m.x_image, lambda: m.n * _norm(m.rows) ** 2 * _norm((factors,)))
+    fs = [(unwrap(f.c0), unwrap(f.c1)) for f in factors]
+    return [[RingElem(wrap(c0), wrap(c1), m.x_image) for c0, c1 in row]
+            for row in _upper_square(_coefficients(m.rows, unwrap), fs, x)]
+
+
 class TestProductKernel:
     @settings(max_examples=150, deadline=None)
     @given(operands())
@@ -408,13 +424,14 @@ class TestProductKernel:
         ones = [RingElem(1, 0, a.x_image)] * a.n
         for factors, left in ((ones, a), (f, scaled)):
             want = product_by_definition(left, a).rows
-            got = _upper_square(a.rows, a.x_image, factors)
+            got = upper_square_at_bound(a, factors)
             assert got == [list(row[i:]) for i, row in enumerate(want)]
 
-    # The bound of M diag(f) M is n N(M)^2 N(f).  Entries and factors with
+    # The bound of M diag(f) M is n N(M)^2 N(f); the kernel's callers pack
+    # (upper_square_at_bound packs at it).  Entries and factors with
     # c1 = 0 meet it: at n = 4, M all 2^100 and f all g, every entry is
     # 4 2^200 g, so a k one bit short, or the factor n dropped, garbles its
-    # top digit; g = 1 is the involution check's W W.  For p = c (1 + a),
+    # top digit; g = 1 is the form W W of the involution check.  For p = c (1 + a),
     # c = 2^100 or 2^100 x^2, and f = 1 + a, p f p = c^2 (1 + a)^3 =
     # c^2 ((4 + x) + (4 + 3x + x^2) a): the coefficient 4 c^2, summed over
     # two terms at n = 2, carries across a digit unless k covers it.
@@ -429,7 +446,7 @@ class TestProductKernel:
         f = [factor] * n
         scaled = RingMatrix([[e * factor for e in row] for row in m.rows])
         want = product_by_definition(scaled, m).rows
-        assert _upper_square(m.rows, X, f) == [list(row[i:]) for i, row in enumerate(want)]
+        assert upper_square_at_bound(m, f) == [list(row[i:]) for i, row in enumerate(want)]
 
     # Column scaling has the bound N(M) N(f).  An entry 2^100 with c1 = 0
     # squares to 2^200, the bound itself, so a k one bit short reads it as
@@ -467,7 +484,7 @@ class TestProductKernel:
 
     def test_symbolic_product_multiplies_no_polynomials(self, monkeypatch):
         w = build_w(8)
-        want = RingMatrix.scalar(8, involution_scale(8))
+        want = scalar_matrix(8, involution_scale(8))
 
         def refuse(self, other):
             raise AssertionError("IntPoly product inside a Z[x] matrix product")

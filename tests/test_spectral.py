@@ -3,6 +3,8 @@ import math
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rjpascal import spectral
 from rjpascal.pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, build_r, build_rx,
@@ -10,10 +12,13 @@ from rjpascal.pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, build_r, b
 from rjpascal.ring import A, ONE, ExactDivisionError, IntPoly, RingElem, X, a_pow
 from rjpascal.spectral import (
     DEFAULT_TOL,
+    _half_width,
+    _homogeneous,
     _inverse_r,
     eigen_distinctness,
     eigenvalue,
     eigenvalue_power,
+    eigenvalues,
     eigenvalues_numeric,
     involution_scale,
     matrix_power_closed_form,
@@ -197,14 +202,15 @@ class TestVerifyInvolution:
 
     def test_n2_symbolic_hand_check(self):
         w = build_w(2)
-        assert w @ w == RingMatrix.scalar(2, ONE + A * A)
+        s, zero = ONE + A * A, RingElem(0, 0)
+        assert w @ w == RingMatrix([[s, zero], [zero, s]])
         assert verify_involution(2, x=None)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_exact_at_one(self, n):
         assert verify_involution(n, x=1)
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 17))
     def test_exact_symbolic(self, n):
         assert verify_involution(n, x=None)
 
@@ -513,6 +519,90 @@ def test_w_generating_function(n):
             assert lhs == -(RingElem(-s - t, 1 - s * t) ** (n - 1)), (s, t)
 
 
+def sigma(e):
+    """e under the automorphism x -> -x, a -> -a: c0(-x) - c1(-x) a."""
+    def flip(p):
+        return IntPoly(-c if d % 2 else c for d, c in enumerate(p.coeffs))
+    return RingElem(flip(e.c0), -flip(e.c1), e.x_image)
+
+
+def assert_parity(e, parity, where):
+    """sigma(e) = (-1)^parity e: e is homogeneous of that parity."""
+    assert sigma(e) == (-e if parity % 2 else e), where
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_builders_are_homogeneous(n):
+    """Over Z[x] every entry of R(x), U and W, every eigenvalue and the
+    involution scale is homogeneous, with the parities below (1-based).
+    verify_involution relies on W's and the scale's and checks them itself."""
+    r, u, w = build_rx(n), build_u(n), build_w(n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            assert_parity(r.rows[i - 1][j - 1], i + j - n - 1, ("R(x)", n, i, j))
+            assert_parity(u.rows[i - 1][j - 1], i - 1, ("U", n, i, j))
+            assert_parity(w.rows[i - 1][j - 1], n - i + j - 1, ("W", n, i, j))
+    for j, lam in enumerate(eigenvalues(n), 1):
+        assert_parity(lam, n + 1, ("lambda", n, j))
+    assert_parity(involution_scale(n), 0, ("scale", n))
+
+
+@st.composite
+def graded_elems(draw):
+    """(e, parity): an element over Z[x] of degree <= 5 with small
+    coefficients, and half the time with those of the wrong parity zeroed."""
+    parity = draw(st.integers(0, 1))
+    c0, c1 = (draw(st.lists(st.integers(-2, 2), max_size=6)) for _ in range(2))
+    if draw(st.booleans()):
+        c0 = [c if d % 2 == parity else 0 for d, c in enumerate(c0)]
+        c1 = [c if d % 2 != parity else 0 for d, c in enumerate(c1)]
+    return RingElem(IntPoly(c0), IntPoly(c1)), parity
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_elems())
+def test_homogeneous_is_sigma_parity(case):
+    e, parity = case
+    assert _homogeneous(e, parity) == (sigma(e) == (-e if parity else e))
+
+
+@st.composite
+def under_a_bound(draw):
+    """(bound, p): p has only powers x^d with d of one parity, and
+    coefficients at most bound in absolute value, often exactly +/-bound."""
+    bound = draw(st.integers(0, 2 ** 80))
+    coeff = st.one_of(st.integers(-bound, bound), st.sampled_from([-bound, 0, bound]))
+    parity = draw(st.integers(0, 1))
+    cs = draw(st.lists(coeff, max_size=6))
+    return bound, IntPoly([0] * parity + [c for g in cs for c in (g, 0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(under_a_bound())
+def test_half_width_lemma(case):
+    """A polynomial of one parity under the bound is zero iff its value at
+    2^h is, h = _half_width(bound), the least h with bound < 2^(2h - 1)."""
+    bound, p = case
+    h = _half_width(bound)
+    assert bound < 2 ** (2 * h - 1)
+    assert h == 1 or bound >= 2 ** (2 * h - 3)
+    assert (p(2 ** h) == 0) == p.is_zero
+
+
+@pytest.mark.parametrize("h", [2, 3, 10, 64])
+def test_half_width_witnesses(h):
+    # 4^(h-1) - x^2 is homogeneous and under the bound 4^(h-1), but vanishes
+    # one bit narrower, at 2^(h-1); 2^h - x is under it too and vanishes at
+    # 2^h itself, because it mixes parities, which is why W's are checked
+    bound = 4 ** (h - 1)
+    assert _half_width(bound) == h
+    narrower = IntPoly([bound, 0, -1])
+    assert narrower(2 ** (h - 1)) == 0 and narrower(2 ** h) != 0
+    mixed = IntPoly([2 ** h, -1])
+    assert mixed(2 ** h) == 0
+    assert not _homogeneous(RingElem(mixed), 0) and not _homogeneous(RingElem(mixed), 1)
+
+
 def _faulty_w(monkeypatch, edit):
     """Make the checks read W with ``edit(rows, n)`` applied to a copy of
     its rows (0-based, entries in W's ring).
@@ -549,6 +639,31 @@ def _doubled(rows, n):
     rows[:] = [[e * 2 for e in row] for row in rows]
 
 
+def _zeroed(rows, n):
+    """The zero matrix: homogeneous and symmetric, and its square is 0."""
+    rows[:] = [[e * 0 for e in row] for row in rows]
+
+
+def _even_pair(rows, n):
+    """c0 += x^2 b_4 on W_24 and x^2 b_2 on W_42: over Z[x] both stay
+    homogeneous of parity 0 (at n = 5), and b_i W_ij = b_j W_ji still holds."""
+    b, x2 = binomial_weights(n), IntPoly([0, 0, 1])
+    _add(2, 4, x2 * b[3])(rows, n)
+    _add(4, 2, x2 * b[1])(rows, n)
+
+
+def _recorded_kernel(monkeypatch):
+    """Let spectral._upper_square run, and return the list of the x of each call."""
+    xs, kernel = [], spectral._upper_square
+
+    def recorded(packed, factors, x):
+        xs.append(x)
+        return kernel(packed, factors, x)
+
+    monkeypatch.setattr(spectral, "_upper_square", recorded)
+    return xs
+
+
 FAULTS = [_add(2, 4, 1), _add(1, 5, -1), _add(3, 3, 1), _add(5, 5, -1),
           _add(4, 2, 1), _add(5, 1, -1), _symmetric_pair, _doubled]
 FAULT_IDS = ["above", "above-corner", "diagonal", "diagonal-corner", "below",
@@ -572,6 +687,44 @@ class TestInvolutionFaults:
         _faulty_w(monkeypatch, _add(1, 1, 1))
         assert not verify_involution(1, x=x)
 
+    def test_wrong_parity_is_refused_before_the_product(self, monkeypatch):
+        # W_33 at n = 5 has parity 0, so c0 + x is not homogeneous; a diagonal
+        # edit keeps the symmetry, so only the parity check can refuse it
+        def refuse(*args):
+            raise AssertionError("the product ran on a W of the wrong parity")
+
+        _faulty_w(monkeypatch, _add(3, 3, X))
+        monkeypatch.setattr(spectral, "_upper_square", refuse)
+        assert not verify_involution(5, x=None)
+
+    def test_homogeneous_symmetric_fault_fails_in_the_product(self, monkeypatch):
+        xs = _recorded_kernel(monkeypatch)
+        _faulty_w(monkeypatch, _even_pair)
+        assert not verify_involution(5, x=None)
+        assert len(xs) == 1
+
+    @pytest.mark.parametrize("edit", [None, _zeroed, _doubled, _even_pair],
+                             ids=["W", "zeroed", "doubled", "even-pair"])
+    def test_width_covers_both_sides(self, monkeypatch, edit):
+        """The product runs at x = 2^h with every coefficient of W W - scale I
+        below 2^(2h - 1), the scale's too: for the zero matrix the
+        difference is the scale alone."""
+        n = 5
+        xs = _recorded_kernel(monkeypatch)
+        if edit is not None:
+            _faulty_w(monkeypatch, edit)
+        rows = spectral.build_w(n, None).rows
+        verify_involution(n, x=None)
+        h = xs[0].bit_length() - 1
+        assert xs == [2 ** h]
+        scale = involution_scale(n)
+        for i in range(n):
+            for l in range(n):
+                d = sum((rows[i][j] * rows[j][l] for j in range(n)), RingElem(0, 0))
+                if i == l:
+                    d = d + -scale
+                assert all(abs(c) < 2 ** (2 * h - 1) for c in d.c0.coeffs + d.c1.coeffs)
+
     def test_lower_triangle_is_checked(self, monkeypatch):
         """M = (1+a^2) I + E_31 at n = 3: on and above the diagonal M^2 equals
         (1+a^2)^2 I, but (M^2)_31 = 2 (1+a^2).  Only the symmetry check of
@@ -579,7 +732,9 @@ class TestInvolutionFaults:
         s = ONE + A * A
         m = [[s if i == j else RingElem(0, 0) for j in range(3)] for i in range(3)]
         m[2][0] = ONE
-        square, want = RingMatrix(m) @ RingMatrix(m), RingMatrix.scalar(3, s * s)
+        square = RingMatrix(m) @ RingMatrix(m)
+        want = RingMatrix([[s * s if i == j else RingElem(0, 0) for j in range(3)]
+                           for i in range(3)])
         assert all(square.rows[i][i:] == want.rows[i][i:] for i in range(3))
         assert square != want
 
