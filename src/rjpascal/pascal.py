@@ -175,12 +175,6 @@ class RingMatrix(_SquareMatrix):
                     raise ValueError("entries mix different x images")
         self.x_image = x_image
 
-    def column(self, j: int) -> tuple[RingElem, ...]:
-        """Column j (1-based) as a vector."""
-        if not (1 <= j <= self.n):
-            raise IndexError(f"column {j} outside 1..{self.n}")
-        return tuple(row[j - 1] for row in self.rows)
-
     def __matmul__(self, other: RingMatrix) -> RingMatrix:
         if not isinstance(other, RingMatrix):
             return NotImplemented
@@ -196,20 +190,6 @@ class RingMatrix(_SquareMatrix):
         for e in vec:
             check_same_ring(self.x_image, e.x_image)
         return tuple(row[0] for row in _dot_products(self.rows, (vec,), self.x_image))
-
-    def scale_columns(self, factors: Sequence[RingElem]) -> RingMatrix:
-        """Multiply column j by factors[j-1]: self @ diag(factors), on bare
-        ints (_scaled) with the bound N(M) N(f) (see _packing)."""
-        if len(factors) != self.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {len(factors)}")
-        for f in factors:
-            check_same_ring(self.x_image, f.x_image)
-        x, unwrap, wrap = _packing(self.x_image, lambda: _norm(self.rows) * _norm((factors,)))
-        fs = [(unwrap(f.c0), unwrap(f.c1)) for f in factors]
-        return RingMatrix([
-            [RingElem(wrap(c0), wrap(c1), self.x_image) for c0, c1 in zip(c0s, c1s)]
-            for c0s, c1s, _ in _scaled(_coefficients(self.rows, unwrap), fs, x)
-        ])
 
     def to_int_matrix(self) -> IntMatrix:
         """Convert when every entry is a plain integer; ValueError otherwise."""
@@ -269,8 +249,9 @@ def _packing(x_image: IntPoly, bound):
     # + (p0 q1 + p1 q0 + x p1 q1) a, |x c| = |c| at x = X and | | is
     # submultiplicative, so N(p q) <= |p0||q0| + 2|p0||q1| + 2|p1||q0| +
     # 3|p1||q1| <= N(p) N(q), as 2^2 >= 2 + 1.  So a dot product of length n
-    # has N <= n N(p) N(q), and M diag(f) M has entries of N <= n N(M)^2 N(f)
-    # (spectral.verify_involution reads W W at half the width from that bound).
+    # has N <= n N(p) N(q), M diag(f) has entries of N <= N(M) N(f) (the eigen
+    # check's bound), and M diag(f) M has entries of N <= n N(M)^2 N(f)
+    # (spectral._checked_w reads W W at half the width from that bound).
     # Only results are read back, and x -> 2^k is a ring homomorphism, so
     # the ints in between (Karatsuba sums, scaled operands) need no bound.
     if x_image.degree() < 1:

@@ -3,8 +3,8 @@
 The eigenvalue attached to column j of an n-dimensional family member is
 (-1)^(n+j) a^(2j-n-1), an exact unit of the coefficient ring.  The eigen
 check is one matrix identity per (n, x), R(x) U = U Lambda with
-Lambda = diag(lambda_1..lambda_n): both sides are computed once, and
-eigenpair p compares their columns p.
+Lambda = diag(lambda_1..lambda_n): both sides are computed and packed once
+at one width, and eigenpair p compares their columns p as pairs of ints.
 
 W = -S(F) and U = S(E) with F = E diag(a, -1), and S is multiplicative
 (pascal), so W is U with columns scaled by units: the exact involution
@@ -14,9 +14,10 @@ checks it coefficient by coefficient), so B W is symmetric, B = diag(b),
 and so is B W D W for every diagonal D.  The involution check therefore
 forms only the n(n+1)/2 entries of W^2 on and above the diagonal (the
 proof is in verify_involution).  Over Z[x] it compares values at x = 2^h,
-half the Kronecker width, as x -> -x, a -> -a grades the ring.  Both
-checks pass W packed to ints and factor pairs to pascal._upper_square,
-and compare or divide the pairs (c0, c1) it returns.
+half the Kronecker width, as x -> -x, a -> -a grades the ring.  W is
+checked and packed once per (n, x) (_checked_w), and both checks pass it
+with factor pairs to pascal._upper_square, and compare or divide the
+pairs (c0, c1) it returns.
 
 Because of the involution, integer powers of the Pascal matrix are
 W diag(lambda^m) W divided by (1+a^2)^(n-1).  The diagonal factor, with
@@ -43,8 +44,8 @@ from functools import lru_cache
 from operator import mul, sub
 from typing import NamedTuple
 
-from .pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, _coefficients, _norm,
-                     _upper_square, build_r, build_rx, build_u, build_w)
+from .pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, _coefficients, _norm, _packing,
+                     _scaled, _upper_square, build_r, build_rx, build_u, build_w)
 from .ring import X, ExactDivisionError, IntPoly, RingElem, a_pow
 
 #: Default tolerance on a relative residual: 64 u, u = 2^-53.  An entry of
@@ -60,12 +61,12 @@ def _check_index(n: int, j: int) -> None:
         raise IndexError(f"index {j} outside 1..{n}")
 
 
-def eigenvalue(n: int, j: int, x_image: IntPoly = X) -> RingElem:
-    """The j-th eigenvalue (-1)^(n+j) a^(2j-n-1), 1 <= j <= n, in the ring
-    where x maps to ``x_image``."""
+def eigenvalue(n: int, j: int, x_image: IntPoly = X, m: int = 1) -> RingElem:
+    """lambda_j^m = (-1)^((n+j) m) a^((2j-n-1) m), 1 <= j <= n, for any
+    integer m, in the ring where x maps to ``x_image``."""
     _check_index(n, j)
-    lam = a_pow(2 * j - n - 1, x_image)
-    return -lam if (n + j) % 2 else lam
+    lam = a_pow((2 * j - n - 1) * m, x_image)
+    return -lam if (n + j) * m % 2 else lam
 
 
 def eigenvalues(n: int, x_image: IntPoly = X, m: int = 1) -> list[RingElem]:
@@ -73,24 +74,13 @@ def eigenvalues(n: int, x_image: IntPoly = X, m: int = 1) -> list[RingElem]:
     lambda_(j+1) = -a^2 lambda_j, so each is (-a^2)^m times the one before,
     one ring product per eigenvalue.  At n = 1 no step is formed: a^(2m)
     is not needed there, and for a huge |m| it could not be computed."""
-    lams = [eigenvalue_power(n, 1, m, x_image)]
+    lams = [eigenvalue(n, 1, x_image, m)]
     if n > 1:
         step = a_pow(2 * m, x_image)
         step = -step if m % 2 else step
         for _ in range(n - 1):
             lams.append(lams[-1] * step)
     return lams
-
-
-def eigenvalue_power(n: int, j: int, m: int, x_image: IntPoly = X) -> RingElem:
-    """lambda_j^m for any integer m.  The a-exponents of lambda_j and
-    lambda_(n+1-j) cancel, so lambda_j^-1 = (-1)^(n+1) lambda_(n+1-j), whose
-    |m|-th power is lambda_j^m for m < 0."""
-    _check_index(n, j)
-    if m >= 0:
-        return eigenvalue(n, j, x_image) ** m
-    inverse = eigenvalue(n, n + 1 - j, x_image)
-    return (inverse if n % 2 else -inverse) ** -m
 
 
 def _integer_x(x: int | float | None) -> int | None:
@@ -109,19 +99,30 @@ def verify_eigenpair(n: int, p: int, x: int | None = 1) -> bool:
 
     ``x`` selects the coefficient ring: an integer x (default 1, the
     golden-ratio case), or None for Z[x] coefficients.
-    Column p of R(x) U is compared with column p of U Lambda (_eigen_sides).
+    Column p of R(x) U is compared with column p of U Lambda (_eigen_failures).
     """
     _check_index(n, p)
-    lhs, rhs = _eigen_sides(n, _integer_x(x))
-    return lhs.column(p) == rhs.column(p)
+    return p not in _eigen_failures(n, _integer_x(x))
 
 
 @lru_cache(maxsize=BUILD_CACHE_SIZE)
-def _eigen_sides(n: int, x: int | None) -> tuple[RingMatrix, RingMatrix]:
-    """R(x) U and U Lambda, Lambda = diag(lambda_1..lambda_n), computed once
-    per (n, x) for all n eigenpairs."""
+def _eigen_failures(n: int, x: int | None) -> frozenset[int]:
+    """The columns p (1-based) where R(x) U and U Lambda differ,
+    Lambda = diag(lambda_1..lambda_n), found once per (n, x) for all n
+    eigenpairs.  Both sides are packed at one width and compared as pairs
+    of ints (c0, c1); none is unpacked."""
     u = build_u(n, x)
-    return build_rx(n, x) @ u, u.scale_columns(eigenvalues(n, u.x_image))
+    lams = eigenvalues(n, u.x_image)
+    lhs = (build_rx(n, x) @ u).rows
+    # Every coefficient of R(x) U is at most N(R(x) U), and of U Lambda at
+    # most N(U) N(Lambda) (pascal._packing), so below 2^(k-1) on both sides:
+    # the packing is injective on both, and equal pairs mean equal entries.
+    t, unwrap, _ = _packing(u.x_image, lambda: max(_norm(lhs), _norm(u.rows) * _norm((lams,))))
+    rhs = _scaled(_coefficients(u.rows, unwrap), [(unwrap(f.c0), unwrap(f.c1)) for f in lams], t)
+    left = _coefficients(lhs, unwrap)
+    return frozenset(p + 1 for p in range(n)
+                     if any((l0[p], l1[p]) != (r0[p], r1[p])
+                            for (l0, l1, _), (r0, r1, _) in zip(left, rhs)))
 
 
 def involution_scale(n: int, x_image: IntPoly = X) -> RingElem:
@@ -140,17 +141,32 @@ def verify_involution(n: int, x: int | None = 1) -> bool:
     the diagonal are formed; a symmetry of W, checked first, settles the
     rest.  The entries are compared as pairs of ints; none is unpacked.
     """
-    w = build_w(n, _integer_x(x))
     # B W is symmetric (_binomially_symmetric), so P = W W satisfies
     # B P = W^T B W = P^T B: b_l P_li = b_i P_il.  Once P_il = scale * delta_il
     # for i <= l, b_l P_li = 0 below the diagonal, so P_li = 0 there
     # (b_l != 0, and the ring has no additive torsion).
-    if not _binomially_symmetric(w):
+    checked = _checked_w(n, _integer_x(x))
+    if checked is None:
         return False
+    packed, _, scale, t = checked
+    want = (scale.c0(t), scale.c1(t))
+    upper = _upper_square(packed, [(1, 0)] * n, t)
+    return all(row == [want] + [(0, 0)] * (n - 1 - i) for i, row in enumerate(upper))
+
+
+@lru_cache(maxsize=BUILD_CACHE_SIZE)
+def _checked_w(n: int, x: int | None) -> tuple[list, list[int], RingElem, int] | None:
+    """(packed, b, scale, t): W packed at the int t (pascal._coefficients),
+    b_i = C(n-1, i-1), and the scale (1 + a^2)^(n-1), once per (n, x) for
+    the involution and every exponent of the closed form.  t is x, or 2^h
+    over Z[x].  None if W is not binomially symmetric, or over Z[x] if W
+    or the scale is not homogeneous of its parity."""
+    w = build_w(n, x)
+    b = _binomially_symmetric(w)
+    if b is None:
+        return None
     scale = involution_scale(n, w.x_image)
-    if w.x_image.degree() < 1:
-        x = w.x_image.constant_value()
-    else:
+    if x is None:
         # sigma: x -> -x, a -> -a fixes a^2 - x a - 1, so it is a ring
         # automorphism.  Call e homogeneous of parity p when sigma(e) = (-1)^p e;
         # parities add in products and are kept by sums.  W_ij (1-based) has
@@ -165,11 +181,9 @@ def verify_involution(n: int, x: int | None = 1) -> bool:
         if not (_homogeneous(scale, 0) and all(
                 _homogeneous(e, (n - i + j - 1) % 2)
                 for i, row in enumerate(w.rows) for j, e in enumerate(row))):
-            return False
+            return None
         x = 1 << _half_width(n * _norm(w.rows) ** 2 + _norm([[scale]]))
-    want = (scale.c0(x), scale.c1(x))
-    upper = _upper_square(_coefficients(w.rows, lambda c: c(x)), [(1, 0)] * n, x)
-    return all(row == [want] + [(0, 0)] * (n - 1 - i) for i, row in enumerate(upper))
+    return _coefficients(w.rows, lambda c: c(x)), b, scale, x
 
 
 def _homogeneous(e: RingElem, parity: int) -> bool:
@@ -199,29 +213,10 @@ def _binomially_symmetric(w: RingMatrix) -> list[int] | None:
     """
     b = [math.comb(w.n - 1, i) for i in range(w.n)]
     rows = w.rows
-    return b if all(_times(b[i], rows[i][j]) == _times(b[j], rows[j][i])
-                    for i in range(w.n) for j in range(i + 1, w.n)) else None
-
-
-def _times(b: int, e: RingElem) -> tuple[list[int], list[int]]:
-    """The coefficients of b e: those of c0, then of c1, each times b."""
-    return [b * c for c in e.c0.coeffs], [b * c for c in e.c1.coeffs]
-
-
-@lru_cache(maxsize=BUILD_CACHE_SIZE)
-def _power_setup(n: int) -> tuple[list, list[int], RingElem, int]:
-    """W at x = 1, checked binomially symmetric and packed (pascal._coefficients),
-    with b_i = C(n-1, i-1) and the conjugate and integer norm of (1 + a^2)^(n-1):
-    what the closed form needs once per n for every m.  ValueError if W is
-    not symmetric."""
-    w = build_w(n, 1)
-    b = _binomially_symmetric(w)
-    if b is None:
-        raise ValueError(f"W at n = {n} fails b_i W_ij = b_j W_ji, "
-                         "so its lower triangle cannot be mirrored")
-    scale = involution_scale(n, w.x_image)
-    return (_coefficients(w.rows, IntPoly.constant_value), b, scale.conjugate(),
-            scale.norm().constant_value())
+    return b if all([b[i] * c for c in p.coeffs] == [b[j] * c for c in q.coeffs]
+                    for i in range(w.n) for j in range(i + 1, w.n)
+                    for p, q in ((rows[i][j].c0, rows[j][i].c0),
+                                 (rows[i][j].c1, rows[j][i].c1))) else None
 
 
 def matrix_power_closed_form(n: int, m: int) -> IntMatrix:
@@ -242,8 +237,12 @@ def matrix_power_closed_form(n: int, m: int) -> IntMatrix:
     # P^T B = W^T D (B W) = (B W) D W = B P, as diagonal matrices commute:
     # b_l P_li = b_i P_il.  R^m = P / norm for D = diag(lambda^m) conj, so
     # below the diagonal R^m_il = b_l R^m_li / b_i, an exact division.
-    packed, b, conj, norm = _power_setup(n)
-    x_image = conj.x_image
+    checked = _checked_w(n, 1)
+    if checked is None:
+        raise ValueError(f"W at n = {n} fails b_i W_ij = b_j W_ji, "
+                         "so its lower triangle cannot be mirrored")
+    packed, b, scale, _ = checked
+    conj, norm, x_image = scale.conjugate(), scale.norm().constant_value(), scale.x_image
     factors = [(f.c0.constant_value(), f.c1.constant_value())
                for f in (lam * conj for lam in eigenvalues(n, x_image, m))]
     rows = [[0] * n for _ in range(n)]

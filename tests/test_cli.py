@@ -147,12 +147,12 @@ class TestVerify:
             lams[2] = -lams[2]
             return lams
 
-        spectral._eigen_sides.cache_clear()
+        spectral._eigen_failures.cache_clear()
         monkeypatch.setattr(spectral, "eigenvalues", wrong_at_3)
         try:
             code, out, _ = run(capsys, "verify", "--n", "5", "--check", "eigen", "--x", x)
         finally:
-            spectral._eigen_sides.cache_clear()
+            spectral._eigen_failures.cache_clear()
         assert code == 1
         assert [(rep["params"]["p"], rep["pass"]) for rep in json.loads(out)] == [
             (p, p != 3) for p in range(1, 6)
@@ -264,15 +264,15 @@ class TestVerify:
 
 def _w_with_one_entry_off(monkeypatch, i, j):
     """spectral.build_w with entry (i, j), 1-based, off by one, and a fresh
-    cache for the closed form's per-n W."""
+    cache for the checked W per (n, x)."""
     def faulty(n, x):
         rows = [list(row) for row in build_w(n, x).rows]
         rows[i - 1][j - 1] = rows[i - 1][j - 1] + 1
         return RingMatrix(rows)
 
     monkeypatch.setattr(spectral, "build_w", faulty)
-    monkeypatch.setattr(spectral, "_power_setup", lru_cache(maxsize=BUILD_CACHE_SIZE)(
-        spectral._power_setup.__wrapped__))
+    monkeypatch.setattr(spectral, "_checked_w", lru_cache(maxsize=BUILD_CACHE_SIZE)(
+        spectral._checked_w.__wrapped__))
 
 
 class TestFailedClosedForm:

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from rjpascal import pascal
 from rjpascal.binomial import _row_table
 from rjpascal.pascal import (_E, _F, _Q, IntMatrix, RingMatrix, _coefficients, _norm, _packing,
-                             _symmetric_power, _upper_square, build_r, build_rx, build_u,
-                             build_w)
+                             _scaled, _symmetric_power, _upper_square, build_r, build_rx,
+                             build_u, build_w)
 from rjpascal.ring import A, ONE, IntPoly, RingElem, X, _a_pow_cached, a_pow
-from rjpascal.spectral import _eigen_sides, _inverse_r, _power_setup, involution_scale
+from rjpascal.spectral import _checked_w, _eigen_failures, _inverse_r, involution_scale
 
 ONE_AT_1 = IntPoly.const(1)
 
@@ -54,6 +54,11 @@ def w_entry_by_formula(n, i, j):
 
 def by_formula(entry, n):
     return RingMatrix([[entry(n, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)])
+
+
+def column(m, j):
+    """Column j (1-based) of the matrix m as a tuple."""
+    return tuple(row[j - 1] for row in m.rows)
 
 
 def evaluated(m, x_value):
@@ -132,7 +137,7 @@ class TestBuildU:
         assert build_u(1) == RingMatrix([[RingElem(1)]])
 
     def test_n2_first_column(self):
-        col = build_u(2, 1).column(1)
+        col = column(build_u(2, 1), 1)
         assert col == (
             RingElem(1, 0, ONE_AT_1),
             RingElem(1, -1, ONE_AT_1),  # 1 - a
@@ -140,7 +145,7 @@ class TestBuildU:
 
     def test_n2_second_column(self):
         # oracle-verified: the second eigenvector is (1, a)
-        col = build_u(2, 1).column(2)
+        col = column(build_u(2, 1), 2)
         assert col == (
             RingElem(1, 0, ONE_AT_1),
             RingElem(0, 1, ONE_AT_1),
@@ -305,7 +310,7 @@ class TestMatrixAlgebra:
         with pytest.raises(ValueError):
             w1 @ build_w(2, 2)
         with pytest.raises(ValueError):
-            w.mul_vector(w1.column(1))
+            w.mul_vector(column(w1, 1))
         with pytest.raises(ValueError):
             w1.mul_vector((RingElem(1, 0, ONE_AT_1), A))
 
@@ -354,8 +359,17 @@ def dot_by_definition(row, col):
 
 def product_by_definition(a, b):
     """a @ b entry by entry with dot_by_definition."""
-    cols = [b.column(j) for j in range(1, b.n + 1)]
+    cols = [column(b, j) for j in range(1, b.n + 1)]
     return RingMatrix([[dot_by_definition(row, col) for col in cols] for row in a.rows])
+
+
+def scaled_at_bound(m, factors):
+    """pascal._scaled on m and the factors, packed by _packing with the bound
+    N(M) N(f) of M diag(f), its rows read back as a RingMatrix."""
+    x, unwrap, wrap = _packing(m.x_image, lambda: _norm(m.rows) * _norm((factors,)))
+    fs = [(unwrap(f.c0), unwrap(f.c1)) for f in factors]
+    return RingMatrix([[RingElem(wrap(c0), wrap(c1), m.x_image) for c0, c1 in zip(c0s, c1s)]
+                       for c0s, c1s, _ in _scaled(_coefficients(m.rows, unwrap), fs, x)])
 
 
 def upper_square_at_bound(m, factors):
@@ -398,7 +412,7 @@ class TestProductKernel:
     def test_near_bound_operands(self, n, entry):
         m = RingMatrix([[entry] * n] * n)
         assert m @ m == product_by_definition(m, m)
-        v = m.column(1)
+        v = column(m, 1)
         assert m.mul_vector(v) == tuple(dot_by_definition(row, v) for row in m.rows)
 
     @pytest.mark.parametrize("n", range(1, 11))
@@ -406,7 +420,7 @@ class TestProductKernel:
         w, r, u = build_w(n), build_rx(n), build_u(n)
         assert w @ w == product_by_definition(w, w)
         for p in range(1, n + 1):
-            v = u.column(p)
+            v = column(u, p)
             assert r.mul_vector(v) == tuple(dot_by_definition(row, v) for row in r.rows)
 
     @settings(max_examples=150, deadline=None)
@@ -414,7 +428,7 @@ class TestProductKernel:
     def test_scale_columns_matches_definition(self, ops):
         a, _, f = ops
         want = RingMatrix([[e * c for e, c in zip(row, f)] for row in a.rows])
-        assert a.scale_columns(f) == want
+        assert scaled_at_bound(a, f) == want
 
     @settings(max_examples=150, deadline=None)
     @given(operands())
@@ -462,7 +476,7 @@ class TestProductKernel:
     def test_near_bound_scaling(self, entry):
         m = RingMatrix([[entry] * 2] * 2)
         want = entry * entry
-        assert m.scale_columns([entry, entry]) == RingMatrix([[want] * 2] * 2)
+        assert scaled_at_bound(m, [entry, entry]) == RingMatrix([[want] * 2] * 2)
 
     def test_symbolic_scaling_multiplies_no_polynomials(self, monkeypatch):
         factors = [-a_pow(8 - j) if j % 2 else a_pow(8 - j) for j in range(1, 9)]
@@ -473,14 +487,7 @@ class TestProductKernel:
 
         monkeypatch.setattr(IntPoly, "__mul__", refuse)
         monkeypatch.setattr(IntPoly, "__rmul__", refuse)
-        assert u.scale_columns(factors) == want
-
-    def test_scaling_checks_ring_and_length(self):
-        w = build_w(2)
-        with pytest.raises(ValueError):
-            w.scale_columns([ONE])
-        with pytest.raises(ValueError):
-            w.scale_columns([ONE, A.specialize(1)])
+        assert scaled_at_bound(u, factors) == want
 
     def test_symbolic_product_multiplies_no_polynomials(self, monkeypatch):
         w = build_w(8)
@@ -506,13 +513,12 @@ class TestProductKernel:
         with pytest.raises(ValueError, match="x to map to X"):
             m @ m
         with pytest.raises(ValueError, match="x to map to X"):
-            m.mul_vector(m.column(1))
+            m.mul_vector(column(m, 1))
 
     @pytest.mark.parametrize("x_image", X_IMAGES, ids=str)
     def test_result_stays_in_the_ring(self, x_image):
         w = build_w(3, None if x_image == X else x_image.constant_value())
-        scaled = w.scale_columns(w.rows[0]).rows[0]
-        for e in (w @ w).rows[0] + w.mul_vector(w.column(1)) + scaled:
+        for e in (w @ w).rows[0] + w.mul_vector(column(w, 1)):
             assert e.x_image == x_image
             assert isinstance(e.c0, IntPoly) and isinstance(e.c1, IntPoly)
 
@@ -633,11 +639,6 @@ class TestDetAndInverse:
 
 
 class TestAccessAndValidation:
-    def test_one_based_column(self):
-        assert build_rx(2).column(2) == (RingElem(1), RingElem(X))
-        with pytest.raises(IndexError):
-            build_rx(2).column(3)
-
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             IntMatrix([[1, 2], [3]])
@@ -659,8 +660,8 @@ class TestSerialization:
 
 
 @pytest.mark.parametrize(
-    "cached", [build_r, build_rx, build_u, build_w, _a_pow_cached, _inverse_r, _eigen_sides,
-               _power_setup, _row_table],
+    "cached", [build_r, build_rx, build_u, build_w, _a_pow_cached, _inverse_r, _eigen_failures,
+               _checked_w, _row_table],
     ids=lambda f: f.__name__,
 )
 def test_caches_are_bounded(cached):

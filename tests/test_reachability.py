@@ -29,6 +29,7 @@ ALLOWLIST = {
     "ring.RingElem.__repr__": "debugging display",
     "ring.IntPoly.__bool__": "without it every zero polynomial would be truthy",
     "ring.RingElem.__bool__": "without it every zero element would be truthy",
+    "ring.RingElem.__eq__": "value equality; tests and library callers compare elements",
     "binomial.IdentityCase.to_json": "runs only when an identity fails",
 }
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rjpascal import spectral
-from rjpascal.pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, build_r, build_rx,
+from rjpascal.pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, _norm, build_r, build_rx,
                              build_u, build_w)
 from rjpascal.ring import A, ONE, ExactDivisionError, IntPoly, RingElem, X, a_pow
 from rjpascal.spectral import (
@@ -17,7 +17,6 @@ from rjpascal.spectral import (
     _inverse_r,
     eigen_distinctness,
     eigenvalue,
-    eigenvalue_power,
     eigenvalues,
     eigenvalues_numeric,
     involution_scale,
@@ -34,6 +33,11 @@ ONE_AT_1 = IntPoly.const(1)
 def trace(m):
     """Sum of the diagonal entries of a matrix."""
     return sum(m.rows[i][i] for i in range(m.n))
+
+
+def column(m, j):
+    """Column j (1-based) of the matrix m as a tuple."""
+    return tuple(row[j - 1] for row in m.rows)
 
 
 def passed(rep):
@@ -106,13 +110,13 @@ class TestEigenvaluePower:
         for n in range(1, 6):
             for j in range(1, n + 1):
                 for m in range(0, 5):
-                    assert eigenvalue_power(n, j, m) == eigenvalue(n, j) ** m
+                    assert eigenvalue(n, j, m=m) == eigenvalue(n, j) ** m
 
     def test_negative_powers_invert(self):
         for n in range(1, 6):
             for j in range(1, n + 1):
                 for m in (1, 2, 3):
-                    prod = eigenvalue_power(n, j, -m) * eigenvalue(n, j) ** m
+                    prod = eigenvalue(n, j, m=-m) * eigenvalue(n, j) ** m
                     assert prod == ONE
 
 
@@ -130,8 +134,8 @@ class TestSpecializeCommutes:
         for n in range(1, 9):
             for j in range(1, n + 1):
                 for m in range(-3, 7):
-                    got = eigenvalue_power(n, j, m, IntPoly.const(c))
-                    assert got == eigenvalue_power(n, j, m).specialize(c)
+                    got = eigenvalue(n, j, IntPoly.const(c), m)
+                    assert got == eigenvalue(n, j, m=m).specialize(c)
 
     @pytest.mark.parametrize("c", range(-3, 4))
     def test_involution_scale(self, c):
@@ -152,12 +156,12 @@ class TestEigenPair:
     def test_components(self):
         # hand computation: R(x) (2, x, -2) = (-2, -x, 2) at n = 3
         assert eigenvalue(3, 2) == -ONE
-        assert build_u(3).column(2) == (RingElem(2), RingElem(X), RingElem(-2))
+        assert column(build_u(3), 2) == (RingElem(2), RingElem(X), RingElem(-2))
 
     def test_pair_satisfies_eigen_equation(self):
         for n in range(1, 6):
             for j in range(1, n + 1):
-                lam, vec = eigenvalue(n, j), build_u(n).column(j)
+                lam, vec = eigenvalue(n, j), column(build_u(n), j)
                 lhs = build_rx(n).mul_vector(vec)
                 assert lhs == tuple(lam * e for e in vec)
 
@@ -170,7 +174,7 @@ class TestVerifyEigenpair:
     def test_n2_hand_computation(self):
         # R (1, 1-a) = (1-a, 2-a) = (1-a) * (1, 1-a) at x = 1
         r = build_rx(2, 1)
-        col = build_u(2, 1).column(1)
+        col = column(build_u(2, 1), 1)
         lhs = r.mul_vector(col)
         assert lhs == (RingElem(1, -1, ONE_AT_1), RingElem(2, -1, ONE_AT_1))
         assert verify_eigenpair(2, 1)
@@ -191,6 +195,68 @@ class TestVerifyEigenpair:
     def test_index_validation(self):
         with pytest.raises(IndexError):
             verify_eigenpair(3, 4)
+
+
+class _Product:
+    """Stands in for R(x): its product with any matrix is RingMatrix(rows)."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __matmul__(self, other):
+        return RingMatrix(self.rows)
+
+
+def _crafted_lhs(monkeypatch, n, x, edit):
+    """Make the eigen check read U Lambda, with ``edit(rows, k)`` applied to
+    its rows (0-based), as R(x) U; k is the packing width that N(U) N(Lambda)
+    alone gives."""
+    u = build_u(n, x)
+    lams = eigenvalues(n, u.x_image)
+    rows = [[e * lam for e, lam in zip(row, lams)] for row in u.rows]
+    edit(rows, max(2, (_norm(u.rows) * _norm((lams,))).bit_length() + 1))
+    monkeypatch.setattr(spectral, "build_rx", lambda n_, x_: _Product(rows))
+
+
+class TestEigenFaults:
+    """_eigen_failures reports exactly the columns where R(x) U and U Lambda
+    differ (its cache is bypassed through __wrapped__)."""
+
+    @pytest.mark.parametrize("x", [1, None, -2], ids=["x=1", "symbolic", "x=-2"])
+    def test_one_entry_of_u_off_fails_its_column(self, monkeypatch, x):
+        # column j of R(x) U - U Lambda changes by (R(x) - lambda_j) e_i,
+        # which is not zero: no e_i is an eigenvector of R(x) for x != 0
+        n, failures = 4, spectral._eigen_failures.__wrapped__
+        assert failures(n, x) == frozenset()
+        for i in range(n):
+            for j in range(n):
+                rows = [list(row) for row in build_u(n, x).rows]
+                rows[i][j] = rows[i][j] + 1
+                monkeypatch.setattr(spectral, "build_u", lambda n_, x_: RingMatrix(rows))
+                assert failures(n, x) == {j + 1}, (i + 1, j + 1)
+
+    @pytest.mark.parametrize("x", [1, None], ids=["x=1", "symbolic"])
+    def test_crafted_product_equal_to_u_lambda_passes(self, monkeypatch, x):
+        _crafted_lhs(monkeypatch, 4, x, lambda rows, k: None)
+        assert spectral._eigen_failures.__wrapped__(4, x) == frozenset()
+
+    def test_fault_invisible_at_the_narrow_width_fails(self, monkeypatch):
+        # c0 + 2^k - x has the value of c0 at x = 2^k, the width of U Lambda
+        # alone; the bound also takes N(R(x) U), which widens the packing
+        def edit(rows, k):
+            rows[1][2] = rows[1][2] + IntPoly([2 ** k, -1])
+
+        _crafted_lhs(monkeypatch, 4, None, edit)
+        assert spectral._eigen_failures.__wrapped__(4, None) == {3}
+
+    @pytest.mark.parametrize("x", [1, None], ids=["x=1", "symbolic"])
+    def test_fault_in_c1_alone_fails(self, monkeypatch, x):
+        def edit(rows, k):
+            e = rows[3][1]
+            rows[3][1] = RingElem(e.c0, e.c1 + 1, e.x_image)
+
+        _crafted_lhs(monkeypatch, 4, x, edit)
+        assert spectral._eigen_failures.__wrapped__(4, x) == {2}
 
 
 class TestVerifyInvolution:
@@ -607,8 +673,8 @@ def _faulty_w(monkeypatch, edit):
     """Make the checks read W with ``edit(rows, n)`` applied to a copy of
     its rows (0-based, entries in W's ring).
 
-    The closed form keeps W per n (spectral._power_setup), so it gets a
-    fresh cache for the test: no W from before the patch answers for it,
+    The checks keep W per (n, x) (spectral._checked_w), so they get a
+    fresh cache for the test: no W from before the patch answers for them,
     and none from during it outlives it."""
     def faulty(n, x):
         rows = [list(row) for row in build_w(n, x).rows]
@@ -616,8 +682,8 @@ def _faulty_w(monkeypatch, edit):
         return RingMatrix(rows)
 
     monkeypatch.setattr(spectral, "build_w", faulty)
-    monkeypatch.setattr(spectral, "_power_setup", lru_cache(maxsize=BUILD_CACHE_SIZE)(
-        spectral._power_setup.__wrapped__))
+    monkeypatch.setattr(spectral, "_checked_w", lru_cache(maxsize=BUILD_CACHE_SIZE)(
+        spectral._checked_w.__wrapped__))
 
 
 def _add(i, j, c):
@@ -768,6 +834,22 @@ class TestPowerFaults:
         _faulty_w(monkeypatch, edit)
         with pytest.raises(ValueError, match="b_i W_ij = b_j W_ji"):
             matrix_power_closed_form(5, 2)
+
+    def test_w_is_checked_once_for_involution_and_powers(self, monkeypatch):
+        # verify --check all at x = 1 reads one checked, packed W
+        calls, check = [], spectral._binomially_symmetric
+
+        def counted(w):
+            calls.append(w.n)
+            return check(w)
+
+        monkeypatch.setattr(spectral, "_checked_w", lru_cache(maxsize=BUILD_CACHE_SIZE)(
+            spectral._checked_w.__wrapped__))
+        monkeypatch.setattr(spectral, "_binomially_symmetric", counted)
+        assert verify_involution(5, x=1)
+        for m in (-3, 0, 6):
+            assert matrix_power_closed_form(5, m) == matrix_power_oracle(5, m)
+        assert calls == [5]
 
     def test_patch_leaves_no_faulty_w_behind(self, monkeypatch):
         _faulty_w(monkeypatch, _doubled)
