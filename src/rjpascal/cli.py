@@ -119,13 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    x_flag = dict(type=_parse_x, default=1, metavar="{1|<int>|symbolic}",
+                  help="coefficient specialization (default 1)")
+
     def add_matrix_cmd(name, help_text, formats):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--n", type=_parse_dim, required=True, help="matrix dimension")
-        p.add_argument(
-            "--x", type=_parse_x, default=1, metavar="{1|<int>|symbolic}",
-            help="coefficient specialization (default 1)",
-        )
+        p.add_argument("--x", **x_flag)
         p.add_argument("--format", choices=formats, default="pretty")
         return p
 
@@ -137,10 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run verifications, report pass/fail")
     pv.add_argument("--n", type=_parse_dim, required=True)
     pv.add_argument("--check", choices=VERIFY_CHECKS, default="all")
-    pv.add_argument(
-        "--x", type=_parse_x, default=1, metavar="{1|<int>|symbolic}",
-        help="coefficient specialization (default 1)",
-    )
+    pv.add_argument("--x", **x_flag)
     pv.add_argument("--m", type=int, default=None,
                     help="single exponent for the power check (default -3..6)")
     pv.add_argument("--tol", type=_parse_tol, default=spectral.DEFAULT_TOL,
@@ -180,31 +177,6 @@ _encode_str = json.encoder.encode_basestring_ascii
 _int_repr = int.__repr__
 
 
-def _json_scalar(o) -> str | None:
-    """``json.dumps(o)`` for a scalar, None for a list, tuple or dict."""
-    if isinstance(o, str):
-        return _encode_str(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return _int_repr(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == math.inf:
-            return "Infinity"
-        if o == -math.inf:
-            return "-Infinity"
-        return float.__repr__(o)
-    if isinstance(o, (list, tuple, dict)):
-        return None
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
 def _emit_json(obj) -> None:
     """Print ``json.dumps(obj, indent=2)`` in one pass over obj, written in
     batches of _EMIT_BATCH pieces so the document is never held whole.
@@ -214,8 +186,9 @@ def _emit_json(obj) -> None:
     json's own indented encoder is pure Python (its C encoder runs only
     without indent) and yields through one generator per nesting level;
     this walker appends each piece, indentation included, to one list.
-    str and int values, nearly all of the identity reports, are encoded
-    in the loops rather than through _json_scalar."""
+    It encodes str and int values, nearly all of the identity reports,
+    itself, walks dicts, lists and tuples (subclasses too, as json.dumps
+    does), and writes every other value with json.dumps."""
     write = sys.stdout.write
     parts = []
     append = parts.append
@@ -236,10 +209,10 @@ def _emit_json(obj) -> None:
                     append(key + _encode_str(v))
                 elif t is int:
                     append(key + _int_repr(v))
-                elif t is dict or t is list or (text := _json_scalar(v)) is None:
+                elif isinstance(v, (dict, list, tuple)):
                     walk(v, inner, key)
                 else:
-                    append(key + text)
+                    append(key + json.dumps(v))
                 sep = rest
             append(nl + "}")
         else:
@@ -253,21 +226,20 @@ def _emit_json(obj) -> None:
                     append(sep + _encode_str(v))
                 elif t is int:
                     append(sep + _int_repr(v))
-                elif t is dict or t is list or (text := _json_scalar(v)) is None:
+                elif isinstance(v, (dict, list, tuple)):
                     walk(v, inner, sep)
                 else:
-                    append(sep + text)
+                    append(sep + json.dumps(v))
                 sep = rest
             append(nl + "]")
         if len(parts) >= _EMIT_BATCH:
             write("".join(parts))
             parts.clear()
 
-    text = _json_scalar(obj)
-    if text is None:
+    if isinstance(obj, (dict, list, tuple)):
         walk(obj, "\n", "")
     else:
-        append(text)
+        append(json.dumps(obj))
     append("\n")
     write("".join(parts))
 
@@ -301,7 +273,7 @@ def _cmd_eigen(args) -> int:
     x_image = X if args.x is None else IntPoly.const(args.x)
     lams = spectral.eigenvalues(args.n, x_image)
     try:
-        gap = None if args.x is None else spectral.eigen_distinctness(args.n, args.x)
+        gap = None if args.x is None else spectral.eigen_distinctness(lams)
     except OverflowError:
         return _usage_error(_double_range_error("the numeric eigenvalue gap", args.n, args.x))
     if args.format == "json":

@@ -11,7 +11,8 @@ directly in the target ring: over Z[x], or at an integer x.
 Matrices are immutable after construction and all public index
 contracts are 1-based to match the entry formulas.  The ring kernels
 here run on bare ints: each element is packed as the ints of its parts
-c0 and c1, and one ring product (_times) reduces with a^2 = x a + 1.
+c0 and c1, and the one ring product (_times, from ring) reduces with
+a^2 = x a + 1.
 Products of ring matrices share one dot-product kernel (_dot): each entry
 is three sums of plain int products, p0 q0, p1 q1 and (p0 + p1)(q0 + q1)
 (Karatsuba), reduced once per entry rather than once per term.  Column
@@ -32,7 +33,7 @@ from operator import add, matmul, mul
 from typing import Iterable, Sequence
 
 from .binomial import binom
-from .ring import A, ONE, ZERO, IntPoly, RingElem, X, check_same_ring, power
+from .ring import A, ONE, ZERO, IntPoly, RingElem, X, _times, check_same_ring, power
 
 #: Dimensions kept by each builder's cache.
 BUILD_CACHE_SIZE = 64
@@ -261,13 +262,6 @@ def _packing(x_image: IntPoly, bound):
     k = max(2, bound().bit_length() + 1)
     x = 1 << k
     return x, (lambda c: c(x)), (lambda v: _digits(v, k))
-
-
-def _times(p, q, x: int):
-    """(p0 + p1 a)(q0 + q1 a) on the packed pairs p and q, as a^2 = x a + 1."""
-    (p0, p1), (q0, q1) = p, q
-    t = p1 * q1
-    return p0 * q0 + t, p0 * q1 + p1 * q0 + x * t
 
 
 def _scaled(packed, factors, x: int) -> list[tuple]:

@@ -39,6 +39,14 @@ def power(base, e: int, one, mul):
     return out
 
 
+def _times(p, q, x):
+    """(p0 + p1 a)(q0 + q1 a) on the pairs p and q, as a^2 = x a + 1: the one
+    ring product, on IntPoly parts (RingElem) or packed ints (pascal)."""
+    (p0, p1), (q0, q1) = p, q
+    t = p1 * q1
+    return p0 * q0 + t, p0 * q1 + p1 * q0 + x * t
+
+
 def check_same_ring(x_image: IntPoly, other: IntPoly) -> None:
     """ValueError unless two operands map x to the same image."""
     if other != x_image:
@@ -229,14 +237,8 @@ class RingElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        p0, p1, q0, q1 = self.c0, self.c1, other.c0, other.c1
-        cross = p1 * q1
-        # (p0 + p1 a)(q0 + q1 a) with a^2 -> a*x + 1
-        return RingElem(
-            p0 * q0 + cross,
-            p0 * q1 + p1 * q0 + self.x_image * cross,
-            self.x_image,
-        )
+        c0, c1 = _times((self.c0, self.c1), (other.c0, other.c1), self.x_image)
+        return RingElem(c0, c1, self.x_image)
 
     __rmul__ = __mul__
 
@@ -354,14 +356,8 @@ A_POW_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=A_POW_CACHE_SIZE)
-def _a_pow_cached(e: int, x_image: IntPoly) -> RingElem:
-    if e >= 0:
-        base = RingElem(0, 1, x_image)
-    else:
-        # a^-1 = a - x, since a*(a - x) = 1
-        base = RingElem(-x_image, 1, x_image)
-    return base ** abs(e)
-
 def a_pow(e: int, x_image: IntPoly = X) -> RingElem:
-    """a^e for any integer e; negative powers via a^-1 = a - x."""
-    return _a_pow_cached(e, x_image)
+    """a^e for any integer e; negative powers via a^-1 = a - x, since
+    a*(a - x) = 1."""
+    base = RingElem(0, 1, x_image) if e >= 0 else RingElem(-x_image, 1, x_image)
+    return base ** abs(e)

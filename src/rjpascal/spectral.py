@@ -281,11 +281,12 @@ def eigenvalues_numeric(n: int, x: int = 1) -> list[float]:
     return [float(lam) for lam in eigenvalues(n, IntPoly.const(x))]
 
 
-def eigen_distinctness(n: int, x: int = 1) -> float:
-    """Minimum pairwise eigenvalue gap; +inf when n = 1.  The closest pair is
-    adjacent once sorted, and rounding is monotone (fl(c - a) >= fl(b - a) for
+def eigen_distinctness(lams: list[RingElem]) -> float:
+    """Minimum pairwise gap of the exact eigenvalues ``lams`` at an integer x,
+    each rounded once; +inf for one eigenvalue.  The closest pair is adjacent
+    once sorted, and rounding is monotone (fl(c - a) >= fl(b - a) for
     a <= b <= c), so the gaps between neighbours give the same float."""
-    lams = sorted(eigenvalues_numeric(n, x))
+    lams = sorted(map(float, lams))
     return min(map(sub, lams[1:], lams), default=math.inf)
 
 

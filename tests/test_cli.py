@@ -1,13 +1,16 @@
 """CLI tests: flag surface, output formats, exit codes."""
 import contextlib
+import decimal
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +127,21 @@ class TestEigen:
         assert code == 0
         assert "lambda_1 = 1 - a" in out
         assert "lambda_2 = a" in out
+
+    def test_gap_rounds_the_printed_eigenvalues(self, capsys, monkeypatch):
+        # the numeric gap comes from the exact eigenvalues already computed
+        calls = []
+        exact = spectral.eigenvalues
+
+        def counted(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(spectral, "eigenvalues", counted)
+        code, out, _ = run(capsys, "eigen", "--n", "6", "--x", "2", "--format", "json")
+        assert code == 0
+        assert "min_gap" in json.loads(out)
+        assert len(calls) == 1
 
 
 class TestVerify:
@@ -552,6 +570,19 @@ def json_values(depth: int = 4):
     return values
 
 
+class Pair(NamedTuple):
+    left: object
+    right: object
+
+
+class Row(list):
+    pass
+
+
+#: The scalars that _emit_json leaves to json.dumps.
+RARE = [True, False, None, 1.5, -0.0, math.nan, math.inf, -math.inf]
+
+
 class TestEmitJson:
     """_emit_json prints json.dumps(obj, indent=2), written in batches."""
 
@@ -561,6 +592,13 @@ class TestEmitJson:
         "empty-list": [],
         "scalar": 42,
         "string": "a \"quoted\" \u00e9",
+        # json.dumps indents every list, tuple and dict subclass; a dispatch
+        # on the exact type would write these on one line
+        "namedtuple": Pair(RARE, {"z": Pair(-math.inf, None)}),
+        "ordereddict": OrderedDict([("b", RARE), ("a", OrderedDict(c=Row(RARE)))]),
+        "list-subclass": Row([Pair(True, 1.5), OrderedDict(n=math.nan), Row([False])]),
+        "nested": {"t": Pair(Row(RARE), OrderedDict(x=-0.0)), "l": [Row([]), Pair((), {})]},
+        **{f"top-level-{v!r}": v for v in RARE},
     }
 
     @pytest.mark.parametrize("obj", OBJECTS.values(), ids=OBJECTS.keys())
@@ -577,8 +615,9 @@ class TestEmitJson:
         assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
 
     @pytest.mark.parametrize("obj", [{1, 2}, [0, {"a": {3}}], {1: 2}, {"a": {(1, 2): 3}},
-                                     [object()]],
-                             ids=["set", "nested-set", "int-key", "tuple-key", "object"])
+                                     [object()], [1j], [b"x"], {"a": decimal.Decimal(1)}],
+                             ids=["set", "nested-set", "int-key", "tuple-key", "object",
+                                  "complex", "bytes", "decimal"])
     def test_rejects_what_dumps_rejects_and_non_str_keys(self, obj):
         with pytest.raises(TypeError):
             cli._emit_json(obj)

@@ -13,7 +13,7 @@ from rjpascal.binomial import _row_table
 from rjpascal.pascal import (_E, _F, _Q, IntMatrix, RingMatrix, _coefficients, _norm, _packing,
                              _scaled, _symmetric_power, _upper_square, build_r, build_rx,
                              build_u, build_w)
-from rjpascal.ring import A, ONE, IntPoly, RingElem, X, _a_pow_cached, a_pow
+from rjpascal.ring import A, ONE, IntPoly, RingElem, X, a_pow
 from rjpascal.spectral import _checked_w, _eigen_failures, _inverse_r, involution_scale
 
 ONE_AT_1 = IntPoly.const(1)
@@ -660,7 +660,7 @@ class TestSerialization:
 
 
 @pytest.mark.parametrize(
-    "cached", [build_r, build_rx, build_u, build_w, _a_pow_cached, _inverse_r, _eigen_failures,
+    "cached", [build_r, build_rx, build_u, build_w, a_pow, _inverse_r, _eigen_failures,
                _checked_w, _row_table],
     ids=lambda f: f.__name__,
 )

@@ -514,13 +514,14 @@ class TestNumericChecks:
 
     def test_distinctness_n2(self):
         # |a - (1 - a)| = sqrt(5)
-        assert eigen_distinctness(2, 1) == pytest.approx(math.sqrt(5), abs=1e-15)
+        gap = eigen_distinctness(eigenvalues(2, ONE_AT_1))
+        assert gap == pytest.approx(math.sqrt(5), abs=1e-15)
 
     def test_distinctness_n1(self):
-        assert eigen_distinctness(1, 1) == math.inf
+        assert eigen_distinctness(eigenvalues(1, ONE_AT_1)) == math.inf
 
     def test_distinctness_n8(self):
-        assert eigen_distinctness(8, 1) > 0
+        assert eigen_distinctness(eigenvalues(8, ONE_AT_1)) > 0
 
     @pytest.mark.parametrize("x", range(-3, 4))
     def test_distinctness_is_the_all_pairs_minimum(self, x):
@@ -528,7 +529,7 @@ class TestNumericChecks:
             lams = eigenvalues_numeric(n, x)
             want = min((abs(lams[i] - lams[j]) for i in range(n) for j in range(i + 1, n)),
                        default=math.inf)
-            assert eigen_distinctness(n, x) == want
+            assert eigen_distinctness(eigenvalues(n, IntPoly.const(x))) == want
 
     def test_eigenvalues_numeric_match_exact(self):
         for n in range(1, 9):
