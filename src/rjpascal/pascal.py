@@ -19,6 +19,9 @@ is three sums of plain int products, p0 q0, p1 q1 and (p0 + p1)(q0 + q1)
 scaling, M diag(f), is written once (_scaled).  ``_upper_square`` takes
 packed rows and factor pairs and returns the pairs (c0, c1) of the entries
 of M diag(f) M on and above the diagonal; its callers pack and read back.
+``_lower_pascal`` applies the lower Pascal matrix L(t), R(x) = L(x) J, by
+its recurrence, n(n-1)/2 products by t and sums, to ints that may pack
+whole rows (_pack).
 Over Z[x] the ints are the values at x = 2^k (Kronecker substitution,
 von zur Gathen & Gerhard, Modern Computer Algebra, 3rd ed., 2013,
 section 8.4), with k bounded by one norm N, the same for every kernel
@@ -29,6 +32,7 @@ integer determinant and the unimodular inverse.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 from operator import add, matmul, mul
 from typing import Iterable, Sequence
 
@@ -176,6 +180,7 @@ class RingMatrix(_SquareMatrix):
                     raise ValueError("entries mix different x images")
         self.x_image = x_image
 
+    # No command calls this; perfbench/tracer.py wraps it (ROADMAP item 1).
     def __matmul__(self, other: RingMatrix) -> RingMatrix:
         if not isinstance(other, RingMatrix):
             return NotImplemented
@@ -184,7 +189,6 @@ class RingMatrix(_SquareMatrix):
         check_same_ring(self.x_image, other.x_image)
         return RingMatrix(_dot_products(self.rows, tuple(zip(*other.rows)), self.x_image))
 
-    # No command calls this; perfbench/tracer.py wraps it (ROADMAP item 1).
     def mul_vector(self, vec: Sequence[RingElem]) -> tuple[RingElem, ...]:
         if len(vec) != self.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {len(vec)}")
@@ -229,6 +233,17 @@ def _digits(v: int, k: int) -> IntPoly:
         out.append(d)
         v = (v - d) >> k
     return IntPoly(out)
+
+
+def _pack(values: Sequence[int], k: int) -> int:
+    """sum_j values[j] 2^(k j), neighbours paired level by level, in
+    O(n k log n) rather than Horner's O(n^2 k).  If every value lies in
+    [-2^(k-1), 2^(k-1)), they are its balanced base-2^k digits (_digits)."""
+    values = list(values)
+    while len(values) > 1:
+        values = [lo + (hi << k) for lo, hi in zip_longest(values[::2], values[1::2], fillvalue=0)]
+        k *= 2
+    return values[0]
 
 
 def _packing(x_image: IntPoly, bound):
@@ -296,6 +311,22 @@ def _upper_square(packed, factors, x: int) -> list[list[tuple[int, int]]]:
     p0s, p1s, pss = zip(*packed)
     cols = list(zip(zip(*p0s), zip(*p1s), zip(*pss)))
     return [[_dot(p, q, x) for q in cols[i:]] for i, p in enumerate(_scaled(packed, factors, x))]
+
+
+def _lower_pascal(v: Sequence[int], t: int) -> list[int]:
+    """L(t) v for the lower Pascal matrix L(t)_ik = C(i-1, k-1) t^(i-k):
+    entry i is entry 1 of (t + E)^(i-1) v, E the shift (E v)_l = v_(l+1).
+    Each of the n(n-1)/2 steps T_l <- t T_l + T_(l+1) is one product by t
+    and one sum, on ints of any kind: single entries, or rows packed whole.
+    At t = 2^h, as over Z[x], the product is a shift, which is cheaper."""
+    v = list(v)
+    out = v[:1]
+    h = t.bit_length() - 1 if t > 0 and not t & (t - 1) else None
+    for s in range(len(v) - 1, 0, -1):
+        for l in range(s):
+            v[l] = (t * v[l] if h is None else v[l] << h) + v[l + 1]
+        out.append(v[0])
+    return out
 
 
 def _dot(p, q, x: int) -> tuple[int, int]:

@@ -3,8 +3,13 @@
 The eigenvalue attached to column j of an n-dimensional family member is
 (-1)^(n+j) a^(2j-n-1), an exact unit of the coefficient ring.  The eigen
 check is one matrix identity per (n, x), R(x) U = U Lambda with
-Lambda = diag(lambda_1..lambda_n): both sides are computed and packed once
-at one width, and eigenpair p compares their columns p as pairs of ints.
+Lambda = diag(lambda_1..lambda_n).  R(x) = L(x) J, L(x) the lower Pascal
+matrix and J the reversal, so R(x) U comes from the Pascal recurrence on
+the rows of J U, each packed whole into one int: n(n-1)/2 steps of one
+product by x (a shift over Z[x], at x = 2^h as for the involution) and
+one sum.  Row i is compared with row i of U Lambda as one int, and only a
+row that differs is unpacked, to name its failing columns.  build_rx's
+R(x) is checked against L(x) J on U's first column, whose entries are units.
 
 W = -S(F) and U = S(E) with F = E diag(a, -1), and S is multiplicative
 (pascal), so W is U with columns scaled by units: the exact involution
@@ -44,8 +49,9 @@ from functools import lru_cache
 from operator import mul, sub
 from typing import NamedTuple
 
-from .pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, _coefficients, _norm, _packing,
-                     _scaled, _upper_square, build_r, build_rx, build_u, build_w)
+from .pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, _coefficients, _digits,
+                     _lower_pascal, _norm, _pack, _packing, _scaled, _upper_square, build_r,
+                     build_rx, build_u, build_w)
 from .ring import X, ExactDivisionError, IntPoly, RingElem, a_pow
 
 #: Default tolerance on a relative residual: 64 u, u = 2^-53.  An entry of
@@ -109,20 +115,58 @@ def verify_eigenpair(n: int, p: int, x: int | None = 1) -> bool:
 def _eigen_failures(n: int, x: int | None) -> frozenset[int]:
     """The columns p (1-based) where R(x) U and U Lambda differ,
     Lambda = diag(lambda_1..lambda_n), found once per (n, x) for all n
-    eigenpairs.  Both sides are packed at one width and compared as pairs
-    of ints (c0, c1); none is unpacked."""
+    eigenpairs.  R(x) U is L(x) J U, formed by the Pascal recurrence on
+    the rows of J U (pascal._lower_pascal) at the int t: x, or 2^h over
+    Z[x].  Each row's c0 and c1 values at t are packed whole into one int,
+    so a step is one product by t and one sum, and row i is compared with
+    the packed row i of U Lambda.  Every eigenpair fails unless build_rx's
+    R(x) maps u_1 as L(x) J does (_rx_maps_u1)."""
+    # R(x) = L(x) J, J the reversal: (L J)_ij = L_i,n+1-j = C(i-1, n-j) x^(i+j-n-1).
     u = build_u(n, x)
+    if not _rx_maps_u1(n, x, [row[0] for row in u.rows]):
+        return frozenset(range(1, n + 1))
     lams = eigenvalues(n, u.x_image)
-    lhs = (build_rx(n, x) @ u).rows
-    # Every coefficient of R(x) U is at most N(R(x) U), and of U Lambda at
-    # most N(U) N(Lambda) (pascal._packing), so below 2^(k-1) on both sides:
-    # the packing is injective on both, and equal pairs mean equal entries.
-    t, unwrap, _ = _packing(u.x_image, lambda: max(_norm(lhs), _norm(u.rows) * _norm((lams,))))
-    rhs = _scaled(_coefficients(u.rows, unwrap), [(unwrap(f.c0), unwrap(f.c1)) for f in lams], t)
-    left = _coefficients(lhs, unwrap)
-    return frozenset(p + 1 for p in range(n)
-                     if any((l0[p], l1[p]) != (r0[p], r1[p])
-                            for (l0, l1, _), (r0, r1, _) in zip(left, rhs)))
+    failures, t = set(), x
+    if x is None:
+        # Under sigma (verify_involution) U_ij has parity i - 1 and lambda_j
+        # parity n + 1, checked per column, not assumed.  Then entry (i, j) of
+        # L(x) J U is sum_k C(i-1, k-1) x^(i-k) U_(n+1-k)j, each term of parity
+        # i - k + n - k = i + n (mod 2), as is U_ij lambda_j: the difference is
+        # homogeneous.  N(x) = 1 and sum_k C(i-1, k-1) = 2^(i-1), so its
+        # coefficients are at most 2^(n-1) N(U) + N(U) N(Lambda) (pascal._packing),
+        # and it is zero iff its value at 2^h is (_half_width).
+        failures = {j + 1 for j, lam in enumerate(lams)
+                    if not _homogeneous(lam, (n + 1) % 2)
+                    or not all(_homogeneous(row[j], i % 2) for i, row in enumerate(u.rows))}
+        t = 1 << _half_width(((1 << n - 1) + _norm((lams,))) * _norm(u.rows))
+    packed = _coefficients(u.rows, lambda c: c(t))
+    rhs = _scaled(packed, [(f.c0(t), f.c1(t)) for f in lams], t)
+    # Slot width: entry i of L(t) v is at most (|t| + 1)^(i-1) max|v|, so each
+    # slot of a difference of packed rows lies below 2^(width-1), and the rows
+    # are equal iff the ints are; the balanced digits of the difference
+    # (pascal._digits) are its slots, c0 in 0..n-1 and c1 in n..2n-1.
+    width = ((abs(t) + 1) ** (n - 1) * max(abs(c) for p0, p1, _ in packed for c in p0 + p1)
+             + max(abs(c) for r0, r1, _ in rhs for c in r0 + r1)).bit_length() + 1
+    lhs = _lower_pascal([_pack((*p0, *p1), width) for p0, p1, _ in reversed(packed)], t)
+    for left, (r0, r1, _) in zip(lhs, rhs):
+        if left != (right := _pack((*r0, *r1), width)):
+            failures.update(k % n + 1 for k, d in enumerate(_digits(left - right, width).coeffs)
+                            if d)
+    return frozenset(failures)
+
+
+def _rx_maps_u1(n: int, x: int | None, u1: list[RingElem]) -> bool:
+    """Whether build_rx(n, x) u_1 = L(x) J u_1, so that the eigen check
+    tests the matrix that show-r prints.  Entry i of U's column u_1 is
+    (-1)^(i-1) a^(1-i), a unit, so a fault in any one entry of a row of the
+    built R(x) changes that row's product; faults in two or more entries
+    of a row can cancel.  Both sides are compared at the Kronecker point
+    of their difference (pascal._packing), so no parity is needed: a fault
+    in U's column 1 fails that column alone."""
+    y = build_rx(n, x).mul_vector(u1)
+    t, unwrap, _ = _packing(u1[0].x_image, lambda: _norm((y,)) + (1 << n - 1) * _norm((u1,)))
+    (y0, y1, _), (v0, v1, _) = _coefficients((y, u1[::-1]), unwrap)
+    return y0 == _lower_pascal(v0, t) and y1 == _lower_pascal(v1, t)
 
 
 def involution_scale(n: int, x_image: IntPoly = X) -> RingElem:

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from rjpascal import pascal
 from rjpascal.binomial import _row_table
-from rjpascal.pascal import (_E, _F, _Q, IntMatrix, RingMatrix, _coefficients, _norm, _packing,
-                             _scaled, _symmetric_power, _upper_square, build_r, build_rx,
-                             build_u, build_w)
+from rjpascal.pascal import (_E, _F, _Q, IntMatrix, RingMatrix, _coefficients, _digits,
+                             _lower_pascal, _norm, _pack, _packing, _scaled, _symmetric_power,
+                             _upper_square, build_r, build_rx, build_u, build_w)
 from rjpascal.ring import A, ONE, IntPoly, RingElem, X, a_pow
 from rjpascal.spectral import _checked_w, _eigen_failures, _inverse_r, involution_scale
 
@@ -521,6 +521,36 @@ class TestProductKernel:
         for e in (w @ w).rows[0] + w.mul_vector(column(w, 1)):
             assert e.x_image == x_image
             assert isinstance(e.c0, IntPoly) and isinstance(e.c1, IntPoly)
+
+
+class TestPascalRecurrence:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1, max_size=9),
+           st.one_of(st.integers(-9, 9), st.sampled_from([2 ** 30, 2 ** 67, 3 * 2 ** 40])))
+    def test_lower_pascal_is_l_of_t(self, v, t):
+        # powers of two take the shift, every other t the product
+        assert _lower_pascal(v, t) == [
+            sum(math.comb(i, k) * t ** (i - k) * v[k] for k in range(i + 1))
+            for i in range(len(v))]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_rx_is_lower_pascal_times_reversal(self, n):
+        # (L(x) J)_ij = L(x)_i,n+1-j, with L(x)_ik = C(i-1, k-1) x^(i-k)
+        for x in (-2, 0, 1, 3):
+            rows = build_rx(n, x).to_int_matrix().rows
+            for j in range(n):
+                e_j = [int(k == n - 1 - j) for k in range(n)]
+                assert _lower_pascal(e_j, x) == [row[j] for row in rows], (x, j + 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 80).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.integers(-2 ** (k - 1), 2 ** (k - 1) - 1), min_size=1,
+                             max_size=11))))
+    def test_pack_inverts_digits(self, case):
+        k, values = case
+        v = _pack(values, k)
+        assert v == sum(c << k * j for j, c in enumerate(values))
+        assert list(_digits(v, k).coeffs) == list(IntPoly(values).coeffs)
 
 
 def det_by_cofactor_expansion(rows):

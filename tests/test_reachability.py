@@ -22,7 +22,7 @@ PACKAGE = Path(rjpascal.__file__).resolve().parent
 
 #: Definitions no command reaches, each with the reason it stays.
 ALLOWLIST = {
-    "pascal.RingMatrix.mul_vector": "perfbench/tracer.py wraps it as pascal.ring_matmul",
+    "pascal.RingMatrix.__matmul__": "perfbench/tracer.py wraps it as pascal.ring_matmul",
     "pascal.IntMatrix.__repr__": "debugging display",
     "pascal.RingMatrix.__repr__": "debugging display",
     "ring.IntPoly.__repr__": "debugging display",

@@ -197,30 +197,24 @@ class TestVerifyEigenpair:
             verify_eigenpair(3, 4)
 
 
-class _Product:
-    """Stands in for R(x): its product with any matrix is RingMatrix(rows)."""
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def __matmul__(self, other):
-        return RingMatrix(self.rows)
+def _patched(monkeypatch, name, n, x, edit):
+    """Make the eigen check read build_u or build_rx (``name``) at (n, x)
+    with ``edit(rows)`` applied to a copy of its rows (0-based)."""
+    rows = [list(row) for row in getattr(spectral, name)(n, x).rows]
+    edit(rows)
+    monkeypatch.setattr(spectral, name, lambda n_, x_: RingMatrix(rows))
 
 
-def _crafted_lhs(monkeypatch, n, x, edit):
-    """Make the eigen check read U Lambda, with ``edit(rows, k)`` applied to
-    its rows (0-based), as R(x) U; k is the packing width that N(U) N(Lambda)
-    alone gives."""
-    u = build_u(n, x)
-    lams = eigenvalues(n, u.x_image)
-    rows = [[e * lam for e, lam in zip(row, lams)] for row in u.rows]
-    edit(rows, max(2, (_norm(u.rows) * _norm((lams,))).bit_length() + 1))
-    monkeypatch.setattr(spectral, "build_rx", lambda n_, x_: _Product(rows))
+def _eigen_bound(n, rows, lams):
+    """2^(n-1) N(U) + N(U) N(Lambda), the bound whose half width the eigen
+    check packs at over Z[x]."""
+    return ((1 << n - 1) + _norm((lams,))) * _norm(rows)
 
 
 class TestEigenFaults:
     """_eigen_failures reports exactly the columns where R(x) U and U Lambda
-    differ (its cache is bypassed through __wrapped__)."""
+    differ (its cache is bypassed through __wrapped__), and every column
+    when the built R(x) is not L(x) J."""
 
     @pytest.mark.parametrize("x", [1, None, -2], ids=["x=1", "symbolic", "x=-2"])
     def test_one_entry_of_u_off_fails_its_column(self, monkeypatch, x):
@@ -235,28 +229,70 @@ class TestEigenFaults:
                 monkeypatch.setattr(spectral, "build_u", lambda n_, x_: RingMatrix(rows))
                 assert failures(n, x) == {j + 1}, (i + 1, j + 1)
 
-    @pytest.mark.parametrize("x", [1, None], ids=["x=1", "symbolic"])
-    def test_crafted_product_equal_to_u_lambda_passes(self, monkeypatch, x):
-        _crafted_lhs(monkeypatch, 4, x, lambda rows, k: None)
-        assert spectral._eigen_failures.__wrapped__(4, x) == frozenset()
+    @staticmethod
+    def _each_entry_of_rx_off(monkeypatch, x, part):
+        n, failures = 4, spectral._eigen_failures.__wrapped__
+        for i in range(n):
+            for j in range(n):
+                with monkeypatch.context() as m:
+                    def edit(rows):
+                        e = rows[i][j]
+                        rows[i][j] = RingElem(e.c0 + (part == 0), e.c1 + (part == 1),
+                                              e.x_image)
+                    _patched(m, "build_rx", n, x, edit)
+                    assert failures(n, x) == set(range(1, n + 1)), (i + 1, j + 1)
 
-    def test_fault_invisible_at_the_narrow_width_fails(self, monkeypatch):
-        # c0 + 2^k - x has the value of c0 at x = 2^k, the width of U Lambda
-        # alone; the bound also takes N(R(x) U), which widens the packing
-        def edit(rows, k):
-            rows[1][2] = rows[1][2] + IntPoly([2 ** k, -1])
+    @pytest.mark.parametrize("x", [1, None, -2], ids=["x=1", "symbolic", "x=-2"])
+    def test_fault_in_c0_alone_fails(self, monkeypatch, x):
+        # R(x) U is formed from L(x) J, so only the check of the built R(x)
+        # on u_1, whose entries are units, sees this
+        self._each_entry_of_rx_off(monkeypatch, x, 0)
 
-        _crafted_lhs(monkeypatch, 4, None, edit)
+    @pytest.mark.parametrize("x", [1, None, -2], ids=["x=1", "symbolic", "x=-2"])
+    def test_fault_in_c1_alone_fails(self, monkeypatch, x):
+        self._each_entry_of_rx_off(monkeypatch, x, 1)
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_monomial_of_the_wrong_parity_fails_its_column(self, monkeypatch, i):
+        # U_ij has parity i - 1 (1-based), so x^i in c0 (0-based i) has the wrong one
+        def edit(rows):
+            rows[i][2] = rows[i][2] + IntPoly([0] * i + [1])
+
+        _patched(monkeypatch, "build_u", 4, None, edit)
         assert spectral._eigen_failures.__wrapped__(4, None) == {3}
 
-    @pytest.mark.parametrize("x", [1, None], ids=["x=1", "symbolic"])
-    def test_fault_in_c1_alone_fails(self, monkeypatch, x):
-        def edit(rows, k):
-            e = rows[3][1]
-            rows[3][1] = RingElem(e.c0, e.c1 + 1, e.x_image)
+    @pytest.mark.parametrize("i", range(4))
+    def test_mixed_parity_fault_that_vanishes_at_the_width_fails(self, monkeypatch, i):
+        """U_i3 + 2^h - x is zero at x = 2^h, with h the half width it gives
+        itself; only the parity check of U can see it."""
+        n, lams, u = 4, eigenvalues(4), build_u(4)
+        for h in range(2, 64):
+            rows = [list(row) for row in u.rows]
+            rows[i][2] = rows[i][2] + IntPoly([2 ** h, -1])
+            if _half_width(_eigen_bound(n, rows, lams)) == h:
+                break
+        else:
+            pytest.fail("no h is its own half width")
+        monkeypatch.setattr(spectral, "build_u", lambda n_, x_: RingMatrix(rows))
+        assert spectral._eigen_failures.__wrapped__(n, None) == {3}
 
-        _crafted_lhs(monkeypatch, 4, x, edit)
-        assert spectral._eigen_failures.__wrapped__(4, x) == {2}
+    def test_eigenvalue_of_mixed_parity_fails(self, monkeypatch):
+        # at n = 1, lambda_1 = 5 - x gives h = 2, where it is 1 = R(x) = U
+        lam = RingElem(IntPoly([5, -1]))
+        assert _half_width(_eigen_bound(1, build_u(1).rows, [lam])) == 2
+        monkeypatch.setattr(spectral, "eigenvalues", lambda n_, x_image: [lam])
+        assert spectral._eigen_failures.__wrapped__(1, None) == {1}
+
+    def test_fault_invisible_at_the_narrow_width_fails(self, monkeypatch):
+        """At n = 1, U = R(x) = (1) and N(U) = 1, so the bound is tight: with
+        lambda_1 = 1 + 4^(h-1) - x^2, homogeneous of parity 0, the half width
+        is h, and the fault vanishes at x = 2^(h-1) but not at 2^h."""
+        for h in (2, 3, 10):
+            lam = RingElem(IntPoly([1 + 4 ** (h - 1), 0, -1]))
+            assert _half_width(_eigen_bound(1, build_u(1).rows, [lam])) == h
+            assert lam.c0(2 ** (h - 1)) == 1 != lam.c0(2 ** h)
+            monkeypatch.setattr(spectral, "eigenvalues", lambda n_, x_image: [lam])
+            assert spectral._eigen_failures.__wrapped__(1, None) == {1}, h
 
 
 class TestVerifyInvolution:
