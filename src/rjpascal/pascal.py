@@ -21,7 +21,7 @@ packed rows and factor pairs and returns the pairs (c0, c1) of the entries
 of M diag(f) M on and above the diagonal; its callers pack and read back.
 ``_lower_pascal`` applies the lower Pascal matrix L(t), R(x) = L(x) J, by
 its recurrence, n(n-1)/2 products by t and sums, to ints that may pack
-whole rows (_pack).
+whole rows.
 Over Z[x] the ints are the values at x = 2^k (Kronecker substitution,
 von zur Gathen & Gerhard, Modern Computer Algebra, 3rd ed., 2013,
 section 8.4), with k bounded by one norm N, the same for every kernel
@@ -32,7 +32,6 @@ integer determinant and the unimodular inverse.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import zip_longest
 from operator import add, matmul, mul
 from typing import Iterable, Sequence
 
@@ -235,17 +234,6 @@ def _digits(v: int, k: int) -> IntPoly:
     return IntPoly(out)
 
 
-def _pack(values: Sequence[int], k: int) -> int:
-    """sum_j values[j] 2^(k j), neighbours paired level by level, in
-    O(n k log n) rather than Horner's O(n^2 k).  If every value lies in
-    [-2^(k-1), 2^(k-1)), they are its balanced base-2^k digits (_digits)."""
-    values = list(values)
-    while len(values) > 1:
-        values = [lo + (hi << k) for lo, hi in zip_longest(values[::2], values[1::2], fillvalue=0)]
-        k *= 2
-    return values[0]
-
-
 def _packing(x_image: IntPoly, bound):
     """(x, unwrap, wrap) for ring products on bare int coefficients in the
     ring where x maps to ``x_image``.
@@ -317,14 +305,12 @@ def _lower_pascal(v: Sequence[int], t: int) -> list[int]:
     """L(t) v for the lower Pascal matrix L(t)_ik = C(i-1, k-1) t^(i-k):
     entry i is entry 1 of (t + E)^(i-1) v, E the shift (E v)_l = v_(l+1).
     Each of the n(n-1)/2 steps T_l <- t T_l + T_(l+1) is one product by t
-    and one sum, on ints of any kind: single entries, or rows packed whole.
-    At t = 2^h, as over Z[x], the product is a shift, which is cheaper."""
+    and one sum, on ints of any kind: single entries, or rows packed whole."""
     v = list(v)
     out = v[:1]
-    h = t.bit_length() - 1 if t > 0 and not t & (t - 1) else None
     for s in range(len(v) - 1, 0, -1):
         for l in range(s):
-            v[l] = (t * v[l] if h is None else v[l] << h) + v[l + 1]
+            v[l] = t * v[l] + v[l + 1]
         out.append(v[0])
     return out
 

@@ -91,10 +91,15 @@ class IntPoly:
         return self.coeffs[0] if self.coeffs else 0
 
     def __call__(self, value: int) -> int:
-        """Evaluate at an integer ``value`` by Horner's rule."""
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * value + c
+        """Evaluate at an integer ``value`` by Horner's rule.  At value = 2^k,
+        as in every Kronecker packing, each product is a shift."""
+        k, out = value.bit_length() - 1, 0
+        if value > 0 and value == 1 << k:
+            for c in reversed(self.coeffs):
+                out = (out << k) + c
+        else:
+            for c in reversed(self.coeffs):
+                out = out * value + c
         return out
 
     @staticmethod

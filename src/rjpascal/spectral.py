@@ -5,11 +5,14 @@ The eigenvalue attached to column j of an n-dimensional family member is
 check is one matrix identity per (n, x), R(x) U = U Lambda with
 Lambda = diag(lambda_1..lambda_n).  R(x) = L(x) J, L(x) the lower Pascal
 matrix and J the reversal, so R(x) U comes from the Pascal recurrence on
-the rows of J U, each packed whole into one int: n(n-1)/2 steps of one
-product by x (a shift over Z[x], at x = 2^h as for the involution) and
-one sum.  Row i is compared with row i of U Lambda as one int, and only a
-row that differs is unpacked, to name its failing columns.  build_rx's
-R(x) is checked against L(x) J on U's first column, whose entries are units.
+the rows of J U, whose c0 parts and c1 parts are each packed into one
+int per row: n(n-1)/2 steps of one product by x (x = 2^h over Z[x], as
+for the involution) and one sum.  Row i is compared with row i of U Lambda
+as ints, and only a part that differs is unpacked, to name its failing
+columns.  build_rx's R(x) is
+checked against L(x) J on U's first column only, whose entries are
+units: a wrong entry fails the check, but faults in two or more entries
+of one row can cancel there.
 
 W = -S(F) and U = S(E) with F = E diag(a, -1), and S is multiplicative
 (pascal), so W is U with columns scaled by units: the exact involution
@@ -50,8 +53,8 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from .pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, _coefficients, _digits,
-                     _lower_pascal, _norm, _pack, _packing, _scaled, _upper_square, build_r,
-                     build_rx, build_u, build_w)
+                     _lower_pascal, _norm, _packing, _scaled, _upper_square, build_r, build_rx,
+                     build_u, build_w)
 from .ring import X, ExactDivisionError, IntPoly, RingElem, a_pow
 
 #: Default tolerance on a relative residual: 64 u, u = 2^-53.  An entry of
@@ -105,7 +108,10 @@ def verify_eigenpair(n: int, p: int, x: int | None = 1) -> bool:
 
     ``x`` selects the coefficient ring: an integer x (default 1, the
     golden-ratio case), or None for Z[x] coefficients.
-    Column p of R(x) U is compared with column p of U Lambda (_eigen_failures).
+    Column p of R(x) U is compared with column p of U Lambda (_eigen_failures),
+    with R(x) U formed as L(x) J U.  The matrix build_rx returns is checked on
+    U's first column only: one wrong entry in a row fails every eigenpair,
+    but wrong entries that cancel on that column pass.
     """
     _check_index(n, p)
     return p not in _eigen_failures(n, _integer_x(x))
@@ -117,10 +123,11 @@ def _eigen_failures(n: int, x: int | None) -> frozenset[int]:
     Lambda = diag(lambda_1..lambda_n), found once per (n, x) for all n
     eigenpairs.  R(x) U is L(x) J U, formed by the Pascal recurrence on
     the rows of J U (pascal._lower_pascal) at the int t: x, or 2^h over
-    Z[x].  Each row's c0 and c1 values at t are packed whole into one int,
-    so a step is one product by t and one sum, and row i is compared with
-    the packed row i of U Lambda.  Every eigenpair fails unless build_rx's
-    R(x) maps u_1 as L(x) J does (_rx_maps_u1)."""
+    Z[x].  A row's c0 values at t are packed into one int, and its c1
+    values into another, so a step is one product by t and one sum on a
+    whole part, and row i is compared with the packed row i of U Lambda.
+    Every eigenpair fails unless build_rx's R(x) maps u_1 as L(x) J does
+    (_rx_maps_u1)."""
     # R(x) = L(x) J, J the reversal: (L J)_ij = L_i,n+1-j = C(i-1, n-j) x^(i+j-n-1).
     u = build_u(n, x)
     if not _rx_maps_u1(n, x, [row[0] for row in u.rows]):
@@ -143,15 +150,19 @@ def _eigen_failures(n: int, x: int | None) -> frozenset[int]:
     rhs = _scaled(packed, [(f.c0(t), f.c1(t)) for f in lams], t)
     # Slot width: entry i of L(t) v is at most (|t| + 1)^(i-1) max|v|, so each
     # slot of a difference of packed rows lies below 2^(width-1), and the rows
-    # are equal iff the ints are; the balanced digits of the difference
-    # (pascal._digits) are its slots, c0 in 0..n-1 and c1 in n..2n-1.
+    # are equal iff the ints are.  The c0s of a row pack as the value at
+    # 2^width of the polynomial with them as coefficients, and so do its c1s;
+    # the balanced digits of a difference (pascal._digits) are its slots,
+    # slot k in column k + 1.
     width = ((abs(t) + 1) ** (n - 1) * max(abs(c) for p0, p1, _ in packed for c in p0 + p1)
              + max(abs(c) for r0, r1, _ in rhs for c in r0 + r1)).bit_length() + 1
-    lhs = _lower_pascal([_pack((*p0, *p1), width) for p0, p1, _ in reversed(packed)], t)
-    for left, (r0, r1, _) in zip(lhs, rhs):
-        if left != (right := _pack((*r0, *r1), width)):
-            failures.update(k % n + 1 for k, d in enumerate(_digits(left - right, width).coeffs)
-                            if d)
+    slots = 1 << width
+    for part in (0, 1):
+        lhs = _lower_pascal([IntPoly(p[part])(slots) for p in reversed(packed)], t)
+        for left, r in zip(lhs, rhs):
+            if left != (right := IntPoly(r[part])(slots)):
+                failures.update(k + 1 for k, d in enumerate(_digits(left - right, width).coeffs)
+                                if d)
     return frozenset(failures)
 
 

@@ -49,6 +49,14 @@ class TestIntPoly:
         assert p(2) == 9
         assert p(-1) == 6
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=13),
+           st.one_of(st.integers(-9, 9), st.integers(0, 200).map(lambda k: 1 << k),
+                     st.integers(-2 ** 80, 2 ** 80)))
+    def test_evaluate_is_the_sum(self, coeffs, value):
+        # powers of two, 1 among them, take the shift; other values the product
+        assert IntPoly(coeffs)(value) == sum(c * value ** d for d, c in enumerate(coeffs))
+
     def test_str(self):
         assert str(IntPoly()) == "0"
         assert str(IntPoly((4, -1, 3))) == "3x^2 - x + 4"

@@ -243,20 +243,39 @@ class TestEigenFaults:
                     assert failures(n, x) == set(range(1, n + 1)), (i + 1, j + 1)
 
     @pytest.mark.parametrize("x", [1, None, -2], ids=["x=1", "symbolic", "x=-2"])
-    def test_fault_in_c0_alone_fails(self, monkeypatch, x):
+    def test_rx_entry_off_in_c0_fails_every_column(self, monkeypatch, x):
         # R(x) U is formed from L(x) J, so only the check of the built R(x)
         # on u_1, whose entries are units, sees this
         self._each_entry_of_rx_off(monkeypatch, x, 0)
 
     @pytest.mark.parametrize("x", [1, None, -2], ids=["x=1", "symbolic", "x=-2"])
-    def test_fault_in_c1_alone_fails(self, monkeypatch, x):
+    def test_rx_entry_off_in_c1_fails_every_column(self, monkeypatch, x):
         self._each_entry_of_rx_off(monkeypatch, x, 1)
+
+    @pytest.mark.parametrize("x", [1, None, -2], ids=["x=1", "symbolic", "x=-2"])
+    def test_fault_in_c1_alone_fails(self, monkeypatch, x):
+        # at n = 1, R(x) = U = (1): lambda_1 = 1 + c1 a, with c1 = x over Z[x]
+        # (parity 0, as lambda_1 needs), makes R(x) U - U Lambda = -c1 a, c0 = 0
+        c1 = X if x is None else IntPoly.const(1)
+        monkeypatch.setattr(spectral, "eigenvalues",
+                            lambda n_, x_image: [RingElem(IntPoly.const(1), c1, x_image)])
+        assert spectral._eigen_failures.__wrapped__(1, x) == {1}
 
     @pytest.mark.parametrize("i", range(4))
     def test_monomial_of_the_wrong_parity_fails_its_column(self, monkeypatch, i):
         # U_ij has parity i - 1 (1-based), so x^i in c0 (0-based i) has the wrong one
         def edit(rows):
             rows[i][2] = rows[i][2] + IntPoly([0] * i + [1])
+
+        _patched(monkeypatch, "build_u", 4, None, edit)
+        assert spectral._eigen_failures.__wrapped__(4, None) == {3}
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_homogeneous_fault_that_vanishes_at_one_fails_its_column(self, monkeypatch, i):
+        # x^i (x^2 - 1) has U_i3's parity (0-based i) and is zero at x = 1:
+        # over Z[x] the check must not compare values at a small x
+        def edit(rows):
+            rows[i][2] = rows[i][2] + IntPoly([0] * i + [-1, 0, 1])
 
         _patched(monkeypatch, "build_u", 4, None, edit)
         assert spectral._eigen_failures.__wrapped__(4, None) == {3}
