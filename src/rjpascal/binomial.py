@@ -16,7 +16,10 @@ checks the number of skipped points.
 
 Each identity is evaluated a line at a time (``*_line``): for fixed outer
 parameters, one call returns both sides over a whole range of the last
-parameter, and a sweep compares the two lists at once.
+parameter, and a sweep compares the two lists at once.  A domain skip also
+depends only on the outer parameters, so a sweep keeps one record per
+skipped line, its outer values and the reason (``SkippedPoints``), and
+never one per point: its memory grows with lines, not points.
 
 The sums read their factors from one table, a row C(n, 0), C(n, 1), ...
 per upper parameter n: a bounded cache keyed by n whose lists grow on
@@ -32,8 +35,9 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+from collections.abc import Sequence
 from functools import lru_cache
-from operator import mul
+from operator import eq, mul
 from typing import Callable, Mapping, NamedTuple
 
 
@@ -233,14 +237,68 @@ class SkippedCase(NamedTuple):
         return {"params": dict(self.params), "reason": self.reason}
 
 
+class SkippedPoints(Sequence):
+    """The points a sweep skipped, kept as (outer values, reason) per line.
+
+    As a read-only sequence it is the list of SkippedCase it stands for:
+    ``len`` counts points, and indexing, iteration and ``==`` against a
+    list give the same values in the order of itertools.product.
+    """
+
+    def __init__(self, names: tuple[str, ...], values: range,
+                 lines: list[tuple[tuple[int, ...], str]]):
+        self.names = names  # parameter names; the last one varies along a line
+        self.values = values  # range of the last parameter
+        self.lines = lines  # (outer values, reason) of each skipped line
+
+    def _point(self, outer: tuple[int, ...], x: int, reason: str):
+        return SkippedCase(dict(zip(self.names, (*outer, x))), reason)
+
+    def __len__(self) -> int:
+        return len(self.lines) * len(self.values)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        line, k = divmod(i, len(self.values))  # floor division reads i < 0 from the end
+        outer, reason = self.lines[line]
+        return self._point(outer, self.values[k], reason)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, SkippedPoints)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+    def to_json(self) -> SkippedJson:
+        return SkippedJson(self.names, self.values, self.lines)
+
+
+class SkippedJson(SkippedPoints):
+    """The same points, each as the dict that SkippedCase.to_json gives.
+
+    ``cli._emit_json`` writes it as that list of dicts, a line at a time;
+    ``json.dumps`` needs ``default=list`` for it.
+    """
+
+    def _point(self, outer, x, reason):
+        return super()._point(outer, x, reason).to_json()
+
+
 class IdentityReport(NamedTuple):
-    """Result of sweeping one identity over a parameter box."""
+    """Result of sweeping one identity over a parameter box.
+
+    ``skipped`` holds the skipped points a line at a time and reads as
+    their list; ``to_json`` gives it as a SkippedJson, which
+    ``cli._emit_json`` writes without expanding it."""
 
     identity: Identity
     box: dict[str, tuple[int, int]]
     cases_checked: int
     failures: list[IdentityCase]
-    skipped: list[SkippedCase]
+    skipped: SkippedPoints
 
     @property
     def ok(self) -> bool:
@@ -252,7 +310,7 @@ class IdentityReport(NamedTuple):
             "box": {name: list(rng) for name, rng in self.box.items()},
             "cases_checked": self.cases_checked,
             "failures": [f.to_json() for f in self.failures],
-            "skipped": [s.to_json() for s in self.skipped],
+            "skipped": self.skipped.to_json(),
         }
 
 
@@ -321,8 +379,9 @@ def sweep_identity(
     One line call per combination of the outer parameters covers the whole
     range of the last one.  Points that violate a domain condition, which
     depends only on the outer parameters, are recorded as skipped with a
-    reason; every disagreement between the two sides is recorded as a
-    failure (none are expected), in the order of itertools.product.
+    reason, one record per line (SkippedPoints); every disagreement between
+    the two sides is recorded as a failure (none are expected), in the
+    order of itertools.product.
     """
     validate_box(identity, box)
     *outer_names, last = names = identity.param_names
@@ -332,7 +391,7 @@ def sweep_identity(
     ranges = [range(box[name][0], box[name][1] + 1) for name in names]
     *outer_ranges, inner = ranges
     failures: list[IdentityCase] = []
-    skipped: list[SkippedCase] = []
+    skipped: list[tuple[tuple[int, ...], str]] = []
     for outer in itertools.product(*outer_ranges):
         # params dicts are built only for the points that get recorded
         if companion and outer[0] < 0:
@@ -348,6 +407,6 @@ def sweep_identity(
                     failures += [IdentityCase(identity, {**fixed, last: x}, l, r)
                                  for x, l, r in zip(inner, lhs, rhs) if l != r]
                 continue
-        fixed = dict(zip(outer_names, outer))
-        skipped += [SkippedCase({**fixed, last: x}, reason) for x in inner]
-    return IdentityReport(identity, dict(box), math.prod(map(len, ranges)), failures, skipped)
+        skipped.append((outer, reason))
+    return IdentityReport(identity, dict(box), math.prod(map(len, ranges)), failures,
+                          SkippedPoints(names, inner, skipped))

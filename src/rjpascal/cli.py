@@ -32,7 +32,7 @@ import re
 import sys
 
 from . import spectral
-from .binomial import DEFAULT_BOXES, Identity, sweep_identity, validate_box
+from .binomial import DEFAULT_BOXES, Identity, SkippedJson, sweep_identity, validate_box
 from .pascal import build_rx, build_u, build_w
 from .ring import X, ExactDivisionError, IntPoly
 
@@ -175,7 +175,8 @@ def _usage_error(message: str) -> int:
 
 
 #: Pieces of output that _emit_json gathers before a write, checked as each
-#: list or dict closes: writes of about 34 KB on the identity reports.
+#: list or dict closes and after each skipped line: writes of about 34 KB on
+#: the identity reports.
 _EMIT_BATCH = 1024
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -186,19 +187,26 @@ def _emit_json(obj) -> None:
     """Print ``json.dumps(obj, indent=2)`` in one pass over obj, written in
     batches of _EMIT_BATCH pieces so the document is never held whole.
     Raises TypeError where json.dumps would, and for a dict key that is not
-    a str.
+    a str.  A ``binomial.SkippedJson`` inside obj is written as the list of
+    dicts it stands for, which json.dumps writes with ``default=list``.
 
     json's own indented encoder is pure Python (its C encoder runs only
     without indent) and yields through one generator per nesting level;
     this walker appends each piece, indentation included, to one list.
     It encodes str and int values, nearly all of the identity reports,
     itself, walks dicts, lists and tuples (subclasses too, as json.dumps
-    does), and writes every other value with json.dumps."""
+    does), and writes every other value with json.dumps.
+
+    A SkippedJson is written a line at a time.  The points of a skipped
+    line differ only in the last parameter's value, the last thing before
+    their params dict closes.  So the walker renders the line's first
+    point once, and each point of the line is that text with the value
+    changed.  A line counts in the batch as the pieces the walker would
+    have gathered for its points."""
     write = sys.stdout.write
     parts = []
-    append = parts.append
 
-    def walk(o, nl, head):
+    def walk(o, nl, head, append):
         """Append container o, indented at nl and preceded by head."""
         inner = nl + "  "
         rest = "," + inner
@@ -215,7 +223,9 @@ def _emit_json(obj) -> None:
                 elif t is int:
                     append(key + _int_repr(v))
                 elif isinstance(v, (dict, list, tuple)):
-                    walk(v, inner, key)
+                    walk(v, inner, key, append)
+                elif isinstance(v, SkippedJson):
+                    skipped(v, inner, key, append)
                 else:
                     append(key + json.dumps(v))
                 sep = rest
@@ -232,7 +242,9 @@ def _emit_json(obj) -> None:
                 elif t is int:
                     append(sep + _int_repr(v))
                 elif isinstance(v, (dict, list, tuple)):
-                    walk(v, inner, sep)
+                    walk(v, inner, sep, append)
+                elif isinstance(v, SkippedJson):
+                    skipped(v, inner, sep, append)
                 else:
                     append(sep + json.dumps(v))
                 sep = rest
@@ -241,11 +253,37 @@ def _emit_json(obj) -> None:
             write("".join(parts))
             parts.clear()
 
+    def skipped(seq, nl, head, append):
+        """Append SkippedJson seq, indented at nl and preceded by head."""
+        if not seq:
+            append(head + "[]")
+            return
+        inner = nl + "  "
+        rest = "," + inner
+        close = inner + "  }"  # where a point's params dict closes
+        values = [_int_repr(x) for x in seq.values]
+        sep = head + "[" + inner
+        weight = 0
+        for i in range(0, len(seq), len(values)):
+            point = []
+            walk(seq[i], inner, "", point.append)
+            text = "".join(point)
+            cut = text.index(close)
+            pre, post = text[:cut - len(values[0])], text[cut:]
+            append(sep + pre + (post + rest + pre).join(values) + post)
+            sep = rest
+            weight += len(point) * len(values)
+            if weight >= _EMIT_BATCH:
+                write("".join(parts))
+                parts.clear()
+                weight = 0
+        append(nl + "]")
+
     if isinstance(obj, (dict, list, tuple)):
-        walk(obj, "\n", "")
+        walk(obj, "\n", "", parts.append)
     else:
-        append(json.dumps(obj))
-    append("\n")
+        parts.append(json.dumps(obj))
+    parts.append("\n")
     write("".join(parts))
 
 

@@ -1,6 +1,7 @@
 """Unit tests for generalized binomials and the identity sweep engine."""
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from rjpascal.binomial import (
     Identity,
     IdentityCase,
     InfiniteSupportError,
+    SkippedCase,
     binom,
     sweep_identity,
 )
@@ -319,6 +321,81 @@ class TestSweep:
             }
             for m in (-2, -1) for l in (0, 1)
         ]
+
+
+def vandermonde_reason(m, n):
+    return f"convolution with both upper parameters negative (M={m}, N={n}) is rejected"
+
+
+def per_point_skipped(identity, box):
+    """The skipped points of a sweep, one SkippedCase per point, as sweeps
+    recorded them before they kept lines."""
+    names = identity.param_names
+    points = itertools.product(*(range(lo, hi + 1) for lo, hi in box.values()))
+    cases = []
+    for point in points:
+        params = dict(zip(names, point))
+        if identity is Identity.TRINOMIAL_COMPANION and params["I"] < 0:
+            cases.append(SkippedCase(params, COMPANION_DOMAIN_REASON))
+        elif identity is Identity.VANDERMONDE and params["M"] < 0 and params["N"] < 0:
+            cases.append(SkippedCase(params, vandermonde_reason(params["M"], params["N"])))
+    return cases
+
+
+class TestSkippedPoints:
+    """A report's skipped points are kept per line and read as the list of
+    per-point SkippedCase values."""
+
+    BOXES = [
+        (Identity.VANDERMONDE, {"M": (-3, 1), "N": (-2, 2), "L": (-1, 3)}),
+        (Identity.VANDERMONDE, {"M": (-3, -1), "N": (-2, -1), "L": (0, 0)}),
+        (Identity.TRINOMIAL_COMPANION, {"I": (-2, 2), "J": (-1, 1), "K": (0, 3)}),
+        (Identity.STAR, {"N": (-2, 2), "J": (-2, 2), "K": (-2, 2)}),
+    ]
+    IDS = ["vandermonde-some", "vandermonde-all", "companion", "star-none"]
+
+    @pytest.mark.parametrize("identity,box", BOXES, ids=IDS)
+    def test_reads_as_the_per_point_list(self, identity, box):
+        skipped = sweep_identity(identity, box).skipped
+        want = per_point_skipped(identity, box)
+        assert len(skipped) == len(want)
+        assert bool(skipped) == bool(want)
+        assert list(skipped) == want
+        assert [skipped[i] for i in range(len(want))] == want
+        assert [skipped[i] for i in range(-len(want), 0)] == want
+        assert skipped[1::3] == want[1::3]
+        assert skipped[::-1] == want[::-1]
+        assert skipped == want
+        assert want == skipped
+        assert skipped.to_json() == [case.to_json() for case in want]
+        assert [case.to_json() for case in want] == skipped.to_json()
+        for i in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                skipped[i]
+
+    def test_unequal_lists(self):
+        box = {"M": (-2, -1), "N": (-1, 0), "L": (0, 1)}
+        skipped = sweep_identity(Identity.VANDERMONDE, box).skipped
+        want = per_point_skipped(Identity.VANDERMONDE, box)
+        assert skipped != want[:-1]
+        assert skipped != [*want, want[0]]
+        assert skipped != [*want[:-1], SkippedCase(want[-1].params, "other")]
+        assert skipped != tuple(want)  # a list, like the list it stands for
+        assert skipped.to_json() != want  # dicts, not SkippedCase values
+
+    def test_memory_is_per_line(self):
+        # 111,600 skipped points on 3,600 lines: per point they peaked at
+        # 29 MB, per line they take under 1 MB
+        box = {"M": (-60, -1), "N": (-60, -1), "L": (0, 30)}
+        sweep_identity(Identity.VANDERMONDE, {"M": (0, 0), "N": (0, 0), "L": (0, 0)})
+        tracemalloc.start()
+        try:
+            rep = sweep_identity(Identity.VANDERMONDE, box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rep.skipped) == 60 * 60 * 31
+        assert peak < 2 * 10 ** 6
 
 
 def reference_star(n, j, k):

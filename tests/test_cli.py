@@ -2,6 +2,7 @@
 import contextlib
 import decimal
 import io
+import itertools
 import json
 import math
 import os
@@ -481,16 +482,73 @@ class TestIdentities:
         assert "trinomial: I=0..3 J=0..3 K=0..3 -> 64 cases, 0 failures" in out
 
     def test_failure_exit_code(self, capsys, monkeypatch):
-        from rjpascal.binomial import Identity, IdentityCase, IdentityReport
+        from rjpascal.binomial import Identity, IdentityCase, IdentityReport, SkippedPoints
 
         def fake_sweep(ident, box):
             case = IdentityCase(ident, {"N": 0}, 1, 0)
-            return IdentityReport(ident, dict(box), 1, [case], [])
+            return IdentityReport(ident, dict(box), 1, [case], SkippedPoints(("N",), range(1), []))
 
         monkeypatch.setattr(cli, "sweep_identity", fake_sweep)
         code, out, _ = run(capsys, "identities", "--only", "alternating")
         assert code == 1
         assert json.loads(out)[0]["failures"]
+
+
+def per_point_report(identity, box) -> dict:
+    """The JSON report of a passing sweep, with one dict per skipped point."""
+    skipped = []
+    for point in itertools.product(*(range(lo, hi + 1) for lo, hi in box.values())):
+        p = dict(zip(identity.param_names, point))
+        if identity is Identity.TRINOMIAL_COMPANION and p["I"] < 0:
+            skipped.append({"params": p, "reason": binomial.COMPANION_DOMAIN_REASON})
+        elif identity is Identity.VANDERMONDE and p["M"] < 0 and p["N"] < 0:
+            reason = (f"convolution with both upper parameters negative "
+                      f"(M={p['M']}, N={p['N']}) is rejected")
+            skipped.append({"params": p, "reason": reason})
+    return {"identity": identity.value, "box": {k: list(v) for k, v in box.items()},
+            "cases_checked": math.prod(hi - lo + 1 for lo, hi in box.values()),
+            "failures": [], "skipped": skipped}
+
+
+class TestSkippedLines:
+    """Skipped points are written a line at a time, byte for byte as
+    json.dumps writes them with one dict per point."""
+
+    BOXES = {
+        "companion": {Identity.TRINOMIAL_COMPANION: {"I": (-3, 2), "J": (-1, 2), "K": (0, 3)}},
+        "vandermonde-some": {Identity.VANDERMONDE: {"M": (-3, 2), "N": (-3, 2), "L": (-2, 3)}},
+        "vandermonde-all": {Identity.VANDERMONDE: {"M": (-3, -1), "N": (-4, -1), "L": (-12, 24)}},
+        "vandermonde-one-value": {Identity.VANDERMONDE: {"M": (-2, 1), "N": (-2, -1), "L": (7, 7)}},
+        "vandermonde-none": {Identity.VANDERMONDE: {"M": (0, 2), "N": (-3, 2), "L": (0, 2)}},
+        "defaults": binomial.DEFAULT_BOXES,
+    }
+
+    @staticmethod
+    def argv(boxes):
+        if boxes is binomial.DEFAULT_BOXES:
+            return ["identities"]
+        (ident, box), = boxes.items()
+        return ["identities", "--only", ident.value,
+                *(f"--{name}={lo}..{hi}" for name, (lo, hi) in box.items())]
+
+    @pytest.mark.parametrize("boxes", BOXES.values(), ids=BOXES.keys())
+    def test_json_bytes(self, capsys, boxes):
+        code, out, _ = run(capsys, *self.argv(boxes))
+        want = [per_point_report(ident, box) for ident, box in boxes.items()]
+        assert code == 0
+        assert out == json.dumps(want, indent=2) + "\n"
+
+    @pytest.mark.parametrize("boxes", BOXES.values(), ids=BOXES.keys())
+    def test_pretty_counts(self, capsys, boxes):
+        code, out, _ = run(capsys, *self.argv(boxes), "--format", "pretty")
+        want = []
+        for ident, box in boxes.items():
+            rep = per_point_report(ident, box)
+            ranges = " ".join(f"{k}={lo}..{hi}" for k, (lo, hi) in box.items())
+            want.append(f"{ident.value}: {ranges} -> {rep['cases_checked']} cases, "
+                        f"0 failures, {len(rep['skipped'])} skipped\n")
+        assert code == 0
+        assert out == "".join(want)
 
 
 class TestSweepBudget:
@@ -631,10 +689,11 @@ class TestEmitJson:
                 self.parts.append(text)
 
         # The 1.05 MB Vandermonde report on -12..24 arrives in many writes
-        # of at most 1/16 of it each, so the document is never held whole
+        # of at most 1/16 of it each, so the document is never held whole;
+        # json.dumps expands its skipped points with default=list
         box = {name: (-12, 24) for name in "MNL"}
         obj = [sweep_identity(Identity.VANDERMONDE, box).to_json()]
-        want = json.dumps(obj, indent=2) + "\n"
+        want = json.dumps(obj, indent=2, default=list) + "\n"
         stub = CountingStdout()
         monkeypatch.setattr(sys, "stdout", stub)
         cli._emit_json(obj)
