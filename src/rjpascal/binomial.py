@@ -9,26 +9,43 @@ negative n, and several checks below exist precisely to police that trap.
 
 Each identity is evaluated over a finite summation range derived from
 where its terms vanish.  The alternating row sum has no finite support
-for N < 0 and raises InfiniteSupportError there.  Vandermonde also
-raises it when both upper parameters are negative, although its support
+for N < 0 and raises InfiniteSupportError there.  Vandermonde is not
+checked where both upper parameters are negative, although its support
 is [0, L] for every M and N; that rule stays because the benchmark
 checks the number of skipped points.
 
-Each identity is evaluated a line at a time (``*_line``): for fixed outer
-parameters, one call returns both sides over a whole range of the last
-parameter, and a sweep compares the two lists at once.  A domain skip also
-depends only on the outer parameters, so a sweep keeps one record per
-skipped line, its outer values and the reason (``SkippedPoints``), and
-never one per point: its memory grows with lines, not points.
+A domain skip depends only on the outer parameters and is decided by a
+predicate (``_domain_skip``), so a sweep keeps one record per skipped
+line, its outer values and the reason (``SkippedPoints``), and never one
+per point: its memory grows with lines, not points.
 
 The sums read their factors from one table, a row C(n, 0), C(n, 1), ...
 per upper parameter n: a bounded cache keyed by n whose lists grow on
 demand by the ratio C(n, i) = C(n, i-1)(n-i+1)/i, exact for every integer
 n.  Star, Vandermonde and double-delta are each one convolution of two
 rows: upper negation, C(d+i, i) = (-1)^i C(-d-1, i), turns the diagonal
-factors of star and double-delta into row entries.  A row that depends
-only on the outer parameters is read once per line and dropped with it.
-The closed sides stay direct ``binom`` calls, independent of the table.
+factors of star and double-delta into row entries.  The closed sides stay
+direct ``binom`` calls, independent of the table.
+
+Trinomials, alternating and double-delta are evaluated a line at a time
+(``*_line``): for fixed outer parameters, one call returns both sides over
+a whole range of the last parameter, and a sweep compares the two lists at
+once.  Star and Vandermonde are evaluated a plane at a time, packed across
+their middle parameter (``_Planes``): the rows of every middle value are
+packed column by column into ints, one digit of B bits per middle value,
+so that for each (first, last) value one C-level sum of the columns times
+one reversed row gives the sum at every middle value at once.  The closed
+side is packed over the same digits and slid one digit per step of the
+first parameter.  B comes from ``math.comb`` at the ends of each row range
+before any work, and every factor is checked against it as it is read, so
+equal ints mean equal digits; only a packed int whose sides differ is
+unpacked.  Vandermonde's middle range is split at 0, and the N < 0 block is
+never evaluated for M < 0.  A sweep runs one block of at most
+ROW_CACHE_SIZE middle values at a time, so its columns never hold more
+entries than a full row table.  The one case that packs without reuse is a wide
+middle range read by a single (first, last) value, such as star at N = -1,
+K = 100 over J = -2047..-1: packing costs one more pass over rows that the
+table already builds.
 """
 from __future__ import annotations
 
@@ -63,6 +80,8 @@ def binom(n: int, k: int) -> int:
 #: values per parameter never evicts a row that it reads: star reads rows J
 #: and K-N-1, double-delta rows N and L-N-1, at most 1,535 in all, and
 #: Vandermonde at most |M| + |N|.  Past that, evicted rows are recomputed.
+#: It also caps the middle values of a packed block (_Planes), whose
+#: columns then hold no more entries than the table.
 ROW_CACHE_SIZE = 2048
 
 
@@ -88,21 +107,6 @@ def _empty_sums(s: range) -> tuple[list[int], range]:
     return [0] * (len(s) - len(rest)), rest
 
 
-def star_line(n: int, j: int, ks: range) -> tuple[list[int], list[int]]:
-    """C(N-J, K) vs sum_r (-1)^r C(N-r, K-r) C(J, r), for K in ``ks``.
-
-    The summand vanishes for r < 0 (second factor) and for r > K (first
-    factor has a negative lower parameter), so r runs over [0, K].  By
-    upper negation C(N-r, K-r) = (-1)^(K-r) C(K-N-1, K-r), so the sum is
-    (-1)^K times the convolution of rows J and K-N-1.  Row J is read once
-    per line, row K-N-1 once per point.
-    """
-    row_j = _row(j, ks.stop)
-    rhs, rest = _empty_sums(ks)
-    rhs += [(-1) ** k * sum(map(mul, row_j, _row(k - n - 1, k + 1)[k::-1])) for k in rest]
-    return [binom(n - j, k) for k in ks], rhs
-
-
 def _trinomial_lhs(i: int, j: int, ks: range) -> list[int]:
     """C(I,J)·C(J,K) for K in ``ks``."""
     c = binom(i, j)
@@ -124,24 +128,6 @@ def trinomial_companion_line(i: int, j: int, ks: range) -> tuple[list[int], list
     Sweeps therefore skip I < 0 (see COMPANION_DOMAIN_REASON).
     """
     return _trinomial_lhs(i, j, ks), [binom(i, k) * binom(i - k, i - j) for k in ks]
-
-
-def vandermonde_line(m: int, n: int, ls: range) -> tuple[list[int], list[int]]:
-    """sum_k C(M,k)·C(N,L-k) vs C(M+N, L), for L in ``ls``; M >= 0 or N >= 0.
-
-    The summand vanishes for k < 0 and k > L, so k runs over [0, L]: the
-    convolution of rows M and N, both read once per line.  Pairs with both
-    M < 0 and N < 0 are outside this check's supported domain and raise
-    InfiniteSupportError; sweeps record them as skipped.
-    """
-    if m < 0 and n < 0:
-        raise InfiniteSupportError(
-            f"convolution with both upper parameters negative (M={m}, N={n}) is rejected"
-        )
-    row_m, row_n = _row(m, ls.stop), _row(n, ls.stop)
-    lhs, rest = _empty_sums(ls)
-    lhs += [sum(map(mul, row_m, row_n[l::-1])) for l in rest]
-    return lhs, [binom(m + n, l) for l in ls]
 
 
 def alternating_delta_line(ns: range) -> tuple[list[int], list[int]]:
@@ -185,13 +171,12 @@ class Identity(enum.Enum):
         return tuple(DEFAULT_BOXES[self])
 
 
-#: One line per identity: both sides at every value of the last parameter in
-#: a range of step 1, for fixed values of the others.
+#: The line function of each identity evaluated a line at a time: both
+#: sides at every value of the last parameter in a range of step 1, for
+#: fixed values of the others.  Star and Vandermonde go a plane at a time.
 _LINES: dict[Identity, Callable[..., tuple[list[int], list[int]]]] = {
-    Identity.STAR: star_line,
     Identity.TRINOMIAL: trinomial_line,
     Identity.TRINOMIAL_COMPANION: trinomial_companion_line,
-    Identity.VANDERMONDE: vandermonde_line,
     Identity.ALTERNATING_DELTA: alternating_delta_line,
     Identity.DOUBLE_DELTA: double_delta_line,
 }
@@ -201,10 +186,24 @@ COMPANION_DOMAIN_REASON = (
     "(binomial symmetry is invalid for a negative upper argument)"
 )
 
+
+def _domain_skip(identity: Identity, outer: tuple[int, ...]) -> str | None:
+    """Why the line at outer parameters ``outer`` is outside the identity's
+    checked domain, or None.  Both rules read only the sign of the first
+    two parameters, so each holds on a whole side of 0."""
+    if identity is Identity.TRINOMIAL_COMPANION and outer[0] < 0:
+        return COMPANION_DOMAIN_REASON
+    if identity is Identity.VANDERMONDE and outer[0] < 0 and outer[1] < 0:
+        return (f"convolution with both upper parameters negative "
+                f"(M={outer[0]}, N={outer[1]}) is rejected")
+    return None
+
+
 #: Sweep boxes used by default; chosen to include the negative-upper
 #: region where the symmetry trap bites while finishing in seconds.  Each
-#: box lists its parameters in the order the line function takes them; the
-#: last one is the range of a line.
+#: box lists its parameters in the order of itertools.product: the first,
+#: middle and last parameter of a plane, or the arguments of a line
+#: function, whose last one is the range of a line.
 DEFAULT_BOXES: dict[Identity, dict[str, tuple[int, int]]] = {
     Identity.STAR: {"N": (-6, 12), "J": (-6, 12), "K": (-6, 12)},
     Identity.TRINOMIAL: {"I": (-6, 12), "J": (-6, 12), "K": (-6, 12)},
@@ -316,7 +315,7 @@ class IdentityReport(NamedTuple):
 
 #: Most binomial terms, by sweep_terms, that one sweep may evaluate; larger
 #: boxes are refused before any work.  The -40..60 star box needs 20.3
-#: million and takes a few seconds; the default boxes need under 50,000.
+#: million and takes under a second; the default boxes need under 50,000.
 #: It counts terms, not their bit lengths.
 SWEEP_TERM_BUDGET = 10 ** 8
 
@@ -371,42 +370,209 @@ def validate_box(identity: Identity, box: Mapping[str, tuple[int, int]]) -> None
         )
 
 
+def _peak_bits(lo: int, hi: int, s: int) -> int:
+    """Bit length of the largest |C(n, i)| with lo <= n <= hi, 0 <= i <= s.
+
+    For n >= 0, C(n, i) over 0 <= i <= s peaks at i = min(s, n // 2); for
+    n < 0, |C(n, i)| = C(i - n - 1, i) grows with i and peaks at i = s.
+    Either peak grows with |n| on its side of 0, so the largest is at lo or
+    at hi: two ``math.comb`` calls, before any row is built.
+    """
+    if s < 0:
+        return 0
+
+    def peak(n: int) -> int:
+        return math.comb(n, min(s, n // 2)) if n >= 0 else math.comb(s - n - 1, s)
+
+    return max(peak(lo), peak(hi)).bit_length()
+
+
+def _fit(lists: list[list[int]], bits: int) -> None:
+    """OverflowError unless every value in ``lists`` (each nonempty) is
+    below 2^bits in absolute value."""
+    if lists and max(max(map(max, lists)), -min(map(min, lists))).bit_length() > bits:
+        raise OverflowError(f"a packed factor exceeds its bound of {bits} bits")
+
+
+class _Planes:
+    """Both sides of star or Vandermonde, packed across the middle parameter
+    m (J, N) for each value x of the first (N, M) and s of the last (K, L).
+
+    A block is a run of middle values in digit order, each one digit, in
+    balanced base 2^width, of an int that packs the block.  Column i packs
+    C(m, i) over the block and is built once; at each (x, s) one C-level sum
+    of the columns times a reversed row gives the sum side at every m:
+      star         (-1)^s sum_i C(m, i)·C(s-x-1, s-i)  vs  C(x - m, s),
+      Vandermonde         sum_i C(m, i)·C(x, s-i)      vs  C(x + m, s).
+    Star's digits run down J, so that the closed side's upper parameter
+    rises by one a digit in both: from x - 1 to x its packed int slides one
+    digit (subtract the outgoing digit, shift down, add the incoming
+    ``binom`` on top).  Vandermonde's middle range is split at 0, so that
+    its skipped N < 0 block is never evaluated.  A block spans at most
+    ROW_CACHE_SIZE values, and only the block being called keeps its
+    columns, so they never hold more entries than a full row table.  A
+    middle range of one value packs nothing: each int is its value and
+    ``width`` is 0.
+    """
+
+    def __init__(self, identity: Identity, ranges: list[range]):
+        self.star = identity is Identity.STAR
+        self.sign = -1 if self.star else 1  # the closed side is C(x + sign·m, s)
+        firsts, middles, self.lasts = ranges
+        halves = [range(middles.start, min(middles.stop, 0)), range(max(middles.start, 0), middles.stop)]
+        self.blocks = [h[i:i + ROW_CACHE_SIZE][::self.sign] for h in ([middles] if self.star else halves)
+                       for i in range(0, len(h), ROW_CACHE_SIZE)]
+        self.width = 0
+        self._block: range | None = None  # the block whose columns are kept
+        self._cols: list[int] = []
+        self._closed: tuple[int, list[int]] | None = None  # its last x and closed side
+        if len(middles) == 1:
+            return
+        s = self.lasts[-1]  # the longest sum runs over [0, s]
+        xs, ms = (firsts[0], firsts[-1]), (middles[0], middles[-1])
+        rows = [self._row_of(x, t) for x in xs for t in (max(self.lasts[0], 0), s)]
+        diagonals = [x + self.sign * m for x in xs for m in ms]
+        self.bits_col = _peak_bits(*ms, s)
+        self.bits_row = _peak_bits(min(rows), max(rows), s)  # _row_of is affine
+        self.bits_closed = _peak_bits(min(diagonals), max(diagonals), s)
+        # Width lemma.  Every column entry is below 2^bits_col, every row
+        # entry below 2^bits_row and every closed value below 2^bits_closed
+        # in absolute value (_fit checks each as it is read).  A sum digit
+        # adds at most s + 1 products, so it is below
+        # (s+1)·2^(bits_col+bits_row) < 2^(bits_col+bits_row+len(s+1)) <=
+        # 2^(B-2), and a closed digit is below 2^bits_closed <= 2^(B-2).
+        # Both sides' digits thus lie, with a bit to spare, in
+        # [-2^(B-1), 2^(B-1)), where a base-2^B expansion is unique: two
+        # packed ints are equal exactly when their digits are.
+        need = max(self.bits_col + self.bits_row + max(s + 1, 0).bit_length(),
+                   self.bits_closed) + 2
+        self.width = -(-need // 8) * 8  # whole bytes, for to_bytes
+        self.bias = 1 << self.width - 1  # makes a digit a field in [0, 2^B)
+        self._offsets = {n: int.from_bytes(self.bias.to_bytes(self.width // 8, "little") * n, "little")
+                         for n in map(len, self.blocks)}  # the bias in each of n digits
+
+    def _row_of(self, x: int, s: int) -> int:
+        """The upper parameter of the row that the sum at (x, s) reads."""
+        return s - x - 1 if self.star else x
+
+    def _pack(self, digits: list[int]) -> int:
+        """sum_q digits[q]·2^(B·q): each digit plus the bias is one field of
+        B/8 bytes (to_bytes raises if it does not fit), read as one int.
+        One digit is its own packing."""
+        if len(digits) == 1:
+            return digits[0]
+        n = self.width // 8
+        raw = b"".join([(d + self.bias).to_bytes(n, "little") for d in digits])
+        return int.from_bytes(raw, "little") - self._offsets[len(digits)]
+
+    def unpack(self, packed: int, count: int) -> list[int]:
+        """The ``count`` balanced digits of ``packed``, digit 0 first."""
+        if count == 1:
+            return [packed]
+        n = self.width // 8
+        raw = (packed + self._offsets[count]).to_bytes(n * count, "little")
+        return [int.from_bytes(raw[i:i + n], "little") - self.bias for i in range(0, n * count, n)]
+
+    def __call__(self, x: int, block: range) -> list[tuple[int, int]]:
+        """(lhs, rhs) at x over ``block``, packed, for each last value."""
+        if block != self._block:
+            n = max(self.lasts[-1] + 1, 0)
+            rows = [_row(m, n)[:n] for m in block]
+            if self.width and n:
+                _fit(rows, self.bits_col)
+            self._block, self._closed = block, None
+            self._cols = [self._pack(col) for col in zip(*rows)]
+        sums, rest = _empty_sums(self.lasts)
+        sums += [sum(map(mul, self._cols, self._weights(x, s))) for s in rest]
+        closed = self._slide(x, block)
+        if self.star:
+            return [(c, -t if s & 1 else t) for s, c, t in zip(self.lasts, closed, sums)]
+        return list(zip(sums, closed))
+
+    def _weights(self, x: int, s: int) -> list[int]:
+        """The row read at (x, s) over [0, s], reversed, each entry checked."""
+        row = _row(self._row_of(x, s), s + 1)[s::-1]
+        if self.width:
+            _fit([row], self.bits_row)
+        return row
+
+    def _slide(self, x: int, block: range) -> list[int]:
+        """The closed side at x over ``block``, packed, for each last value:
+        slid from x - 1 if the block's last call was at x - 1."""
+        d = x + self.sign * block[0]  # digit q holds C(d + q, s)
+        top, width = len(block) - 1, self.width
+        last, packed = self._closed or (None, None)
+        if last == x - 1:
+            outs = [binom(d - 1, s) for s in self.lasts]
+            ins = [binom(d + top, s) for s in self.lasts]
+            if width:
+                _fit([ins], self.bits_closed)
+            packed = [(c - out >> width) + (new << width * top)
+                      for c, out, new in zip(packed, outs, ins)]
+        else:
+            packed = []
+            for s in self.lasts:  # one value's digits at a time
+                digits = [binom(d + q, s) for q in range(top + 1)]
+                if width:
+                    _fit([digits], self.bits_closed)
+                packed.append(self._pack(digits))
+        self._closed = x, packed
+        return packed
+
+
+def _sweep_planes(identity: Identity, ranges: list[range]) -> list[IdentityCase]:
+    """The failures of star or Vandermonde over ``ranges``, a block of
+    middle values at a time and a plane per value of the first parameter:
+    one packed comparison per last value, whose digits are unpacked only
+    where the two sides differ."""
+    names = identity.param_names
+    planes = _Planes(identity, ranges)
+    failures = []
+    for block in planes.blocks:
+        for x in ranges[0]:
+            if _domain_skip(identity, (x, block[0])) is not None:
+                continue
+            for s, (lhs, rhs) in zip(ranges[-1], planes(x, block)):
+                if lhs != rhs:
+                    digits = zip(block, planes.unpack(lhs, len(block)), planes.unpack(rhs, len(block)))
+                    failures += [IdentityCase(identity, dict(zip(names, (x, m, s))), l, r)
+                                 for m, l, r in digits if l != r]
+    # blocks come one after another, and a star block runs down J
+    return sorted(failures, key=lambda case: tuple(case.params.values()))
+
+
 def sweep_identity(
     identity: Identity, box: Mapping[str, tuple[int, int]]
 ) -> IdentityReport:
     """Evaluate ``identity`` at every lattice point of ``box``.
 
-    One line call per combination of the outer parameters covers the whole
-    range of the last one.  Points that violate a domain condition, which
-    depends only on the outer parameters, are recorded as skipped with a
-    reason, one record per line (SkippedPoints); every disagreement between
-    the two sides is recorded as a failure (none are expected), in the
-    order of itertools.product.
+    Star and Vandermonde are evaluated a plane at a time (_Planes), the
+    others one line call per combination of the outer parameters.  Points
+    that violate a domain condition, which depends only on the outer
+    parameters (_domain_skip), are recorded as skipped with a reason, one
+    record per line (SkippedPoints); every disagreement between the two
+    sides is recorded as a failure (none are expected), in the order of
+    itertools.product.
     """
     validate_box(identity, box)
-    *outer_names, last = names = identity.param_names
-    line = _LINES[identity]
-    companion = identity is Identity.TRINOMIAL_COMPANION
-
+    names = identity.param_names
+    line = _LINES.get(identity)
     ranges = [range(box[name][0], box[name][1] + 1) for name in names]
     *outer_ranges, inner = ranges
     failures: list[IdentityCase] = []
     skipped: list[tuple[tuple[int, ...], str]] = []
     for outer in itertools.product(*outer_ranges):
         # params dicts are built only for the points that get recorded
-        if companion and outer[0] < 0:
-            reason = COMPANION_DOMAIN_REASON
-        else:
-            try:
-                lhs, rhs = line(*outer, inner)
-            except InfiniteSupportError as exc:
-                reason = str(exc)
-            else:
-                if lhs != rhs:
-                    fixed = dict(zip(outer_names, outer))
-                    failures += [IdentityCase(identity, {**fixed, last: x}, l, r)
-                                 for x, l, r in zip(inner, lhs, rhs) if l != r]
-                continue
-        skipped.append((outer, reason))
+        reason = _domain_skip(identity, outer)
+        if reason is not None:
+            skipped.append((outer, reason))
+        elif line is not None:
+            lhs, rhs = line(*outer, inner)
+            if lhs != rhs:
+                fixed = dict(zip(names, outer))
+                failures += [IdentityCase(identity, {**fixed, names[-1]: x}, l, r)
+                             for x, l, r in zip(inner, lhs, rhs) if l != r]
+    if line is None:
+        failures = _sweep_planes(identity, ranges)
     return IdentityReport(identity, dict(box), math.prod(map(len, ranges)), failures,
                           SkippedPoints(names, inner, skipped))

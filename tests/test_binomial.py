@@ -4,7 +4,7 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rjpascal import binomial
@@ -29,19 +29,25 @@ def point_of(line):
     return check
 
 
-def line_of(point):
-    """A line that evaluates ``point`` at each value of the last parameter."""
-    def line(*params):
-        *outer, inner = params
-        pairs = [point(*outer, x) for x in inner]
-        return [lhs for lhs, _ in pairs], [rhs for _, rhs in pairs]
-    return line
+def plane_point(identity):
+    """(lhs, rhs) of star or Vandermonde at one point, from its packed plane:
+    with one value per parameter each packed int is the value itself.  A
+    point outside the checked domain raises InfiniteSupportError, as the
+    references do."""
+    def check(*point):
+        reason = binomial._domain_skip(identity, point[:2])
+        if reason is not None:
+            raise InfiniteSupportError(reason)
+        planes = binomial._Planes(identity, [range(v, v + 1) for v in point])
+        [(lhs, rhs)] = planes(point[0], planes.blocks[0])
+        return lhs, rhs
+    return check
 
 
-check_star = point_of(binomial.star_line)
+check_star = plane_point(Identity.STAR)
 check_trinomial = point_of(binomial.trinomial_line)
 check_trinomial_companion = point_of(binomial.trinomial_companion_line)
-check_vandermonde = point_of(binomial.vandermonde_line)
+check_vandermonde = plane_point(Identity.VANDERMONDE)
 check_alternating_delta = point_of(binomial.alternating_delta_line)
 check_double_delta = point_of(binomial.double_delta_line)
 
@@ -162,9 +168,13 @@ class TestVandermonde:
     def test_degenerate(self):
         assert check_vandermonde(0, 5, 3) == (10, 10)
 
-    def test_both_negative_rejected(self):
-        with pytest.raises(InfiniteSupportError):
-            check_vandermonde(-1, -1, 2)
+    def test_both_negative_rejected(self, monkeypatch):
+        # outside the checked domain: skipped with its reason, and no plane
+        # computes it
+        monkeypatch.setattr(binomial._Planes, "__call__", None)
+        rep = sweep_identity(Identity.VANDERMONDE, {"M": (-1, -1), "N": (-1, -1), "L": (2, 2)})
+        assert (rep.cases_checked, rep.failures) == (1, [])
+        assert list(rep.skipped) == [SkippedCase({"M": -1, "N": -1, "L": 2}, vandermonde_reason(-1, -1))]
 
 
 class TestAlternatingDelta:
@@ -203,6 +213,18 @@ class TestSweep:
         assert rep.ok
         assert rep.failures == []
         assert rep.skipped == []
+
+    @pytest.mark.parametrize("identity,box", [
+        (Identity.VANDERMONDE, {"M": (30, 32), "N": (-32, -30), "L": (0, 8)}),
+        (Identity.STAR, {"N": (-32, -30), "J": (-32, -30), "K": (0, 8)}),
+    ], ids=["vandermonde", "star"])
+    def test_wide_factors_cancel_to_small_sums(self, identity, box):
+        # factors of up to 26 bits cancel to closed sides of a few bits,
+        # C(M+N, L) and C(N-J, K) with M + N and N - J in -2..2: the packing
+        # width comes from the factors, not from the closed side
+        rep = sweep_identity(identity, box)
+        assert rep.ok and rep.cases_checked == 81
+        assert sweep_values(identity, box) == reference_values(identity, box)
 
     def test_vandermonde_skips_double_negative(self):
         box = {"M": (-2, 2), "N": (-2, 2), "L": (0, 3)}
@@ -244,63 +266,103 @@ class TestSweep:
     def test_failure_recorded_exactly(self, monkeypatch):
         # an off-by-one at a single lattice point must come back as exactly
         # one failure carrying that point's parameters and both sides
-        def broken_star(n, j, k):
-            lhs, rhs = check_star(n, j, k)
-            return (lhs, rhs + 1) if (n, j, k) == (4, -2, 3) else (lhs, rhs)
-
-        monkeypatch.setitem(binomial._LINES, Identity.STAR, line_of(broken_star))
+        move_closed(monkeypatch, Identity.STAR, {(4, -2, 3): 1})
         box = {"N": (-3, 5), "J": (-3, 5), "K": (-3, 5)}
         rep = sweep_identity(Identity.STAR, box)
-        lhs, rhs = check_star(4, -2, 3)
+        lhs, rhs = reference_star(4, -2, 3)
         assert rep.cases_checked == 9 ** 3
         assert rep.failures == [
-            IdentityCase(Identity.STAR, {"N": 4, "J": -2, "K": 3}, lhs, rhs + 1)
+            IdentityCase(Identity.STAR, {"N": 4, "J": -2, "K": 3}, lhs + 1, rhs)
         ]
         assert list(rep.failures[0].params) == ["N", "J", "K"]
         assert rep.skipped == []
         assert not rep.ok
 
+    @pytest.mark.parametrize("identity,point", [
+        (Identity.STAR, (2, -3, 3)),  # the first middle value, J = -3
+        (Identity.STAR, (2, 4, 3)),  # the last middle value, J = 4
+        (Identity.STAR, (1, 0, -2)),  # an empty sum, K < 0
+        (Identity.STAR, (-3, 1, 4)),  # the first plane, before any slide
+        (Identity.VANDERMONDE, (2, -3, 3)),  # the first middle value, N = -3
+        (Identity.VANDERMONDE, (2, 4, 3)),  # the last middle value, N = 4
+        (Identity.VANDERMONDE, (1, 0, -1)),  # an empty sum, L < 0
+        (Identity.VANDERMONDE, (-2, 0, 2)),  # the first N >= 0 digit of an M < 0 plane
+        (Identity.VANDERMONDE, (0, -1, 2)),  # the first plane of the N < 0 block
+    ], ids=["star-first-J", "star-last-J", "star-K<0", "star-first-plane",
+            "vandermonde-first-N", "vandermonde-last-N", "vandermonde-L<0",
+            "vandermonde-M<0-N=0", "vandermonde-first-N<0-plane"])
+    def test_one_moved_closed_value(self, identity, point, monkeypatch):
+        # one closed value off by one, wherever it sits in its packed int,
+        # comes back as exactly one failure with that point's own sides
+        move_closed(monkeypatch, identity, {point: 1})
+        box = dict(zip(identity.param_names, [(-3, 4)] * 3))
+        rep = sweep_identity(identity, box)
+        lhs, rhs = LINE_REFERENCES[identity](*point)
+        lhs, rhs = (lhs + 1, rhs) if identity is Identity.STAR else (lhs, rhs + 1)
+        params = dict(zip(identity.param_names, point))
+        assert rep.failures == [IdentityCase(identity, params, lhs, rhs)]
+        assert rep.skipped == per_point_skipped(identity, box)
+
     def test_failures_in_product_order(self, monkeypatch):
-        # two mismatches on one line, at its first and last point, and one
-        # at the last point of a later line: three failures, in the order of
-        # itertools.product, each with that point's own sides
-        offsets = {(0, 1, -3): 5, (0, 1, 4): -1, (2, -1, 4): 7}
-
-        def broken_star(n, j, k):
-            lhs, rhs = check_star(n, j, k)
-            return lhs, rhs + offsets.get((n, j, k), 0)
-
-        monkeypatch.setitem(binomial._LINES, Identity.STAR, line_of(broken_star))
-        box = {"N": (-3, 4), "J": (-3, 4), "K": (-3, 4)}
-        rep = sweep_identity(Identity.STAR, box)
-        expected = []
-        for (n, j, k), offset in offsets.items():
-            lhs, rhs = check_star(n, j, k)
-            params = {"N": n, "J": j, "K": k}
-            expected.append(IdentityCase(Identity.STAR, params, lhs, rhs + offset))
-        assert rep.failures == expected
-        assert rep.cases_checked == 8 ** 3
-        assert rep.skipped == []
+        # mismatches at both ends of a packed int, at two middle values of
+        # one plane (star packs J from the top down; Vandermonde's plane at
+        # M = 1 holds an N < 0 and an N >= 0 block) and in a later plane:
+        # each comes back once, in the order of itertools.product, with that
+        # point's own sides; also with blocks of 3 middle values, which put
+        # the mismatches of one plane in different blocks
+        offsets = {(0, 1, -3): 5, (0, 1, 4): -1, (1, -1, 4): 3, (1, 2, -3): -2, (2, -1, 4): 7}
+        for identity, block in itertools.product((Identity.STAR, Identity.VANDERMONDE), (None, 3)):
+            box = dict(zip(identity.param_names, [(-3, 4)] * 3))
+            with monkeypatch.context() as patch:
+                if block:
+                    patch.setattr(binomial, "ROW_CACHE_SIZE", block)
+                move_closed(patch, identity, dict(reversed(offsets.items())))
+                rep = sweep_identity(identity, box)
+            expected = []
+            for point, offset in offsets.items():
+                lhs, rhs = LINE_REFERENCES[identity](*point)
+                lhs, rhs = (lhs + offset, rhs) if identity is Identity.STAR else (lhs, rhs + offset)
+                expected.append(IdentityCase(identity, dict(zip(identity.param_names, point)), lhs, rhs))
+            assert rep.failures == expected
+            assert rep.cases_checked == 8 ** 3
 
     @pytest.mark.parametrize("identity", list(Identity), ids=lambda i: i.value)
     def test_one_line_call_per_outer_combination(self, identity, monkeypatch):
+        # star and Vandermonde: one plane call per block of middle values
+        # and value of the first parameter; the others: one line call per
+        # combination of the outer parameters
         box = {name: (-2, 3) for name in identity.param_names}
         if identity is Identity.ALTERNATING_DELTA:
             box = {"N": (0, 7)}
-        line = binomial._LINES[identity]
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return line(*args)
-
-        monkeypatch.setitem(binomial._LINES, identity, counted)
-        rep = sweep_identity(identity, box)
         *outer, inner = [range(lo, hi + 1) for lo, hi in box.values()]
-        # the companion's I < 0 lines are skipped without a call
-        companion = identity is Identity.TRINOMIAL_COMPANION
-        assert calls == [(*combo, inner) for combo in itertools.product(*outer)
-                         if not (companion and combo[0] < 0)]
+        calls = []
+        if identity in binomial._LINES:
+            line = binomial._LINES[identity]
+
+            def counted(*args):
+                calls.append(args)
+                return line(*args)
+
+            monkeypatch.setitem(binomial._LINES, identity, counted)
+            # the companion's I < 0 lines are skipped without a call
+            companion = identity is Identity.TRINOMIAL_COMPANION
+            expected = [(*combo, inner) for combo in itertools.product(*outer)
+                        if not (companion and combo[0] < 0)]
+        else:
+            plane = binomial._Planes.__call__
+
+            def counted(self, x, block):
+                calls.append((x, block))
+                return plane(self, x, block)
+
+            monkeypatch.setattr(binomial._Planes, "__call__", counted)
+            if identity is Identity.STAR:  # one block, J from the top down
+                expected = [(n, range(3, -3, -1)) for n in range(-2, 4)]
+            else:  # split at N = 0; the N < 0 block is skipped for M < 0
+                expected = [(m, block) for block in (range(-2, 0), range(0, 4))
+                            for m in range(-2, 4) if m >= 0 or block.start >= 0]
+        rep = sweep_identity(identity, box)
+        assert calls == expected
         assert rep.ok
         assert rep.cases_checked == math.prod(map(len, (*outer, inner)))
 
@@ -325,6 +387,26 @@ class TestSweep:
 
 def vandermonde_reason(m, n):
     return f"convolution with both upper parameters negative (M={m}, N={n}) is rejected"
+
+
+def move_closed(monkeypatch, identity, offsets):
+    """Move the closed side at each point of ``offsets`` (first, middle,
+    last) by its offset, inside the packed int that a plane returns: star's
+    lhs, Vandermonde's rhs."""
+    side = 0 if identity is Identity.STAR else 1
+    plane = binomial._Planes.__call__
+
+    def moved(self, x, block):
+        sides = plane(self, x, block)
+        for (first, middle, last), offset in offsets.items():
+            if first == x and middle in block:
+                i = self.lasts.index(last)
+                pair = list(sides[i])
+                pair[side] += offset << self.width * block.index(middle)
+                sides[i] = tuple(pair)
+        return sides
+
+    monkeypatch.setattr(binomial._Planes, "__call__", moved)
 
 
 def per_point_skipped(identity, box):
@@ -439,13 +521,6 @@ LINE_REFERENCES = {
 }
 
 
-REFERENCES = [
-    (check_star, reference_star, 3),
-    (check_vandermonde, reference_vandermonde, 3),
-    (check_double_delta, reference_double_delta, 2),
-]
-
-
 def evaluate(check, point):
     try:
         return check(*point)
@@ -453,17 +528,83 @@ def evaluate(check, point):
         return "skipped"
 
 
+def sweep_values(identity, box):
+    """(lhs, rhs) at the points of ``box``, keyed by the point: star and
+    Vandermonde from their packed planes, each int unpacked digit by digit,
+    at every point outside the domain skip; the others from their lines,
+    which evaluate every point."""
+    ranges = [range(lo, hi + 1) for lo, hi in box.values()]
+    values = {}
+    if identity in binomial._LINES:
+        *outer_ranges, inner = ranges
+        for outer in itertools.product(*outer_ranges):
+            lhs, rhs = binomial._LINES[identity](*outer, inner)
+            values.update({(*outer, x): pair for x, pair in zip(inner, zip(lhs, rhs))})
+        return values
+    planes = binomial._Planes(identity, ranges)
+    for block in planes.blocks:
+        for x in ranges[0]:
+            if binomial._domain_skip(identity, (x, block[0])) is None:
+                for s, (lhs, rhs) in zip(ranges[2], planes(x, block)):
+                    digits = zip(block, planes.unpack(lhs, len(block)), planes.unpack(rhs, len(block)))
+                    values.update({(x, m, s): (l, r) for m, l, r in digits})
+    return values
+
+
+def reference_values(identity, box):
+    """(lhs, rhs) from the term-by-term reference at every point of ``box``
+    inside the identity's domain."""
+    points = itertools.product(*(range(lo, hi + 1) for lo, hi in box.values()))
+    values = {p: evaluate(LINE_REFERENCES[identity], p) for p in points}
+    return {p: v for p, v in values.items() if v != "skipped"}
+
+
+def reference_report(identity, box):
+    """The report a point-by-point sweep of the references gives."""
+    names = identity.param_names
+    failures, skipped = [], []
+    for point in itertools.product(*(range(lo, hi + 1) for lo, hi in box.values())):
+        params = dict(zip(names, point))
+        try:
+            lhs, rhs = LINE_REFERENCES[identity](*point)
+        except InfiniteSupportError as exc:
+            skipped.append(SkippedCase(params, str(exc)))
+            continue
+        if lhs != rhs:
+            failures.append(IdentityCase(identity, params, lhs, rhs))
+    volume = math.prod(hi - lo + 1 for lo, hi in box.values())
+    return volume, failures, skipped
+
+
+def packed_factors(identity, box):
+    """Every column entry, row entry and closed value that a packed sweep
+    of ``box`` multiplies or packs, written out with ``binom``:
+    star's C(J, r), C(K-N-1, i) and C(N-J, K); Vandermonde's C(N, i),
+    C(M, i) and C(M+N, L), for 0 <= r <= max K and 0 <= i <= K (or L)."""
+    (x0, x1), (m0, m1), (s0, s1) = box.values()
+    xs, ms, ss = range(x0, x1 + 1), range(m0, m1 + 1), range(s0, s1 + 1)
+    star = identity is Identity.STAR
+    cols = [binom(m, i) for m in ms for i in range(s1 + 1)]
+    rows = [binom(s - x - 1 if star else x, i) for x in xs for s in ss for i in range(s + 1)]
+    closed = [binom(x - m if star else x + m, s) for x in xs for m in ms for s in ss
+              if binomial._domain_skip(identity, (x, m)) is None]
+    return cols, rows, closed
+
+
+def bits(values):
+    return max([abs(v).bit_length() for v in values], default=0)
+
+
 class TestRowTables:
     """The checks read cached rows; each must equal the sum
     written out term by term with one ``binom`` per factor."""
 
-    @pytest.mark.parametrize("check,reference,arity", REFERENCES,
+    @pytest.mark.parametrize("identity", [Identity.STAR, Identity.VANDERMONDE, Identity.DOUBLE_DELTA],
                              ids=["star", "vandermonde", "double-delta"])
-    def test_every_point_of_a_negative_box(self, check, reference, arity):
+    def test_every_point_of_a_negative_box(self, identity):
         binomial._row_table.cache_clear()
-        points = itertools.product(range(-15, 28), repeat=arity)
-        bad = [p for p in points if evaluate(check, p) != evaluate(reference, p)]
-        assert bad == []
+        box = {name: (-15, 27) for name in identity.param_names}
+        assert sweep_values(identity, box) == reference_values(identity, box)
 
     @pytest.mark.parametrize("identity", list(Identity), ids=lambda i: i.value)
     @settings(max_examples=60, deadline=None)
@@ -474,12 +615,77 @@ class TestRowTables:
         # that straddles 0 (a fresh N >= 0 range for the alternating sum)
         outer = data.draw(st.tuples(*[st.integers(-15, 15)] * (len(identity.param_names) - 1)))
         lo = data.draw(st.integers(0 if identity is Identity.ALTERNATING_DELTA else -10, 2))
-        inner = range(lo, data.draw(st.integers(lo, 20)) + 1)
+        box = {**{name: (v, v) for name, v in zip(identity.param_names, outer)},
+               identity.param_names[-1]: (lo, data.draw(st.integers(lo, 20)))}
         if data.draw(st.booleans()):
             binomial._row_table.cache_clear()
-        line = binomial._LINES[identity]
-        reference = line_of(LINE_REFERENCES[identity])
-        assert evaluate(line, (*outer, inner)) == evaluate(reference, (*outer, inner))
+        assert sweep_values(identity, box) == reference_values(identity, box)
+
+    @pytest.mark.parametrize("identity", [Identity.STAR, Identity.VANDERMONDE],
+                             ids=lambda i: i.value)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    @example(data=None)
+    def test_property_packed_sweeps_match_references(self, identity, data):
+        # random boxes: negative uppers, last ranges that start above 0,
+        # middle ranges of one value and ranges that straddle 0
+        if data is None:  # one of each, in one box
+            box = dict(zip(identity.param_names, [(-4, -1), (0, 0), (3, 9)]))
+        else:
+            def span():
+                lo = data.draw(st.integers(-12, 12))
+                return lo, lo + data.draw(st.sampled_from([0, 1, 3, 8, 14]))
+            box = {name: span() for name in identity.param_names}
+        volume, failures, skipped = reference_report(identity, box)
+        # blocks of ROW_CACHE_SIZE middle values, or of fewer to split boxes
+        # this small into several
+        block = data.draw(st.sampled_from([binomial.ROW_CACHE_SIZE, 1, 2, 5])) if data else 2
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(binomial, "ROW_CACHE_SIZE", block)
+            rep = sweep_identity(identity, box)
+            assert (rep.cases_checked, rep.failures, rep.skipped) == (volume, failures, skipped)
+            assert sweep_values(identity, box) == reference_values(identity, box)
+        # the width lemma, on the factors written out with binom
+        planes = binomial._Planes(identity, [range(lo, hi + 1) for lo, hi in box.values()])
+        if planes.width:
+            cols, rows, closed = packed_factors(identity, box)
+            assert bits(cols) <= planes.bits_col
+            assert bits(rows) <= planes.bits_row
+            assert bits(closed) <= planes.bits_closed
+            terms = max(box[identity.param_names[-1]][1] + 1, 0)
+            assert terms << planes.bits_col + planes.bits_row < 1 << planes.width - 2
+            assert 1 << planes.bits_closed <= 1 << planes.width - 2
+            assert planes.width % 8 == 0
+
+    def test_an_oversize_row_entry_raises(self, monkeypatch):
+        # Row K-N-1 = -3 with its entries moved by whole packed columns,
+        # C(-3, 0) - col_0 and C(-3, 1) + col_1, leaves the packed sum
+        # unchanged while the sum at each J is wrong: only the check of each
+        # row read against its bit bound can see it.
+        box = {"N": (3, 3), "J": (0, 1), "K": (1, 1)}
+        planes = binomial._Planes(Identity.STAR, [range(lo, hi + 1) for lo, hi in box.values()])
+        [block] = planes.blocks
+        col0, col1 = (sum(binom(j, i) << planes.width * q for q, j in enumerate(block))
+                      for i in (0, 1))
+        true = [binom(-3, 0), binom(-3, 1)]
+        wrong = [true[0] - col0, true[1] + col1]
+        assert col0 * wrong[1] + col1 * wrong[0] == col0 * true[1] + col1 * true[0]
+        row = binomial._row
+        monkeypatch.setattr(binomial, "_row", lambda n, length: wrong if n == -3 else row(n, length))
+        with pytest.raises(OverflowError):
+            sweep_identity(Identity.STAR, box)
+
+    def test_an_oversize_column_or_closed_value_raises(self, monkeypatch):
+        box = {"N": (3, 3), "J": (0, 1), "K": (1, 1)}
+        row = binomial._row
+        monkeypatch.setattr(binomial, "_row", lambda n, length: [v << 64 for v in row(n, length)]
+                            if n == 1 else row(n, length))
+        with pytest.raises(OverflowError):
+            sweep_identity(Identity.STAR, box)
+        monkeypatch.undo()
+        monkeypatch.setattr(binomial, "binom", lambda n, k: math.comb(n, k) << 64 if n >= 0 else 0)
+        with pytest.raises(OverflowError):
+            sweep_identity(Identity.STAR, box)
 
     def test_alternating_rows(self):
         for n in range(0, 45):
@@ -532,7 +738,7 @@ class TestRowTables:
         # 2,201 rows, one per M, beside the rows of N
         (Identity.VANDERMONDE, {"M": (-1100, 1100), "N": (-1, 1), "L": (-1, 3)}),
     ], ids=["star-rows", "star-diagonals", "vandermonde-rows"])
-    def test_sweep_past_the_cache_bound(self, identity, box, monkeypatch):
+    def test_sweep_past_the_cache_bound(self, identity, box):
         # one long range makes the distinct upper parameters outnumber the
         # cache while the box stays small
         binomial._row_table.cache_clear()
@@ -540,15 +746,29 @@ class TestRowTables:
         info = binomial._row_table.cache_info()
         assert info.misses > binomial.ROW_CACHE_SIZE
         assert info.currsize <= binomial.ROW_CACHE_SIZE
-        reference = {Identity.STAR: reference_star, Identity.VANDERMONDE: reference_vandermonde}
-        monkeypatch.setitem(binomial._LINES, identity, line_of(reference[identity]))
-        assert rep.to_json() == sweep_identity(identity, box).to_json()
-        monkeypatch.undo()
+        assert (rep.cases_checked, rep.failures, rep.skipped) == reference_report(identity, box)
+        assert sweep_values(identity, box) == reference_values(identity, box)
         # every point once more, now in a different order, against the reference
-        check = point_of(binomial._LINES[identity])
+        check = plane_point(identity)
+        reference = LINE_REFERENCES[identity]
         points = itertools.product(*(range(box[p][1], box[p][0] - 1, -1)
                                      for p in identity.param_names))
-        assert [p for p in points if evaluate(check, p) != evaluate(reference[identity], p)] == []
+        assert [p for p in points if evaluate(check, p) != evaluate(reference, p)] == []
+
+    def test_wide_middle_range_keeps_one_block(self):
+        # J = -10239..0 is five blocks of ROW_CACHE_SIZE values; only the
+        # block being swept keeps its columns, so the peak stays near that
+        # of one block (all five would add about 2 MB)
+        peaks = []
+        for j in ((-2047, 0), (-10239, 0)):
+            binomial._row_table.cache_clear()
+            tracemalloc.start()
+            try:
+                assert sweep_identity(Identity.STAR, {"N": (0, 0), "J": j, "K": (12, 12)}).ok
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
 
 class TestSweepBudget:
