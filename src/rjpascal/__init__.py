@@ -6,18 +6,27 @@ entry once from its exact value and report relative residuals.
 
 The package exports the names of the README library tour; the rest of the
 API is imported from its submodule (ring, pascal, spectral, binomial).
+Each exported name resolves on first use (PEP 562), so importing the
+package loads no submodule and each CLI command loads only the modules it
+calls.
 """
-
-from .binomial import Identity, binom, sweep_identity
-from .pascal import build_r, build_rx, build_u, build_w
-from .ring import A, ONE, X, IntPoly, a_pow
-from .spectral import (eigenvalue, matrix_power_closed_form, matrix_power_oracle,
-                       verify_eigenpair, verify_involution)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "A", "ONE", "X", "IntPoly", "a_pow", "binom", "build_r", "build_rx", "build_u",
-    "build_w", "eigenvalue", "verify_eigenpair", "verify_involution",
-    "matrix_power_closed_form", "matrix_power_oracle", "Identity", "sweep_identity",
-]
+#: The submodule that defines each exported name.
+_HOME = {name: module for module, names in (
+    ("binomial", ("Identity", "binom", "sweep_identity")),
+    ("pascal", ("build_r", "build_rx", "build_u", "build_w")),
+    ("ring", ("A", "ONE", "X", "IntPoly", "a_pow")),
+    ("spectral", ("eigenvalue", "verify_eigenpair", "verify_involution",
+                  "matrix_power_closed_form", "matrix_power_oracle")),
+) for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:  # `from rjpascal import pascal` then imports the submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f"{__package__}.{_HOME[name]}"), name)

@@ -40,12 +40,13 @@ first parameter.  B comes from ``math.comb`` at the ends of each row range
 before any work, and every factor is checked against it as it is read, so
 equal ints mean equal digits; only a packed int whose sides differ is
 unpacked.  Vandermonde's middle range is split at 0, and the N < 0 block is
-never evaluated for M < 0.  A sweep runs one block of at most
-ROW_CACHE_SIZE middle values at a time, so its columns never hold more
-entries than a full row table.  The one case that packs without reuse is a wide
-middle range read by a single (first, last) value, such as star at N = -1,
-K = 100 over J = -2047..-1: packing costs one more pass over rows that the
-table already builds.
+never evaluated for M < 0.  A sweep runs one block at a time, and a
+block's columns never take more than BLOCK_BYTES, or one row of the table
+where a single middle value's columns of B-bit digits would take more.
+The one case that packs without reuse is a wide middle range read by a
+single (first, last) value, such as star at N = -1, K = 100 over
+J = -2047..-1: packing costs one more pass over rows that the table
+already builds.
 """
 from __future__ import annotations
 
@@ -76,12 +77,17 @@ def binom(n: int, k: int) -> int:
     return -c if k & 1 else c
 
 
+#: Most bytes of packed columns in one block of a plane (_Planes): a block
+#: of d middle values holds s + 1 columns of d digits of B bits, so d is
+#: 8·BLOCK_BYTES / ((s + 1)·B), at least 1 and at most ROW_CACHE_SIZE.  A
+#: block of one digit packs nothing: its columns are one row of the table.
+BLOCK_BYTES = 1 << 20
+
 #: Rows kept by the coefficient table.  A sweep whose box spans at most 512
 #: values per parameter never evicts a row that it reads: star reads rows J
 #: and K-N-1, double-delta rows N and L-N-1, at most 1,535 in all, and
 #: Vandermonde at most |M| + |N|.  Past that, evicted rows are recomputed.
-#: It also caps the middle values of a packed block (_Planes), whose
-#: columns then hold no more entries than the table.
+#: It also caps the middle values of a packed block (_Planes).
 ROW_CACHE_SIZE = 2048
 
 
@@ -408,9 +414,9 @@ class _Planes:
     rises by one a digit in both: from x - 1 to x its packed int slides one
     digit (subtract the outgoing digit, shift down, add the incoming
     ``binom`` on top).  Vandermonde's middle range is split at 0, so that
-    its skipped N < 0 block is never evaluated.  A block spans at most
-    ROW_CACHE_SIZE values, and only the block being called keeps its
-    columns, so they never hold more entries than a full row table.  A
+    its skipped N < 0 block is never evaluated.  A block spans as many
+    values as fit in BLOCK_BYTES of columns, at least one and at most
+    ROW_CACHE_SIZE, and only the block being called keeps its columns.  A
     middle range of one value packs nothing: each int is its value and
     ``width`` is 0.
     """
@@ -419,9 +425,7 @@ class _Planes:
         self.star = identity is Identity.STAR
         self.sign = -1 if self.star else 1  # the closed side is C(x + sign·m, s)
         firsts, middles, self.lasts = ranges
-        halves = [range(middles.start, min(middles.stop, 0)), range(max(middles.start, 0), middles.stop)]
-        self.blocks = [h[i:i + ROW_CACHE_SIZE][::self.sign] for h in ([middles] if self.star else halves)
-                       for i in range(0, len(h), ROW_CACHE_SIZE)]
+        self.blocks = [middles]
         self.width = 0
         self._block: range | None = None  # the block whose columns are kept
         self._cols: list[int] = []
@@ -448,6 +452,11 @@ class _Planes:
                    self.bits_closed) + 2
         self.width = -(-need // 8) * 8  # whole bytes, for to_bytes
         self.bias = 1 << self.width - 1  # makes a digit a field in [0, 2^B)
+        # a digit of the block takes s + 1 columns of B bits
+        size = min(ROW_CACHE_SIZE, max(1, 8 * BLOCK_BYTES // (max(s + 1, 1) * self.width)))
+        halves = [range(middles.start, min(middles.stop, 0)), range(max(middles.start, 0), middles.stop)]
+        self.blocks = [h[i:i + size][::self.sign] for h in ([middles] if self.star else halves)
+                       for i in range(0, len(h), size)]
         self._offsets = {n: int.from_bytes(self.bias.to_bytes(self.width // 8, "little") * n, "little")
                          for n in map(len, self.blocks)}  # the bias in each of n digits
 

@@ -31,10 +31,7 @@ import os
 import re
 import sys
 
-from . import spectral
 from .binomial import DEFAULT_BOXES, Identity, SkippedJson, sweep_identity, validate_box
-from .pascal import build_rx, build_u, build_w
-from .ring import X, ExactDivisionError, IntPoly
 
 
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
@@ -145,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--x", **x_flag)
     pv.add_argument("--m", type=int, default=None,
                     help="single exponent for the power check (default -3..6)")
-    pv.add_argument("--tol", type=_parse_tol, default=spectral.DEFAULT_TOL,
+    pv.add_argument("--tol", type=_parse_tol, default=None,
                     help="tolerance on relative numeric residuals (default 64u = 2^-47)")
     pv.add_argument("--format", choices=("pretty", "json"), default="json")
 
@@ -299,6 +296,7 @@ def _double_range_error(what: str, n: int, x: int) -> str:
 def _cmd_show(args) -> int:
     if args.x is None and args.format == "csv":  # only show-r offers csv
         return _usage_error("csv is only valid for integer-valued output")
+    from .pascal import build_rx, build_u, build_w
     build = {"show-r": build_rx, "show-u": build_u, "show-w": build_w}[args.command]
     matrix = build(args.n, args.x)
     if args.x is not None and args.command == "show-r":
@@ -313,6 +311,8 @@ def _cmd_show(args) -> int:
 
 
 def _cmd_eigen(args) -> int:
+    from . import spectral
+    from .ring import X, IntPoly
     x_image = X if args.x is None else IntPoly.const(args.x)
     lams = spectral.eigenvalues(args.n, x_image)
     try:
@@ -350,6 +350,8 @@ def _report(check: str, n: int, params: dict, passed: bool, residual=None,
 
 
 def _cmd_verify(args) -> int:
+    from . import spectral
+    from .ring import ExactDivisionError
     n, x = args.n, args.x
     checks = VERIFY_CHECKS[:-1] if args.check == "all" else (args.check,)
     if args.check == "power" and x != 1:
@@ -386,7 +388,8 @@ def _cmd_verify(args) -> int:
                 reports.append(_report("power", n, {"m": m}, ok))
         elif check == "diag":
             try:
-                rep = spectral.verify_diagonalization_numeric(n, x, args.tol)
+                rep = spectral.verify_diagonalization_numeric(
+                    n, x, args.tol or spectral.DEFAULT_TOL)
             except OverflowError:
                 return _usage_error(_double_range_error("the numeric diag check", n, x))
             base = {"x": x, "tol": rep.tol}
@@ -407,6 +410,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    from . import spectral
+    from .ring import ExactDivisionError
     if err := _power_budget_error(args.n, [args.m]):
         return _usage_error(err)
     try:

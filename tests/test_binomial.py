@@ -770,6 +770,24 @@ class TestRowTables:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
 
+    def test_a_block_is_bounded_in_bytes(self):
+        # Row K-N-1 = -1001 needs 1,995 bits and the columns 110, so B is
+        # 19 times a column entry: one block of all 16 middle values would
+        # pack 4 MB of columns.  Blocks of at most BLOCK_BYTES of columns
+        # keep the peak below 2·BLOCK_BYTES, the table's rows aside (built
+        # by the first sweep).
+        box = {"N": (2000, 2000), "J": (-16, -1), "K": (1000, 1000)}
+        planes = binomial._Planes(Identity.STAR, [range(lo, hi + 1) for lo, hi in box.values()])
+        assert planes.width > 10 * planes.bits_col
+        assert sweep_identity(Identity.STAR, box).ok
+        tracemalloc.start()
+        try:
+            assert sweep_identity(Identity.STAR, box).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * binomial.BLOCK_BYTES
+
 
 class TestSweepBudget:
     """Boxes whose sweep_terms exceed SWEEP_TERM_BUDGET are refused."""

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rjpascal import binomial, cli, spectral
+from rjpascal import binomial, cli, pascal, spectral
 from rjpascal.binomial import Identity, sweep_identity
 from rjpascal.pascal import BUILD_CACHE_SIZE, RingMatrix, build_r, build_u, build_w
 from rjpascal.spectral import matrix_power_oracle
@@ -67,7 +67,7 @@ class TestShow:
         def refuse(n, x):
             raise AssertionError("R(x) was built for a rejected format")
 
-        monkeypatch.setattr(cli, "build_rx", refuse)
+        monkeypatch.setattr(pascal, "build_rx", refuse)
         code, out, err = run(capsys, "show-r", "--n", "3000", "--x", "symbolic",
                              "--format", "csv")
         assert (code, out) == (2, "")
@@ -275,7 +275,7 @@ class TestVerify:
         assert out == "[PASS] involution n=2 x=1\n"
 
     def test_failure_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli.spectral, "verify_involution", lambda n, x=1: False)
+        monkeypatch.setattr(spectral, "verify_involution", lambda n, x=1: False)
         code, out, _ = run(capsys, "verify", "--n", "2", "--check", "involution")
         assert code == 1
         assert json.loads(out)[0]["pass"] is False
@@ -766,6 +766,42 @@ def test_cli_import_skips_dataclasses():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_commands_import_only_the_modules_they_call():
+    # each command runs in a fresh process, where compiling a module it never
+    # calls costs a few ms
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = """if True:
+        import contextlib, io, sys
+        from rjpascal.cli import main
+        def loaded(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(list(argv)) == 0
+            return sorted(m for m in ("rjpascal.ring", "rjpascal.pascal", "rjpascal.spectral")
+                          if m in sys.modules)
+        print(loaded("identities", "--only", "alternating"))
+        print(loaded("show-r", "--n", "1"))
+        import rjpascal
+        from rjpascal import *
+        homes = {"binomial": "Identity binom sweep_identity",
+                 "pascal": "build_r build_rx build_u build_w",
+                 "ring": "A ONE X IntPoly a_pow",
+                 "spectral": "eigenvalue verify_eigenpair verify_involution "
+                             "matrix_power_closed_form matrix_power_oracle"}
+        bound = {name: vars(sys.modules["rjpascal." + home])[name]
+                 for home, names in homes.items() for name in names.split()}
+        print(sorted(bound) == sorted(rjpascal.__all__),
+              all(globals()[name] is obj for name, obj in bound.items()))
+        from rjpascal import spectral
+        print(spectral is sys.modules["rjpascal.spectral"])
+    """
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]", "['rjpascal.pascal', 'rjpascal.ring']", "True True", "True"]
 
 
 def test_closed_pipe_exits_quietly():

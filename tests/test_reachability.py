@@ -35,6 +35,8 @@ ALLOWLIST = {
     "binomial.SkippedPoints.__eq__": "value equality; tests and library callers compare "
                                      "a report's skipped points with a list",
     "binomial.SkippedPoints.__repr__": "debugging display",
+    "__init__.__getattr__": "the README tour's `from rjpascal import …` resolves through it; "
+                            "tests/test_readme.py runs it",
 }
 
 HUGE_X = "1" + "0" * 320  # 10^320: its doubles overflow

@@ -339,6 +339,21 @@ class TestVerifyInvolution:
         assert verify_involution(4, x=2)
         assert verify_involution(4, x=0)
 
+    def test_fault_invisible_at_the_narrow_width_fails(self, monkeypatch):
+        """At n = 1, W = (-1) and W^2 = 1.  With the scale s = 1 + 4^(h-1) - x^2,
+        homogeneous of parity 0, the bound n N(W)^2 + N(s) = 4^(h-1) + 3 has
+        half width h, and the defect W^2 - s = x^2 - 4^(h-1) vanishes at
+        x = 2^(h-1) but not at 2^h."""
+        monkeypatch.setattr(spectral, "_checked_w", lru_cache(maxsize=BUILD_CACHE_SIZE)(
+            spectral._checked_w.__wrapped__))
+        for h in (2, 3, 10):
+            scale = RingElem(IntPoly([1 + 4 ** (h - 1), 0, -1]))
+            assert _half_width(_norm(build_w(1, None).rows) ** 2 + _norm([[scale]])) == h
+            assert scale.c0(2 ** (h - 1)) == 1 != scale.c0(2 ** h)
+            monkeypatch.setattr(spectral, "involution_scale", lambda n, x_image: scale)
+            spectral._checked_w.cache_clear()
+            assert not verify_involution(1, x=None), h
+
 
 class TestMatrixPower:
     def test_square(self):
