@@ -14,10 +14,10 @@ checked where both upper parameters are negative, although its support
 is [0, L] for every M and N; that rule stays because the benchmark
 checks the number of skipped points.
 
-A domain skip depends only on the outer parameters and is decided by a
-predicate (``_domain_skip``), so a sweep keeps one record per skipped
-line, its outer values and the reason (``SkippedPoints``), and never one
-per point: its memory grows with lines, not points.
+Both domain rules read only the signs of the first two parameters, so
+the skipped points form a box (``_skipped_box``) that a report keeps as
+it is (``SkippedPoints``), with no memory per point or line.  A sweep
+skips a line, or a plane's block, by membership in that box.
 
 The sums read their factors from one table, a row C(n, 0), C(n, 1), ...
 per upper parameter n: a bounded cache keyed by n whose lists grow on
@@ -193,16 +193,25 @@ COMPANION_DOMAIN_REASON = (
 )
 
 
-def _domain_skip(identity: Identity, outer: tuple[int, ...]) -> str | None:
-    """Why the line at outer parameters ``outer`` is outside the identity's
-    checked domain, or None.  Both rules read only the sign of the first
-    two parameters, so each holds on a whole side of 0."""
-    if identity is Identity.TRINOMIAL_COMPANION and outer[0] < 0:
+def _skipped_box(identity: Identity, ranges: list[range]) -> list[range]:
+    """The points of the box ``ranges`` outside the identity's checked
+    domain, as a box: the companion's I < 0, Vandermonde's M < 0 and N < 0,
+    and for the other identities an empty box.  Both rules read only the
+    signs of the first two parameters."""
+    negative = [range(r.start, min(r.stop, 0)) for r in ranges[:2]]
+    if identity is Identity.TRINOMIAL_COMPANION:
+        return [negative[0], *ranges[1:]]
+    if identity is Identity.VANDERMONDE:
+        return [*negative, *ranges[2:]]
+    return [range(0)] * len(ranges)
+
+
+def _skip_reason(identity: Identity, point: Sequence[int]) -> str:
+    """Why ``point``, a point of _skipped_box, is not checked."""
+    if identity is Identity.TRINOMIAL_COMPANION:
         return COMPANION_DOMAIN_REASON
-    if identity is Identity.VANDERMONDE and outer[0] < 0 and outer[1] < 0:
-        return (f"convolution with both upper parameters negative "
-                f"(M={outer[0]}, N={outer[1]}) is rejected")
-    return None
+    return (f"convolution with both upper parameters negative "
+            f"(M={point[0]}, N={point[1]}) is rejected")
 
 
 #: Sweep boxes used by default; chosen to include the negative-upper
@@ -243,31 +252,38 @@ class SkippedCase(NamedTuple):
 
 
 class SkippedPoints(Sequence):
-    """The points a sweep skipped, kept as (outer values, reason) per line.
+    """The points a sweep skipped, kept as the box they form (_skipped_box).
 
     As a read-only sequence it is the list of SkippedCase it stands for:
     ``len`` counts points, and indexing, iteration and ``==`` against a
     list give the same values in the order of itertools.product.
     """
 
-    def __init__(self, names: tuple[str, ...], values: range,
-                 lines: list[tuple[tuple[int, ...], str]]):
-        self.names = names  # parameter names; the last one varies along a line
-        self.values = values  # range of the last parameter
-        self.lines = lines  # (outer values, reason) of each skipped line
+    def __init__(self, identity: Identity, box: list[range]):
+        self.identity = identity
+        self.box = box  # one range per parameter
 
-    def _point(self, outer: tuple[int, ...], x: int, reason: str):
-        return SkippedCase(dict(zip(self.names, (*outer, x))), reason)
+    def covers(self, outer: tuple[int, ...]) -> bool:
+        """Whether the line or block that starts with ``outer`` is skipped:
+        past the parameters its rule reads, which ``outer`` always holds,
+        the box spans the whole sweep.  An empty box covers nothing, not
+        even alternating's empty ``outer``."""
+        return bool(self) and all(v in r for v, r in zip(outer, self.box))
 
     def __len__(self) -> int:
-        return len(self.lines) * len(self.values)
+        return math.prod(map(len, self.box))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
-        line, k = divmod(i, len(self.values))  # floor division reads i < 0 from the end
-        outer, reason = self.lines[line]
-        return self._point(outer, self.values[k], reason)
+        i = range(len(self))[i]  # IndexError past the end; i < 0 reads from the end
+        point = []
+        for r in reversed(self.box):  # one digit per parameter, the last one lowest
+            i, k = divmod(i, len(r))
+            point.append(r[k])
+        point.reverse()
+        return SkippedCase(dict(zip(self.identity.param_names, point)),
+                           _skip_reason(self.identity, point))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (list, SkippedPoints)):
@@ -277,27 +293,13 @@ class SkippedPoints(Sequence):
     def __repr__(self) -> str:
         return f"{type(self).__name__}({list(self)!r})"
 
-    def to_json(self) -> SkippedJson:
-        return SkippedJson(self.names, self.values, self.lines)
-
-
-class SkippedJson(SkippedPoints):
-    """The same points, each as the dict that SkippedCase.to_json gives.
-
-    ``cli._emit_json`` writes it as that list of dicts, a line at a time;
-    ``json.dumps`` needs ``default=list`` for it.
-    """
-
-    def _point(self, outer, x, reason):
-        return super()._point(outer, x, reason).to_json()
-
 
 class IdentityReport(NamedTuple):
     """Result of sweeping one identity over a parameter box.
 
-    ``skipped`` holds the skipped points a line at a time and reads as
-    their list; ``to_json`` gives it as a SkippedJson, which
-    ``cli._emit_json`` writes without expanding it."""
+    ``skipped`` holds the box of skipped points and reads as their list;
+    ``to_json`` passes it on as it is, and ``cli._emit_json`` writes it as
+    the list of their SkippedCase.to_json() dicts without expanding it."""
 
     identity: Identity
     box: dict[str, tuple[int, int]]
@@ -315,7 +317,7 @@ class IdentityReport(NamedTuple):
             "box": {name: list(rng) for name, rng in self.box.items()},
             "cases_checked": self.cases_checked,
             "failures": [f.to_json() for f in self.failures],
-            "skipped": self.skipped.to_json(),
+            "skipped": self.skipped,
         }
 
 
@@ -529,17 +531,18 @@ class _Planes:
         return packed
 
 
-def _sweep_planes(identity: Identity, ranges: list[range]) -> list[IdentityCase]:
+def _sweep_planes(identity: Identity, ranges: list[range],
+                  skipped: SkippedPoints) -> list[IdentityCase]:
     """The failures of star or Vandermonde over ``ranges``, a block of
-    middle values at a time and a plane per value of the first parameter:
-    one packed comparison per last value, whose digits are unpacked only
-    where the two sides differ."""
+    middle values at a time and a plane per value of the first parameter
+    outside ``skipped``: one packed comparison per last value, whose
+    digits are unpacked only where the two sides differ."""
     names = identity.param_names
     planes = _Planes(identity, ranges)
     failures = []
     for block in planes.blocks:
         for x in ranges[0]:
-            if _domain_skip(identity, (x, block[0])) is not None:
+            if skipped.covers((x, block[0])):  # a block lies on one side of 0
                 continue
             for s, (lhs, rhs) in zip(ranges[-1], planes(x, block)):
                 if lhs != rhs:
@@ -557,31 +560,25 @@ def sweep_identity(
 
     Star and Vandermonde are evaluated a plane at a time (_Planes), the
     others one line call per combination of the outer parameters.  Points
-    that violate a domain condition, which depends only on the outer
-    parameters (_domain_skip), are recorded as skipped with a reason, one
-    record per line (SkippedPoints); every disagreement between the two
-    sides is recorded as a failure (none are expected), in the order of
-    itertools.product.
+    that violate a domain condition form a box (_skipped_box), recorded as
+    skipped with a reason that is formatted when a point is read
+    (SkippedPoints); every disagreement between the two sides is recorded
+    as a failure (none are expected), in the order of itertools.product.
     """
     validate_box(identity, box)
     names = identity.param_names
     line = _LINES.get(identity)
     ranges = [range(box[name][0], box[name][1] + 1) for name in names]
+    skipped = SkippedPoints(identity, _skipped_box(identity, ranges))
     *outer_ranges, inner = ranges
-    failures: list[IdentityCase] = []
-    skipped: list[tuple[tuple[int, ...], str]] = []
-    for outer in itertools.product(*outer_ranges):
-        # params dicts are built only for the points that get recorded
-        reason = _domain_skip(identity, outer)
-        if reason is not None:
-            skipped.append((outer, reason))
-        elif line is not None:
+    if line is None:
+        failures = _sweep_planes(identity, ranges, skipped)
+    else:
+        failures = []
+        for outer in itertools.filterfalse(skipped.covers, itertools.product(*outer_ranges)):
             lhs, rhs = line(*outer, inner)
-            if lhs != rhs:
+            if lhs != rhs:  # params dicts are built only for the points that fail
                 fixed = dict(zip(names, outer))
                 failures += [IdentityCase(identity, {**fixed, names[-1]: x}, l, r)
                              for x, l, r in zip(inner, lhs, rhs) if l != r]
-    if line is None:
-        failures = _sweep_planes(identity, ranges)
-    return IdentityReport(identity, dict(box), math.prod(map(len, ranges)), failures,
-                          SkippedPoints(names, inner, skipped))
+    return IdentityReport(identity, dict(box), math.prod(map(len, ranges)), failures, skipped)

@@ -31,7 +31,7 @@ import os
 import re
 import sys
 
-from .binomial import DEFAULT_BOXES, Identity, SkippedJson, sweep_identity, validate_box
+from .binomial import DEFAULT_BOXES, Identity, SkippedPoints, sweep_identity, validate_box
 
 
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
@@ -184,8 +184,8 @@ def _emit_json(obj) -> None:
     """Print ``json.dumps(obj, indent=2)`` in one pass over obj, written in
     batches of _EMIT_BATCH pieces so the document is never held whole.
     Raises TypeError where json.dumps would, and for a dict key that is not
-    a str.  A ``binomial.SkippedJson`` inside obj is written as the list of
-    dicts it stands for, which json.dumps writes with ``default=list``.
+    a str.  A ``binomial.SkippedPoints`` inside obj is written as the list
+    of its points' SkippedCase.to_json() dicts.
 
     json's own indented encoder is pure Python (its C encoder runs only
     without indent) and yields through one generator per nesting level;
@@ -194,7 +194,7 @@ def _emit_json(obj) -> None:
     itself, walks dicts, lists and tuples (subclasses too, as json.dumps
     does), and writes every other value with json.dumps.
 
-    A SkippedJson is written a line at a time.  The points of a skipped
+    A SkippedPoints is written a line at a time.  The points of a skipped
     line differ only in the last parameter's value, the last thing before
     their params dict closes.  So the walker renders the line's first
     point once, and each point of the line is that text with the value
@@ -221,7 +221,7 @@ def _emit_json(obj) -> None:
                     append(key + _int_repr(v))
                 elif isinstance(v, (dict, list, tuple)):
                     walk(v, inner, key, append)
-                elif isinstance(v, SkippedJson):
+                elif isinstance(v, SkippedPoints):
                     skipped(v, inner, key, append)
                 else:
                     append(key + json.dumps(v))
@@ -240,7 +240,7 @@ def _emit_json(obj) -> None:
                     append(sep + _int_repr(v))
                 elif isinstance(v, (dict, list, tuple)):
                     walk(v, inner, sep, append)
-                elif isinstance(v, SkippedJson):
+                elif isinstance(v, SkippedPoints):
                     skipped(v, inner, sep, append)
                 else:
                     append(sep + json.dumps(v))
@@ -251,19 +251,19 @@ def _emit_json(obj) -> None:
             parts.clear()
 
     def skipped(seq, nl, head, append):
-        """Append SkippedJson seq, indented at nl and preceded by head."""
+        """Append SkippedPoints seq, indented at nl and preceded by head."""
         if not seq:
             append(head + "[]")
             return
         inner = nl + "  "
         rest = "," + inner
         close = inner + "  }"  # where a point's params dict closes
-        values = [_int_repr(x) for x in seq.values]
+        values = [_int_repr(x) for x in seq.box[-1]]
         sep = head + "[" + inner
         weight = 0
         for i in range(0, len(seq), len(values)):
             point = []
-            walk(seq[i], inner, "", point.append)
+            walk(seq[i].to_json(), inner, "", point.append)
             text = "".join(point)
             cut = text.index(close)
             pre, post = text[:cut - len(values[0])], text[cut:]

@@ -257,6 +257,18 @@ class TestSymmetricPower:
             assert m.x_image == IntPoly.const(x_value)
             assert len(evaluations) <= 8, (build, len(evaluations))
 
+    @pytest.mark.parametrize("c", [7, 100, 2 ** 20])
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_constant_entries_at_the_bound(self, n, c):
+        # M = ((c, 1), (1, 1)) over Z[x], whose bound is (c + 1)^(n-1): row 1
+        # is (c + t)^(n-1), and its entry c^(n-1) is above (c + 1)^(n-2), so
+        # a packing one power short would carry digits into powers of x.
+        # Every entry is a constant, and the build equals the one at x = 0.
+        m = ((RingElem(c), ONE), (ONE, ONE))
+        built = _symmetric_power(n, m)
+        assert all(part.degree() < 1 for row in built.rows for e in row for part in (e.c0, e.c1))
+        assert evaluated(built, 0) == _symmetric_power(n, m, 0)
+
     def test_rejects_a_divisor_that_is_not_a_unit(self):
         with pytest.raises(ValueError, match="M12"):
             _symmetric_power(3, ((ONE, ONE + ONE), (ONE, A)))

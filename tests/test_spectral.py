@@ -313,6 +313,14 @@ class TestEigenFaults:
             monkeypatch.setattr(spectral, "eigenvalues", lambda n_, x_image: [lam])
             assert spectral._eigen_failures.__wrapped__(1, None) == {1}, h
 
+    def test_rx_fault_invisible_without_the_product_norm_fails(self, monkeypatch):
+        """At n = 1, u_1 = (1), and R(x) = (x - 3) equals the true (1) only
+        at x = 4: the u_1 cross-check's width must count N(y) = 4 of the
+        product, or it compares at x = 2^2 and sees no fault."""
+        monkeypatch.setattr(spectral, "build_rx",
+                            lambda n_, x_: RingMatrix([[RingElem(IntPoly([-3, 1]))]]))
+        assert spectral._eigen_failures.__wrapped__(1, None) == {1}
+
 
 class TestVerifyInvolution:
     def test_n1(self):
