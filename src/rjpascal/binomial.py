@@ -575,6 +575,9 @@ def sweep_identity(
         failures = _sweep_planes(identity, ranges, skipped)
     else:
         failures = []
+        if outer_ranges and skipped and skipped.box[1:] == ranges[1:]:
+            # every point of a first value in the box is skipped: walk none of its lines
+            outer_ranges[0] = [v for v in outer_ranges[0] if v not in skipped.box[0]]
         for outer in itertools.filterfalse(skipped.covers, itertools.product(*outer_ranges)):
             lhs, rhs = line(*outer, inner)
             if lhs != rhs:  # params dicts are built only for the points that fail

@@ -18,10 +18,10 @@ is three sums of plain int products, p0 q0, p1 q1 and (p0 + p1)(q0 + q1)
 (Karatsuba), reduced once per entry rather than once per term.  Column
 scaling, M diag(f), is written once (_scaled).  ``_upper_square`` takes
 packed rows and factor pairs and returns the pairs (c0, c1) of the entries
-of M diag(f) M on and above the diagonal; its callers pack and read back.
+of M diag(f) M on and above the diagonal (closed-form powers at x = 1).
 ``_lower_pascal`` applies the lower Pascal matrix L(t), R(x) = L(x) J, by
 its recurrence, n(n-1)/2 products by t and sums, to ints that may pack
-whole rows.
+whole rows, or at t = x - a to pairs (_w_times: W = -S(L) S(D) S(U')).
 Over Z[x] the ints are the values at x = 2^k (Kronecker substitution,
 von zur Gathen & Gerhard, Modern Computer Algebra, 3rd ed., 2013,
 section 8.4), with k bounded by one norm N, the same for every kernel
@@ -255,7 +255,7 @@ def _packing(x_image: IntPoly, bound):
     # 3|p1||q1| <= N(p) N(q), as 2^2 >= 2 + 1.  So a dot product of length n
     # has N <= n N(p) N(q), M diag(f) has entries of N <= N(M) N(f) (the eigen
     # check's bound), and M diag(f) M has entries of N <= n N(M)^2 N(f)
-    # (spectral._checked_w reads W W at half the width from that bound).
+    # (spectral.verify_involution reads W W at half the width from that bound).
     # Only results are read back, and x -> 2^k is a ring homomorphism, so
     # the ints in between (Karatsuba sums, scaled operands) need no bound.
     if x_image.degree() < 1:
@@ -291,7 +291,7 @@ def _upper_square(packed, factors, x: int) -> list[list[tuple[int, int]]]:
     the packed rows of the square matrix M (_coefficients) and the packed
     factor pairs (f0, f1), all at the int x: list i (0-based) holds columns
     i..n-1 of row i, n(n+1)/2 dot products in all.  The caller packs, and
-    reads the pairs back; over Z[x] it picks x = 2^k for the entries it reads.
+    reads the pairs back.
 
     The columns are the transposes of the packed rows, and the left operand
     is the packed rows scaled by f, so M is packed once for both operands.
@@ -301,18 +301,26 @@ def _upper_square(packed, factors, x: int) -> list[list[tuple[int, int]]]:
     return [[_dot(p, q, x) for q in cols[i:]] for i, p in enumerate(_scaled(packed, factors, x))]
 
 
-def _lower_pascal(v: Sequence[int], t: int) -> list[int]:
+def _lower_pascal(v: Sequence, t) -> list:
     """L(t) v for the lower Pascal matrix L(t)_ik = C(i-1, k-1) t^(i-k):
     entry i is entry 1 of (t + E)^(i-1) v, E the shift (E v)_l = v_(l+1).
     Each of the n(n-1)/2 steps T_l <- t T_l + T_(l+1) is one product by t
-    and one sum, on ints of any kind: single entries, or rows packed whole."""
+    and one sum, on ints of any kind: single entries, or rows packed whole.
+    t is an int, or the step (T, T') -> t T + T' itself (_l_step)."""
+    step = t if callable(t) else lambda p, q: t * p + q
     v = list(v)
     out = v[:1]
     for s in range(len(v) - 1, 0, -1):
         for l in range(s):
-            v[l] = t * v[l] + v[l + 1]
+            v[l] = step(v[l], v[l + 1])
         out.append(v[0])
     return out
+
+
+def _l_step(x: int):
+    """The step T <- l T + T' of _lower_pascal on pairs (c0, c1) at the int
+    x, l = x - a: (c0 + c1 a)(x - a) = (x c0 - c1) - c0 a as a^2 = x a + 1."""
+    return lambda p, q: (x * p[0] - p[1] + q[0], q[1] - p[0])
 
 
 def _dot(p, q, x: int) -> tuple[int, int]:
@@ -333,22 +341,15 @@ def _dot(p, q, x: int) -> tuple[int, int]:
 _Q = ((ZERO, ONE), (ONE, RingElem(X)))
 _E = ((ONE, ONE), (RingElem(X, -1), A))
 _F = ((A, -ONE), (-ONE, -A))
+#: D's diagonal in F = L D U', L = ((1, 0), (l, 1)), U' = ((1, l), (0, 1)), l = x - a:
+#: a l = -1, -l + x - 2a = -a.  So W = -S(L) S(D) S(U'), S(L)_ij = C(i-1, j-1) l^(i-j),
+#: S(U') = J S(L) J (J the reversal), S(D) = diag(a^(n-i) (x - 2a)^(i-1)) (_w_times).
+_D = (A, RingElem(X, -2))
 
 
 def _symmetric_power(n: int, m, x: int | None = None, sign: int = 1) -> RingMatrix:
-    """sign S(M), sign = 1 or -1, for m = ((M11, M12), (M21, M22)) with
-    M12 = +/-1 (see _Q), at the int x, or over Z[x] when x is None.
-
-    With A = M11 + M12 t and B = M21 + M22 t, row 1 is A^(n-1) by the
-    binomial theorem, and row i + 1 is row i times B divided by A: an exact
-    division that, from the top, only multiplies by 1/M12 = M12.  The
-    recurrence is linear, so the sign goes on row 1's binomials.  Its
-    O(n^2) ring products run on bare ints (_packing).
-    """
-    # Each entry of S(M) is a polynomial in M's entries (the recurrence only
-    # adds, multiplies and multiplies by M12 = +/-1), and x -> c is a ring
-    # homomorphism, so S(M at c), run in Z[a]/(a^2 - c a - 1), is S(M) at c.
-    #
+    """sign S(M), sign = 1 or -1, for m = ((M11, M12), (M21, M22)) with M12 =
+    +/-1, at the int x, or over Z[x] when x is None (_packing, _power_rows)."""
     # _packing's bound: N (see _packing), summed over the coefficients in t,
     # is subadditive and submultiplicative too, so max(N(A), N(B))^(n-1)
     # bounds row i, the coefficients of A^(n-i) B^(i-1).
@@ -360,7 +361,21 @@ def _symmetric_power(n: int, m, x: int | None = None, sign: int = 1) -> RingMatr
     x_image = m[0][0].x_image
     x, unwrap, wrap = _packing(
         x_image, lambda: max(sum(_norm([[e]]) for e in row) for row in m) ** (n - 1))
-    (a, (s, s1)), (b0, b1) = [[(unwrap(e.c0), unwrap(e.c1)) for e in r] for r in m]
+    rows = _power_rows(n, [[(unwrap(e.c0), unwrap(e.c1)) for e in r] for r in m], x, sign)
+    return RingMatrix([[RingElem(wrap(c0), wrap(c1), x_image) for c0, c1 in r] for r in rows])
+
+
+def _power_rows(n: int, m, x: int, sign: int = 1) -> list[list[tuple[int, int]]]:
+    """The rows of sign S(M) as pairs (c0, c1) at the int x, m as pairs at x.
+    With A = M11 + M12 t and B = M21 + M22 t, row 1 is A^(n-1) by the
+    binomial theorem, and row i + 1 is row i times B divided by A: an exact
+    division that, from the top, only multiplies by 1/M12 = M12.  The
+    recurrence is linear, so the sign goes on row 1's binomials."""
+    # Each entry of S(M) is a polynomial in M's entries (the recurrence only
+    # adds, multiplies and multiplies by M12 = +/-1), and x -> c is a ring
+    # homomorphism, so S(M at c), run in Z[a]/(a^2 - c a - 1), is S(M) at c.
+    _check_dimension(n)
+    (a, (s, s1)), (b0, b1) = m
     if s1 or s not in (1, -1):
         raise ValueError("the row recurrence needs M12 = 1 or -1")
 
@@ -378,7 +393,26 @@ def _symmetric_power(n: int, m, x: int | None = None, sign: int = 1) -> RingMatr
             q = (s * (u0 + v0 - w0), s * (u1 + v1 - w1))
             new.append(q)
         rows.append(new[::-1])
-    return RingMatrix([[RingElem(wrap(c0), wrap(c1), x_image) for c0, c1 in r] for r in rows])
+    return rows
+
+
+def _w_at(n: int, x: int) -> list[list[tuple[int, int]]]:
+    """W = -S(F) as rows of pairs at the int x, F's entries evaluated directly."""
+    return _power_rows(n, [[(e.c0(x), e.c1(x)) for e in row] for row in _F], x, -1)
+
+
+def _w_times(v: Sequence[tuple[int, int]], x: int) -> list[tuple[int, int]]:
+    """W v = S(L) (-S(D)) J S(L) J v at the int x (_D) for v a vector of pairs,
+    entries or rows packed whole: two passes of _lower_pascal at l (_l_step)."""
+    a, b = [(e.c0(x), e.c1(x)) for e in _D]
+    pa, pb = [(-1, 0)], [(1, 0)]  # -a^k and (x - 2a)^k
+    for _ in range(len(v) - 1):
+        pa.append(_times(pa[-1], a, x))
+        pb.append(_times(pb[-1], b, x))
+    d = [_times(p, q, x) for p, q in zip(reversed(pa), pb)]
+    step = _l_step(x)
+    u = _lower_pascal(v[::-1], step)[::-1]
+    return _lower_pascal([_times(p, f, x) for p, f in zip(u, d)], step)
 
 
 @lru_cache(maxsize=BUILD_CACHE_SIZE)

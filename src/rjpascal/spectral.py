@@ -16,20 +16,18 @@ of one row can cancel there.
 
 W = -S(F) and U = S(E) with F = E diag(a, -1), and S is multiplicative
 (pascal), so W is U with columns scaled by units: the exact involution
-check W^2 = (1+a^2)^(n-1) I also proves U invertible at every x.  With
-b_i = C(n-1, i-1), b_i W_ij = b_j W_ji for every n (_binomially_symmetric
-checks it coefficient by coefficient), so B W is symmetric, B = diag(b),
-and so is B W D W for every diagonal D.  The involution check therefore
-forms only the n(n+1)/2 entries of W^2 on and above the diagonal (the
-proof is in verify_involution).  Over Z[x] it compares values at x = 2^h,
-half the Kronecker width, as x -> -x, a -> -a grades the ring.  W is
-checked and packed once per (n, x) (_checked_w), and both checks pass it
-with factor pairs to pascal._upper_square, and compare or divide the
-pairs (c0, c1) it returns.
+check W^2 = (1+a^2)^(n-1) I also proves U invertible at every x.  It reads
+build_w's W at an integer x, and over Z[x] runs its recurrence at x = +/-2^h,
+h fixed beforehand at half the Kronecker width as x -> -x, a -> -a grades
+the ring.  F = L D U' with l = x - a, so W W is two Pascal passes with the
+step l on W's packed rows (pascal._w_times), checked first to apply W.  With
+b_i = C(n-1, i-1), b_i W_ij = b_j W_ji (_binomially_symmetric), so B W is
+symmetric, B = diag(b), and so is B W D W for every diagonal D.
 
 Because of the involution, integer powers of the Pascal matrix are
-W diag(lambda^m) W divided by (1+a^2)^(n-1).  The diagonal factor, with
-the conjugate of the divisor folded in, scales the packed left operand,
+W diag(lambda^m) W divided by (1+a^2)^(n-1).  W is checked and packed
+once per n (_checked_w).  The diagonal factor, with the conjugate of the
+divisor folded in, scales the packed left operand of pascal._upper_square,
 and only the entries on and above the diagonal are formed and divided by
 the divisor's norm, an integer; any remainder or leftover a-component is
 a hard error, which makes the power routine a self-test of the whole
@@ -52,9 +50,9 @@ from functools import lru_cache
 from operator import mul, sub
 from typing import NamedTuple
 
-from .pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, _coefficients, _digits,
-                     _lower_pascal, _norm, _packing, _scaled, _upper_square, build_r, build_rx,
-                     build_u, build_w)
+from .pascal import (BUILD_CACHE_SIZE, IntMatrix, _coefficients, _digits, _lower_pascal,
+                     _norm, _packing, _scaled, _upper_square, _w_at, _w_times, build_r,
+                     build_rx, build_u, build_w)
 from .ring import X, ExactDivisionError, IntPoly, RingElem, a_pow
 
 #: Default tolerance on a relative residual: 64 u, u = 2^-53.  An entry of
@@ -156,11 +154,10 @@ def _eigen_failures(n: int, x: int | None) -> frozenset[int]:
     # slot k in column k + 1.
     width = ((abs(t) + 1) ** (n - 1) * max(abs(c) for p0, p1, _ in packed for c in p0 + p1)
              + max(abs(c) for r0, r1, _ in rhs for c in r0 + r1)).bit_length() + 1
-    slots = 1 << width
     for part in (0, 1):
-        lhs = _lower_pascal([IntPoly(p[part])(slots) for p in reversed(packed)], t)
+        lhs = _lower_pascal([_pack(p[part], width) for p in reversed(packed)], t)
         for left, r in zip(lhs, rhs):
-            if left != (right := IntPoly(r[part])(slots)):
+            if left != (right := _pack(r[part], width)):
                 failures.update(k + 1 for k, d in enumerate(_digits(left - right, width).coeffs)
                                 if d)
     return frozenset(failures)
@@ -187,58 +184,71 @@ def involution_scale(n: int, x_image: IntPoly = X) -> RingElem:
 
 
 def verify_involution(n: int, x: int | None = 1) -> bool:
-    """Exact check that W @ W = (1 + a^2)^(n-1) I.
+    """Exact check that W @ W = (1 + a^2)^(n-1) I: at the integer x on build_w(n, x),
+    or for x=None over Z[x] on build_w's recurrence run at x = +/-2^h (pascal._w_at),
+    h from the builder lemma; that build_w(n, None) is the same there is a test."""
+    x = _integer_x(x)
+    scale = involution_scale(n, X if x is None else IntPoly.const(x))
+    if x is not None:
+        w = [[(e.c0(x), e.c1(x)) for e in row] for row in build_w(n, x).rows]
+        return _squares_to(w, (scale.c0(x), scale.c1(x)), x)
+    # sigma: x -> -x, a -> -a fixes a^2 - x a - 1, a ring automorphism.  Call
+    # e homogeneous of parity p when sigma(e) = (-1)^p e; parities add in
+    # products.  W_ij (1-based) has parity n - i + j - 1: row i of -S(F) is
+    # -(a - t)^(n-i) (-1 - a t)^(i-1), of parity n - i when t counts as odd.
+    # So (W W)_il has parity i + l, the scale (2 + x a)^(n-1) parity 0, and
+    # each entry of D = W W - scale I is homogeneous.  N(W) <= 3^(n-1), as each
+    # row of F has N = 3 (pascal._symmetric_power), so by pascal._packing's
+    # lemma D's coefficients are at most n 9^(n-1) + N(scale) < 2^(2h - 1).
+    # A homogeneous c0 or c1 is x^p g(x^2), and g's coefficients are then the
+    # balanced base-4^h digits of g(4^h), so D = 0 iff D at 2^h is (_half_width).
+    # So are the even and the odd part of each c0 and c1 of W and the scale,
+    # so e has parity p iff c0(-t) = (-1)^p c0(t) and c1(-t) = -(-1)^p c1(t).
+    t = 1 << _half_width(n * 9 ** (n - 1) + _norm([[scale]]))
+    (w, s), (w_neg, s_neg) = ((_w_at(n, v), (scale.c0(v), scale.c1(v))) for v in (t, -t))
+    return all(f == ((-1) ** p * e[0], -(-1) ** p * e[1]) for e, f, p in [(s, s_neg, 0), *(
+        (e, f, n - i + j - 1) for i, (row, row_neg) in enumerate(zip(w, w_neg))
+        for j, (e, f) in enumerate(zip(row, row_neg)))]) and _squares_to(w, s, t)
 
-    With ``x=None`` the comparison is over Z[x] coefficients, the
-    stronger polynomial-entry form of the statement; it runs on the
-    values at x = 2^h, h = _half_width(bound), after checking that W is
-    homogeneous (_homogeneous).  Only the entries of W @ W on and above
-    the diagonal are formed; a symmetry of W, checked first, settles the
-    rest.  The entries are compared as pairs of ints; none is unpacked.
-    """
-    # B W is symmetric (_binomially_symmetric), so P = W W satisfies
-    # B P = W^T B W = P^T B: b_l P_li = b_i P_il.  Once P_il = scale * delta_il
-    # for i <= l, b_l P_li = 0 below the diagonal, so P_li = 0 there
-    # (b_l != 0, and the ring has no additive torsion).
-    checked = _checked_w(n, _integer_x(x))
-    if checked is None:
+
+def _squares_to(w: list[list[tuple[int, int]]], s: tuple[int, int], x: int) -> bool:
+    """Whether W W = s I at the int x, for W's rows and s as pairs (c0, c1):
+    G W by pascal._w_times on W's packed rows, once G = W is checked on the
+    column v_T = (1, T, ..., T^(n-1)), whose entry i packs row i at T."""
+    # |p| = max(|p0|, |p1|).  G is -S(F) at x, as S is multiplicative: its
+    # entries are values of polynomials of degree below n and N <= 3^(n-1)
+    # (verify_involution), below g = (3 max(|x|, 1))^(n-1).  T = 2^k is above
+    # twice g + |W|, so the balanced base-T digits of (G v_T - W v_T)_i are row
+    # i of G - W.  Once G = W, |p q| <= (|x| + 2) |p| |q| puts each entry of
+    # W W - s I below n (|x| + 2) |W|^2 + |s|, half the product's slot 2^k.
+    n, top = len(w), max(abs(c) for row in w for e in row for c in e)
+    k = ((3 * max(abs(x), 1)) ** (n - 1) + top).bit_length() + 1
+    rows = lambda k: [tuple(_pack(part, k) for part in zip(*row)) for row in w]
+    if _w_times([(1 << k * j, 0) for j in range(n)], x) != rows(k):
         return False
-    packed, _, scale, t = checked
-    want = (scale.c0(t), scale.c1(t))
-    upper = _upper_square(packed, [(1, 0)] * n, t)
-    return all(row == [want] + [(0, 0)] * (n - 1 - i) for i, row in enumerate(upper))
+    k = (n * (abs(x) + 2) * top ** 2 + max(map(abs, s))).bit_length() + 1
+    return _w_times(rows(k), x) == [(s[0] << k * i, s[1] << k * i) for i in range(n)]
+
+
+def _pack(values, k: int) -> int:
+    """sum_j values[j] 2^(k j), neighbours joined a level at a time (a trailing 0
+    pairs with an odd last value), so each bit is shifted about log2(n) times."""
+    while len(values) > 1:
+        pairs = iter([*values, 0])
+        values, k = [p + (q << k) for p, q in zip(pairs, pairs)], 2 * k
+    return values[0]
 
 
 @lru_cache(maxsize=BUILD_CACHE_SIZE)
-def _checked_w(n: int, x: int | None) -> tuple[list, list[int], RingElem, int] | None:
-    """(packed, b, scale, t): W packed at the int t (pascal._coefficients),
-    b_i = C(n-1, i-1), and the scale (1 + a^2)^(n-1), once per (n, x) for
-    the involution and every exponent of the closed form.  t is x, or 2^h
-    over Z[x].  None if W is not binomially symmetric, or over Z[x] if W
-    or the scale is not homogeneous of its parity."""
-    w = build_w(n, x)
-    b = _binomially_symmetric(w)
+def _checked_w(n: int) -> tuple[list, list[int], RingElem] | None:
+    """(packed, b, scale) at x = 1 for every exponent of the closed form: W packed,
+    b_i = C(n-1, i-1) and (1 + a^2)^(n-1); None if W is not binomially symmetric."""
+    w = build_w(n, 1)
+    packed = _coefficients(w.rows, IntPoly.constant_value)
+    b = _binomially_symmetric(packed)
     if b is None:
         return None
-    scale = involution_scale(n, w.x_image)
-    if x is None:
-        # sigma: x -> -x, a -> -a fixes a^2 - x a - 1, so it is a ring
-        # automorphism.  Call e homogeneous of parity p when sigma(e) = (-1)^p e;
-        # parities add in products and are kept by sums.  W_ij (1-based) has
-        # parity n - i + j - 1: row i of -S(F) is -(a - t)^(n-i) (-1 - a t)^(i-1),
-        # homogeneous of parity n - i when t counts as odd.  So (W W)_il has
-        # parity 2n - 2 + l - i = i + l, and the scale, 2 + x a to the n - 1,
-        # parity 0: each entry of D = W W - scale I is homogeneous.  Both are
-        # checked, not assumed.  By pascal._packing's lemma D's coefficients are
-        # at most n N(W)^2 + N(scale) < 2^(2h - 1) in absolute value.  A homogeneous
-        # c0 or c1 is x^p g(x^2), and g's coefficients are then the balanced
-        # base-4^h digits of g(4^h), so D = 0 iff D at x = 2^h is 0 (_half_width).
-        if not (_homogeneous(scale, 0) and all(
-                _homogeneous(e, (n - i + j - 1) % 2)
-                for i, row in enumerate(w.rows) for j, e in enumerate(row))):
-            return None
-        x = 1 << _half_width(n * _norm(w.rows) ** 2 + _norm([[scale]]))
-    return _coefficients(w.rows, lambda c: c(x)), b, scale, x
+    return packed, b, involution_scale(n, w.x_image)
 
 
 def _homogeneous(e: RingElem, parity: int) -> bool:
@@ -255,23 +265,16 @@ def _half_width(bound: int) -> int:
     return bound.bit_length() // 2 + 1
 
 
-def _binomially_symmetric(w: RingMatrix) -> list[int] | None:
-    """b, b_i = C(n-1, i-1), if b_i W_ij = b_j W_ji for every i < j,
-    compared coefficient by coefficient (B W is symmetric, B = diag(b));
-    None otherwise.
-
-    It holds for every n: W = -S(F) (pascal), and the binomial theorem over
-    the rows of S(F) gives
-      sum_ij b_i W_ij s^(i-1) t^(j-1) = -(F11 + F12 t + F21 s + F22 s t)^(n-1),
-    symmetric in s and t as F12 = F21.  The checks test it on the W they
-    are given rather than assume it.
-    """
-    b = [math.comb(w.n - 1, i) for i in range(w.n)]
-    rows = w.rows
-    return b if all([b[i] * c for c in p.coeffs] == [b[j] * c for c in q.coeffs]
-                    for i in range(w.n) for j in range(i + 1, w.n)
-                    for p, q in ((rows[i][j].c0, rows[j][i].c0),
-                                 (rows[i][j].c1, rows[j][i].c1))) else None
+def _binomially_symmetric(packed) -> list[int] | None:
+    """b, b_i = C(n-1, i-1), if b_i W_ij = b_j W_ji for i < j on W's ints at x = 1
+    (pascal._coefficients), else None.  B W = diag(b) W is symmetric for every n:
+      sum_ij b_i W_ij s^(i-1) t^(j-1) = -(F11 + F12 t + F21 s + F22 s t)^(n-1)
+    over the rows of S(F) = -W, symmetric in s and t as F12 = F21."""
+    n = len(packed)
+    b = [math.comb(n - 1, i) for i in range(n)]
+    return b if all(b[i] * p[part][j] == b[j] * packed[j][part][i]
+                    for i, p in enumerate(packed) for j in range(i + 1, n)
+                    for part in (0, 1)) else None
 
 
 def matrix_power_closed_form(n: int, m: int) -> IntMatrix:
@@ -292,11 +295,11 @@ def matrix_power_closed_form(n: int, m: int) -> IntMatrix:
     # P^T B = W^T D (B W) = (B W) D W = B P, as diagonal matrices commute:
     # b_l P_li = b_i P_il.  R^m = P / norm for D = diag(lambda^m) conj, so
     # below the diagonal R^m_il = b_l R^m_li / b_i, an exact division.
-    checked = _checked_w(n, 1)
+    checked = _checked_w(n)
     if checked is None:
         raise ValueError(f"W at n = {n} fails b_i W_ij = b_j W_ji, "
                          "so its lower triangle cannot be mirrored")
-    packed, b, scale, _ = checked
+    packed, b, scale = checked
     conj, norm, x_image = scale.conjugate(), scale.norm().constant_value(), scale.x_image
     factors = [(f.c0.constant_value(), f.c1.constant_value())
                for f in (lam * conj for lam in eigenvalues(n, x_image, m))]

@@ -249,6 +249,41 @@ class TestSweep:
         assert len(rep.skipped) == 2 * 3 * 3
         assert all(s.params["I"] < 0 for s in rep.skipped)
 
+    def test_companion_walks_no_skipped_line(self, monkeypatch):
+        # the box spans J, so an I < 0 skips its lines whole: no (I, J) of
+        # the skipped box is tested, and only the lines outside it are run
+        calls, lines, covers = [], [], binomial.SkippedPoints.covers
+        line = binomial._LINES[Identity.TRINOMIAL_COMPANION]
+
+        def counted(self, outer):
+            calls.append(outer)
+            return covers(self, outer)
+
+        def run(i, j, ks):
+            lines.append((i, j))
+            return line(i, j, ks)
+
+        monkeypatch.setattr(binomial.SkippedPoints, "covers", counted)
+        monkeypatch.setitem(binomial._LINES, Identity.TRINOMIAL_COMPANION, run)
+        rep = sweep_identity(Identity.TRINOMIAL_COMPANION,
+                             {"I": (-50, 3), "J": (-100, -1), "K": (0, 2)})
+        assert rep.ok and len(rep.skipped) == 50 * 100 * 3
+        assert calls == lines == [(i, j) for i in range(4) for j in range(-100, 0)]
+
+    def test_first_value_is_walked_where_the_box_does_not_span_the_rest(self, monkeypatch):
+        # with a skipped box narrower than the sweep in J, an I in the box
+        # keeps its lines outside the box, and covers skips the others
+        box = [range(-2, 0), range(0, 2), range(0, 3)]
+        lines = []
+        monkeypatch.setattr(binomial, "_skipped_box", lambda identity, ranges: box)
+        monkeypatch.setitem(binomial._LINES, Identity.TRINOMIAL_COMPANION,
+                            lambda i, j, ks: lines.append((i, j)) or ([0] * len(ks),) * 2)
+        rep = sweep_identity(Identity.TRINOMIAL_COMPANION,
+                             {"I": (-2, 1), "J": (-1, 2), "K": (0, 2)})
+        assert rep.ok and len(rep.skipped) == 2 * 2 * 3
+        assert lines == [(i, j) for i in range(-2, 2) for j in range(-1, 3)
+                         if not (i < 0 and 0 <= j < 2)]
+
     def test_alternating_negative_range_rejected(self):
         with pytest.raises(ValueError):
             sweep_identity(Identity.ALTERNATING_DELTA, {"N": (-1, 5)})

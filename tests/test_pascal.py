@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from rjpascal import pascal
 from rjpascal.binomial import _row_table
-from rjpascal.pascal import (_E, _F, _Q, IntMatrix, RingMatrix, _coefficients, _digits,
-                             _lower_pascal, _norm, _packing, _scaled, _symmetric_power,
-                             _upper_square, build_r, build_rx, build_u, build_w)
-from rjpascal.ring import A, ONE, IntPoly, RingElem, X, a_pow
+from rjpascal.pascal import (_D, _E, _F, _Q, IntMatrix, RingMatrix, _coefficients, _digits,
+                             _l_step, _lower_pascal, _norm, _packing, _scaled, _symmetric_power,
+                             _upper_square, _w_at, _w_times, build_r, build_rx, build_u,
+                             build_w)
+from rjpascal.ring import A, ONE, ZERO, IntPoly, RingElem, X, a_pow
 from rjpascal.spectral import _checked_w, _eigen_failures, _inverse_r, involution_scale
 
 ONE_AT_1 = IntPoly.const(1)
@@ -272,6 +273,36 @@ class TestSymmetricPower:
     def test_rejects_a_divisor_that_is_not_a_unit(self):
         with pytest.raises(ValueError, match="M12"):
             _symmetric_power(3, ((ONE, ONE + ONE), (ONE, A)))
+
+
+def times2(p, q):
+    """The product of two 2x2 matrices of ring elements."""
+    return tuple(tuple(p[i][0] * q[0][j] + p[i][1] * q[1][j] for j in range(2))
+                 for i in range(2))
+
+
+class TestFactorization:
+    """F = L D U' with l = x - a, L = ((1, 0), (l, 1)), D = diag(pascal._D)
+    and U' = ((1, l), (0, 1)), so W = -S(F) = -S(L) S(D) S(U')."""
+
+    @pytest.mark.parametrize("x", [None, 1, 0, -2, 3])
+    def test_f_is_l_d_u(self, x):
+        def at(e):
+            return e if x is None else e.specialize(x)
+        l, zero, one = at(RingElem(X, -1)), at(ZERO), at(ONE)
+        assert l * at(A) == -one
+        d1, d2 = map(at, _D)
+        lower, diag, upper = ((one, zero), (l, one)), ((d1, zero), (zero, d2)), ((one, l), (zero, one))
+        assert times2(times2(lower, diag), upper) == tuple(tuple(map(at, row)) for row in _F)
+
+    @pytest.mark.parametrize("x", [1, 0, -2, 3, 2 ** 10, -2 ** 10])
+    def test_w_times_is_w(self, x):
+        # W built at x as pairs, and applied by the passes to each unit column
+        for n in range(1, 9):
+            w = _w_at(n, x)
+            assert w == [[(e.c0(x), e.c1(x)) for e in row] for row in build_w(n).rows]
+            for j in range(n):
+                assert _w_times([(int(k == j), 0) for k in range(n)], x) == [row[j] for row in w]
 
 
 def scalar_matrix(n, c):
@@ -552,6 +583,16 @@ class TestPascalRecurrence:
             for j in range(n):
                 e_j = [int(k == n - 1 - j) for k in range(n)]
                 assert _lower_pascal(e_j, x) == [row[j] for row in rows], (x, j + 1)
+
+    @pytest.mark.parametrize("x", [1, 0, -2, 3, 2 ** 10])
+    def test_pair_step_pass_is_lower_pascal_at_l(self, x):
+        # S(L)_ij = C(i-1, j-1) l^(i-j), l = x - a, column by column on pairs
+        l = RingElem(X, -1).specialize(x)
+        for n in range(1, 9):
+            for j in range(n):
+                want = [l ** (i - j) * math.comb(i, j) if i >= j else l * 0 for i in range(n)]
+                got = _lower_pascal([(int(k == j), 0) for k in range(n)], _l_step(x))
+                assert got == [(e.c0.constant_value(), e.c1.constant_value()) for e in want], (n, j)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 80).flatmap(lambda k: st.tuples(

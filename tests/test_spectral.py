@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from rjpascal import spectral
 from rjpascal.pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, _norm, build_r, build_rx,
                              build_u, build_w)
-from rjpascal.ring import A, ONE, ExactDivisionError, IntPoly, RingElem, X, a_pow
+from rjpascal.ring import A, ONE, ExactDivisionError, IntPoly, RingElem, X, _times, a_pow
 from rjpascal.spectral import (
     DEFAULT_TOL,
     _half_width,
     _homogeneous,
     _inverse_r,
+    _pack,
     eigen_distinctness,
     eigenvalue,
     eigenvalues,
@@ -349,18 +350,110 @@ class TestVerifyInvolution:
 
     def test_fault_invisible_at_the_narrow_width_fails(self, monkeypatch):
         """At n = 1, W = (-1) and W^2 = 1.  With the scale s = 1 + 4^(h-1) - x^2,
-        homogeneous of parity 0, the bound n N(W)^2 + N(s) = 4^(h-1) + 3 has
+        homogeneous of parity 0, the bound n 9^(n-1) + N(s) = 4^(h-1) + 3 has
         half width h, and the defect W^2 - s = x^2 - 4^(h-1) vanishes at
         x = 2^(h-1) but not at 2^h."""
-        monkeypatch.setattr(spectral, "_checked_w", lru_cache(maxsize=BUILD_CACHE_SIZE)(
-            spectral._checked_w.__wrapped__))
         for h in (2, 3, 10):
             scale = RingElem(IntPoly([1 + 4 ** (h - 1), 0, -1]))
-            assert _half_width(_norm(build_w(1, None).rows) ** 2 + _norm([[scale]])) == h
+            assert _half_width(1 * 9 ** 0 + _norm([[scale]])) == h
             assert scale.c0(2 ** (h - 1)) == 1 != scale.c0(2 ** h)
-            monkeypatch.setattr(spectral, "involution_scale", lambda n, x_image: scale)
-            spectral._checked_w.cache_clear()
+            monkeypatch.setattr(spectral, "involution_scale", lambda n, x_image=X: scale)
             assert not verify_involution(1, x=None), h
+
+    def test_alias_at_the_bound_without_n_fails(self, monkeypatch):
+        """At n = 4, W_ij = 27 x^(3-i+j) H_ij (0-based), H the symmetric
+        Hadamard matrix, has N(W) = 3^3, the builder lemma's bound, W's
+        parities, and W W = 2916 x^6 I.  With s = x^8 - 1180 x^6 the defect
+        W W - s I = x^6 (4096 - x^2) vanishes at x = 2^6.  The bound
+        n 9^(n-1) + N(s) = 4097 has half width 7; without its factor n, or
+        with 9^(n-2), it would have 6.  W is its own left factor here, so
+        the check forms W W."""
+        had = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+        w = [[RingElem(IntPoly([0] * (3 - i + j) + [27 * had[i][j]])) for j in range(4)]
+             for i in range(4)]
+        scale = RingElem(IntPoly([0] * 6 + [-1180, 0, 1]))
+        assert _norm(w) == 3 ** 3
+        assert _half_width(4 * 9 ** 3 + _norm([[scale]])) == 7
+        assert _half_width(9 ** 3 + _norm([[scale]])) == 6 == _half_width(4 * 9 ** 2 + 1181)
+        square = RingMatrix(w) @ RingMatrix(w)
+        assert square == scalar(4, RingElem(IntPoly([0] * 6 + [2916])))
+        assert [scale.c0(2 ** h) == 2916 * 2 ** (6 * h) for h in (6, 7)] == [True, False]
+        _faulty_w(monkeypatch, lambda rows, n: rows.__setitem__(slice(None), w))
+        _left_factor(monkeypatch, w)
+        monkeypatch.setattr(spectral, "involution_scale", lambda n, x_image=X: scale)
+        assert not verify_involution(4, x=None)
+
+    def test_scale_of_mixed_parity_that_vanishes_at_the_width_fails(self, monkeypatch):
+        """At n = 1 the scale x - 3 has N = 4, so the bound 1 + 4 has half
+        width 2, and it equals W^2 = 1 at x = 2^2: only its value at
+        x = -2^2 shows that it mixes parities."""
+        scale = RingElem(IntPoly([-3, 1]))
+        assert _half_width(1 + _norm([[scale]])) == 2 and scale.c0(4) == 1
+        monkeypatch.setattr(spectral, "involution_scale", lambda n, x_image=X: scale)
+        assert not verify_involution(1, x=None)
+
+    def test_left_factor_alias_below_its_own_bound_fails(self, monkeypatch):
+        """At x = 7 and n = 2 the left factor's entries may reach
+        (3 |x|)^(n-1) = 21, far above W's.  With W = ((0, 0), (1, 1)), the
+        left factor G = ((0, 0), (5, 0)) and the scale 0, G W = 0 I, and
+        G v_T = W v_T at T = 4, the width W's entries alone would give."""
+        w = [[RingElem(0), RingElem(0)], [RingElem(1), RingElem(1)]]
+        left = [[RingElem(0), RingElem(0)], [RingElem(5), RingElem(0)]]
+        assert RingMatrix(left) @ RingMatrix(w) == scalar(2, RingElem(0))
+        _faulty_w(monkeypatch, lambda rows, n: rows.__setitem__(slice(None), w))
+        _left_factor(monkeypatch, left)
+        monkeypatch.setattr(spectral, "involution_scale", lambda n, x_image=X: RingElem(0))
+        assert not verify_involution(2, x=7)
+
+    @pytest.mark.parametrize("x", [1, None], ids=["x=1", "symbolic"])
+    def test_swapped_columns_with_a_matching_left_factor_fail(self, monkeypatch, x):
+        """W P, P the swap of columns 2 and 4, squares to W P W P, not the
+        scale.  With P W as the left factor the product P W W P is the scale
+        matrix, so only the comparison of the left factor with the built W
+        refuses it."""
+        n, swap = 5, [0, 3, 2, 1, 4]
+        w = build_w(n).rows
+        swapped = [[row[j] for j in swap] for row in w]
+        left = [w[i] for i in swap]
+        scale = scalar(n, involution_scale(n))
+        assert RingMatrix(left) @ RingMatrix(swapped) == scale
+        assert RingMatrix(swapped) @ RingMatrix(swapped) != scale
+        _faulty_w(monkeypatch, lambda rows, n_: rows.__setitem__(slice(None), swapped))
+        _left_factor(monkeypatch, left)
+        assert not verify_involution(n, x=x)
+
+
+def scalar(n, c):
+    """c times the n x n identity, in c's ring."""
+    zero = c * 0
+    return RingMatrix([[c if i == j else zero for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-2 ** 70, 2 ** 70)] * 2), min_size=1, max_size=9),
+       st.integers(2, 80))
+def test_pack_is_the_value_at_two_to_the_k(row, k):
+    for part in zip(*row):
+        assert _pack(part, k) == IntPoly(part)(2 ** k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 40, 64])
+def test_symbolic_involution_reads_build_w_at_its_points(monkeypatch, n):
+    """Over Z[x] the involution builds W at x = +/-2^h by the recurrence
+    (pascal._w_at), not from build_w(n, None): the two agree there."""
+    xs, w_at = [], spectral._w_at
+
+    def recorded(n, x):
+        xs.append(x)
+        return w_at(n, x)
+
+    monkeypatch.setattr(spectral, "_w_at", recorded)
+    monkeypatch.setattr(spectral, "_squares_to", lambda w, s, x: True)
+    assert verify_involution(n, x=None)
+    assert len(xs) == 2 and xs[0] == -xs[1] > 0
+    rows = build_w(n).rows
+    for x in xs:
+        assert w_at(n, x) == [[_pair(e, x) for e in row] for row in rows]
 
 
 class TestMatrixPower:
@@ -748,21 +841,40 @@ def test_half_width_witnesses(h):
     assert not _homogeneous(RingElem(mixed), 0) and not _homogeneous(RingElem(mixed), 1)
 
 
+def _pair(e, x):
+    """The parts (c0, c1) of e over Z[x] at the int x."""
+    return e.c0(x), e.c1(x)
+
+
 def _faulty_w(monkeypatch, edit):
     """Make the checks read W with ``edit(rows, n)`` applied to a copy of
-    its rows (0-based, entries in W's ring).
+    its rows over Z[x] (0-based), evaluated at the checks' x.
 
-    The checks keep W per (n, x) (spectral._checked_w), so they get a
-    fresh cache for the test: no W from before the patch answers for them,
-    and none from during it outlives it."""
+    Over Z[x] the involution builds W as pairs at its own points
+    (spectral._w_at), so there it reads the edited W at them.  The power check
+    keeps W per n (spectral._checked_w), so it gets a fresh cache for the
+    test: no W from before the patch answers for it, and none from during
+    it outlives it."""
     def faulty(n, x):
-        rows = [list(row) for row in build_w(n, x).rows]
+        rows = [list(row) for row in build_w(n, None).rows]
         edit(rows, n)
-        return RingMatrix(rows)
+        return RingMatrix([[e if x is None else e.specialize(x) for e in row] for row in rows])
 
     monkeypatch.setattr(spectral, "build_w", faulty)
+    monkeypatch.setattr(spectral, "_w_at", lambda n, x: [[_pair(e, x) for e in row]
+                                                          for row in faulty(n, None).rows])
     monkeypatch.setattr(spectral, "_checked_w", lru_cache(maxsize=BUILD_CACHE_SIZE)(
         spectral._checked_w.__wrapped__))
+
+
+def _left_factor(monkeypatch, rows):
+    """Make the involution apply the matrix ``rows`` (entries over Z[x]) at
+    its point as the left factor, in place of pascal's Pascal passes."""
+    def times(v, x):
+        return [tuple(map(sum, zip(*(_times(_pair(e, x), p, x) for e, p in zip(row, v)))))
+                for row in rows]
+
+    monkeypatch.setattr(spectral, "_w_times", times)
 
 
 def _add(i, j, c):
@@ -797,15 +909,15 @@ def _even_pair(rows, n):
     _add(4, 2, x2 * b[1])(rows, n)
 
 
-def _recorded_kernel(monkeypatch):
-    """Let spectral._upper_square run, and return the list of the x of each call."""
-    xs, kernel = [], spectral._upper_square
+def _recorded_checks(monkeypatch):
+    """Let spectral._squares_to run, and return the list of the x of each call."""
+    xs, check = [], spectral._squares_to
 
-    def recorded(packed, factors, x):
+    def recorded(w, s, x):
         xs.append(x)
-        return kernel(packed, factors, x)
+        return check(w, s, x)
 
-    monkeypatch.setattr(spectral, "_upper_square", recorded)
+    monkeypatch.setattr(spectral, "_squares_to", recorded)
     return xs
 
 
@@ -832,6 +944,13 @@ class TestInvolutionFaults:
         _faulty_w(monkeypatch, _add(1, 1, 1))
         assert not verify_involution(1, x=x)
 
+    @pytest.mark.parametrize("x", [1, -2, 3])
+    def test_reads_the_built_w_at_an_integer_x(self, monkeypatch, x):
+        # the W that build_w returns and show-w prints, not a build of its own
+        monkeypatch.setattr(spectral, "build_w", lambda n, x: build_w(n, x) if n != 5 else
+                            RingMatrix([[e * 2 for e in row] for row in build_w(n, x).rows]))
+        assert not verify_involution(5, x=x)
+
     def test_wrong_parity_is_refused_before_the_product(self, monkeypatch):
         # W_33 at n = 5 has parity 0, so c0 + x is not homogeneous; a diagonal
         # edit keeps the symmetry, so only the parity check can refuse it
@@ -839,11 +958,22 @@ class TestInvolutionFaults:
             raise AssertionError("the product ran on a W of the wrong parity")
 
         _faulty_w(monkeypatch, _add(3, 3, X))
-        monkeypatch.setattr(spectral, "_upper_square", refuse)
+        monkeypatch.setattr(spectral, "_squares_to", refuse)
         assert not verify_involution(5, x=None)
 
+    def test_mixed_parity_fault_that_vanishes_at_the_width_fails(self, monkeypatch):
+        """W_11 + 2^h - x at n = 5 equals W_11 at x = 2^h, where the product
+        runs, so only the build at x = -2^h, where it is off by 2^(h+1),
+        shows the fault."""
+        n = 5
+        h = _half_width(n * 9 ** (n - 1) + _norm([[involution_scale(n)]]))
+        xs = _recorded_checks(monkeypatch)
+        _faulty_w(monkeypatch, _add(1, 1, IntPoly([2 ** h, -1])))
+        assert not verify_involution(n, x=None)
+        assert xs == []
+
     def test_homogeneous_symmetric_fault_fails_in_the_product(self, monkeypatch):
-        xs = _recorded_kernel(monkeypatch)
+        xs = _recorded_checks(monkeypatch)
         _faulty_w(monkeypatch, _even_pair)
         assert not verify_involution(5, x=None)
         assert len(xs) == 1
@@ -855,7 +985,7 @@ class TestInvolutionFaults:
         below 2^(2h - 1), the scale's too: for the zero matrix the
         difference is the scale alone."""
         n = 5
-        xs = _recorded_kernel(monkeypatch)
+        xs = _recorded_checks(monkeypatch)
         if edit is not None:
             _faulty_w(monkeypatch, edit)
         rows = spectral.build_w(n, None).rows
@@ -872,8 +1002,9 @@ class TestInvolutionFaults:
 
     def test_lower_triangle_is_checked(self, monkeypatch):
         """M = (1+a^2) I + E_31 at n = 3: on and above the diagonal M^2 equals
-        (1+a^2)^2 I, but (M^2)_31 = 2 (1+a^2).  Only the symmetry check of
-        B M, which fails at (1, 3), sees it."""
+        (1+a^2)^2 I, but (M^2)_31 = 2 (1+a^2).  With M as its own left
+        factor it passes the comparison with the built W, and only the
+        entries below the diagonal of the product refuse it."""
         s = ONE + A * A
         m = [[s if i == j else RingElem(0, 0) for j in range(3)] for i in range(3)]
         m[2][0] = ONE
@@ -886,6 +1017,7 @@ class TestInvolutionFaults:
         def edit(rows, n):
             rows[:] = m
         _faulty_w(monkeypatch, edit)
+        _left_factor(monkeypatch, m)
         assert not verify_involution(3, x=None)
 
 
@@ -915,12 +1047,14 @@ class TestPowerFaults:
             matrix_power_closed_form(5, 2)
 
     def test_w_is_checked_once_for_involution_and_powers(self, monkeypatch):
-        # verify --check all at x = 1 reads one checked, packed W
+        # verify --check all at x = 1 builds W once, and reads one checked, packed W
         calls, check = [], spectral._binomially_symmetric
+        builds = lru_cache(maxsize=BUILD_CACHE_SIZE)(build_w.__wrapped__)
+        monkeypatch.setattr(spectral, "build_w", builds)
 
-        def counted(w):
-            calls.append(w.n)
-            return check(w)
+        def counted(packed):
+            calls.append(len(packed))
+            return check(packed)
 
         monkeypatch.setattr(spectral, "_checked_w", lru_cache(maxsize=BUILD_CACHE_SIZE)(
             spectral._checked_w.__wrapped__))
@@ -928,7 +1062,7 @@ class TestPowerFaults:
         assert verify_involution(5, x=1)
         for m in (-3, 0, 6):
             assert matrix_power_closed_form(5, m) == matrix_power_oracle(5, m)
-        assert calls == [5]
+        assert calls == [5] and builds.cache_info().misses == 1
 
     def test_patch_leaves_no_faulty_w_behind(self, monkeypatch):
         _faulty_w(monkeypatch, _doubled)
