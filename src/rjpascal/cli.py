@@ -378,13 +378,13 @@ def _cmd_verify(args) -> int:
             ok = spectral.verify_involution(n, x=x)
             reports.append(_report("involution", n, {"x": _x_label(x)}, ok))
         elif check == "power":
-            for m in exponents:
-                try:
-                    closed = spectral.matrix_power_closed_form(n, m)
-                except (ExactDivisionError, ValueError) as exc:
-                    reports.append(_report("power", n, {"m": m}, False, error=str(exc)))
-                    continue
-                ok = closed == spectral.matrix_power_oracle(n, m)
+            try:
+                closed = spectral.matrix_powers_closed_form(n, exponents)
+            except (ExactDivisionError, ValueError) as exc:
+                reports += [_report("power", n, {"m": m}, False, error=str(exc)) for m in exponents]
+                continue
+            for m, power in zip(exponents, closed):
+                ok = power == spectral.matrix_power_oracle(n, m)
                 reports.append(_report("power", n, {"m": m}, ok))
         elif check == "diag":
             try:

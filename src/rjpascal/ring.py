@@ -27,15 +27,15 @@ class ExactDivisionError(ArithmeticError):
 
 
 def power(base, e: int, one, mul):
-    """base^e for an integer e >= 0 by square-and-multiply, where ``one``
-    is the identity and ``mul`` the product of base's type."""
-    out = one
-    while e:
-        if e & 1:
+    """base^e, e >= 0, from the top bit: bitlen(e) - 1 squarings and popcount(e) - 1
+    products by base; ``one`` (e = 0) is the identity and ``mul`` base's product."""
+    if not e:
+        return one
+    out = base
+    for bit in bin(e)[3:]:
+        out = mul(out, out)
+        if bit == "1":
             out = mul(out, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
     return out
 
 

@@ -26,13 +26,16 @@ symmetric, B = diag(b), and so is B W D W for every diagonal D.
 
 Because of the involution, integer powers of the Pascal matrix are
 W diag(lambda^m) W divided by (1+a^2)^(n-1).  W is checked and packed
-once per n (_checked_w).  The diagonal factor, with the conjugate of the
-divisor folded in, scales the packed left operand of pascal._upper_square,
-and only the entries on and above the diagonal are formed and divided by
-the divisor's norm, an integer; any remainder or leftover a-component is
-a hard error, which makes the power routine a self-test of the whole
-formula chain.  The symmetry gives the entries below the diagonal by an
-exact integer division each (the proof is in matrix_power_closed_form).
+once per n (_checked_w).  The diagonal factors of every exponent asked
+for, with the conjugate of the divisor folded in, are packed across the
+exponents (Kronecker substitution) and scale the packed left operand of
+one pascal._upper_square.  Only the entries on and above the diagonal
+are formed, and each is divided once by the divisor's norm, an integer,
+and unpacked into one entry per exponent; any remainder, out-of-range
+digit or leftover a-component is a hard error, which makes the power
+routine a self-test of the whole formula chain.  The symmetry gives the
+entries below the diagonal by an exact integer division each (the proofs
+are in matrix_powers_closed_form).
 
 Matrices, eigenvalues and the involution scale are computed directly in
 the target ring: the builders take x itself, the scalars the image of x
@@ -48,12 +51,12 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from operator import mul, sub
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .pascal import (BUILD_CACHE_SIZE, IntMatrix, _coefficients, _digits, _lower_pascal,
                      _norm, _packing, _scaled, _upper_square, _w_at, _w_times, build_r,
                      build_rx, build_u, build_w)
-from .ring import X, ExactDivisionError, IntPoly, RingElem, a_pow
+from .ring import X, ExactDivisionError, IntPoly, RingElem, _times, a_pow
 
 #: Default tolerance on a relative residual: 64 u, u = 2^-53.  An entry of
 #: V is within 3.5u of exact, of R or lambda within u, and an fsum dot
@@ -77,17 +80,26 @@ def eigenvalue(n: int, j: int, x_image: IntPoly = X, m: int = 1) -> RingElem:
 
 
 def eigenvalues(n: int, x_image: IntPoly = X, m: int = 1) -> list[RingElem]:
-    """lambda_1^m..lambda_n^m in the ring where x maps to ``x_image``.
-    lambda_(j+1) = -a^2 lambda_j, so each is (-a^2)^m times the one before,
-    one ring product per eigenvalue.  At n = 1 no step is formed: a^(2m)
+    """lambda_1^m..lambda_n^m in the ring where x maps to ``x_image``."""
+    return [RingElem(c0, c1, x_image) for c0, c1 in _eigen_parts(n, x_image, m)]
+
+
+def _eigen_parts(n: int, x_image: IntPoly, m: int) -> list[tuple]:
+    """lambda_1^m..lambda_n^m as pairs (c0, c1): ints at an integer x, IntPoly
+    over Z[x].  lambda_(j+1) = -a^2 lambda_j, so each is (-a^2)^m times the one
+    before, one ring._times per eigenvalue.  At n = 1 no step is formed: a^(2m)
     is not needed there, and for a huge |m| it could not be computed."""
-    lams = [eigenvalue(n, 1, x_image, m)]
+    x, part = ((x_image.constant_value(), IntPoly.constant_value) if x_image.degree() < 1
+               else (x_image, lambda p: p))
+    lam = eigenvalue(n, 1, x_image, m)
+    out = [(part(lam.c0), part(lam.c1))]
     if n > 1:
         step = a_pow(2 * m, x_image)
         step = -step if m % 2 else step
+        step = (part(step.c0), part(step.c1))
         for _ in range(n - 1):
-            lams.append(lams[-1] * step)
-    return lams
+            out.append(_times(out[-1], step, x))
+    return out
 
 
 def _integer_x(x: int | float | None) -> int | None:
@@ -278,18 +290,27 @@ def _binomially_symmetric(packed) -> list[int] | None:
 
 
 def matrix_power_closed_form(n: int, m: int) -> IntMatrix:
-    """m-th power of the n x n Pascal matrix via the spectral identity.
+    """m-th power of the n x n Pascal matrix via the spectral identity: the
+    batch of one exponent (matrix_powers_closed_form)."""
+    return matrix_powers_closed_form(n, [m])[0]
 
-    Computes W diag(lambda_j^m) W at x = 1 and divides each entry by
+
+def matrix_powers_closed_form(n: int, exponents: Sequence[int]) -> list[IntMatrix]:
+    """R^m of the n x n Pascal matrix for each m in ``exponents``, in order,
+    via the spectral identity, all in one product.
+
+    For each m, R^m is W diag(lambda_j^m) W at x = 1 divided by
     (1 + a^2)^(n-1): it multiplies by the conjugate of that scale and
     divides by its norm, the integer (x^2 + 4)^(n-1) = 5^(n-1).  The
-    conjugate is a scalar, so it folds into the diagonal factors, which
-    scale the packed left operand of W diag(f) W.  Only the n(n+1)/2
-    entries on and above the diagonal are formed and divided; those below
-    follow from W's binomial symmetry.  Every quotient must be a plain
-    integer; a failed division, a leftover a-component or a W that is not
-    binomially symmetric raises (ExactDivisionError or ValueError) and
-    would signal a formula bug, never an expected state.
+    conjugate is a scalar, so it folds into the diagonal factors f.  Each
+    f_j is packed across the exponents at slot 2^K, and the packed factors
+    scale the packed left operand of one W diag(f) W.  Only the n(n+1)/2
+    entries on and above the diagonal are formed, and each is divided once
+    and unpacked; those below follow from W's binomial symmetry.  Every
+    quotient must be a plain integer; a failed division, a leftover
+    a-component or a W that is not binomially symmetric raises
+    (ExactDivisionError or ValueError) for the whole batch and would signal
+    a formula bug, never an expected state.
     """
     # B W = W^T B (_binomially_symmetric), so P = W D W with D diagonal has
     # P^T B = W^T D (B W) = (B W) D W = B P, as diagonal matrices commute:
@@ -301,21 +322,49 @@ def matrix_power_closed_form(n: int, m: int) -> IntMatrix:
                          "so its lower triangle cannot be mirrored")
     packed, b, scale = checked
     conj, norm, x_image = scale.conjugate(), scale.norm().constant_value(), scale.x_image
-    factors = [(f.c0.constant_value(), f.c1.constant_value())
-               for f in (lam * conj for lam in eigenvalues(n, x_image, m))]
-    rows = [[0] * n for _ in range(n)]
+    conj = (conj.c0.constant_value(), conj.c1.constant_value())
+    fs = [[_times(lam, conj, 1) for lam in _eigen_parts(n, x_image, m)] for m in exponents]
+    if not fs:
+        return []
+    # The ring product is bilinear, so with F_j = sum_s f_j^(s) 2^(K s) each
+    # part of W diag(F) W at (i, l) is sum_s e_s 2^(K s), e_s that part of
+    # W diag(f^(s)) W.  With |p| = max(|p0|, |p1|), |p q| <= 3 |p| |q| at x = 1,
+    # so |e_s| <= 9 n |W|^2 max|f| < 2^(K-1): the e_s are the part's balanced
+    # base-2^K digits (pascal._digits), and balanced digits are unique.  So
+    # c1 = 0 iff every slot's c1 is (as_int).  c0 = norm Q (divide_exact); if
+    # Q is sum_s q_s 2^(K s) over the S = len(exponents) slots alone, in
+    # balanced digits with |q_s| norm < 2^(K-1), then the norm q_s are balanced
+    # digits of c0 too, so e_s = norm q_s: slot s is divisible, with quotient
+    # q_s.  Without the digit bound a packed c0 can be divisible while a slot
+    # is not, and without the count a slot above the last would be dropped.
+    top = max(abs(c) for p0, p1, _ in packed for c in p0 + p1)
+    k = (9 * n * top ** 2 * max(abs(c) for f in fs for pair in f for c in pair)).bit_length() + 1
+    factors = [tuple(_pack(part, k) for part in zip(*col)) for col in zip(*fs)]
+    mask, half, limit = (1 << k) - 1, 1 << k - 1, ((1 << k - 1) - 1) // norm
+    powers = [[[0] * n for _ in range(n)] for _ in fs]
     for i, upper in enumerate(_upper_square(packed, factors, 1)):
-        rows[i][i:] = [RingElem(c0, c1, x_image).divide_exact(norm).as_int()
-                       for c0, c1 in upper]
-    for i in range(1, n):
-        for l in range(i):
-            q, r = divmod(b[l] * rows[l][i], b[i])
-            if r:
-                raise ExactDivisionError(
-                    f"b_{l + 1} R_{l + 1},{i + 1} = {b[l] * rows[l][i]} is not divisible "
-                    f"by b_{i + 1} = {b[i]}")
-            rows[i][l] = q
-    return IntMatrix(rows)
+        for l, (c0, c1) in enumerate(upper, i):
+            v = RingElem(c0, c1, x_image).divide_exact(norm).as_int()
+            for m, rows in zip(exponents, powers):
+                rows[i][l] = q = ((v + half) & mask) - half
+                if abs(q) > limit:
+                    raise ExactDivisionError(
+                        f"entry ({i + 1}, {l + 1}) of W diag(f) W is not divisible by {norm} "
+                        f"in every slot: quotient digit {q} at m = {m}")
+                v = (v - q) >> k
+            if v:
+                raise ExactDivisionError(f"entry ({i + 1}, {l + 1}) of W diag(f) W has "
+                                         f"a slot above the {len(fs)} exponents")
+    for rows in powers:
+        for i in range(1, n):
+            for l in range(i):
+                q, r = divmod(b[l] * rows[l][i], b[i])
+                if r:
+                    raise ExactDivisionError(
+                        f"b_{l + 1} R_{l + 1},{i + 1} = {b[l] * rows[l][i]} is not divisible "
+                        f"by b_{i + 1} = {b[i]}")
+                rows[i][l] = q
+    return [IntMatrix(rows) for rows in powers]
 
 
 def matrix_power_oracle(n: int, m: int) -> IntMatrix:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from rjpascal import binomial, cli, pascal, spectral
 from rjpascal.binomial import Identity, sweep_identity
 from rjpascal.pascal import BUILD_CACHE_SIZE, RingMatrix, build_r, build_u, build_w
+from rjpascal.ring import ExactDivisionError
 from rjpascal.spectral import matrix_power_oracle
 
 
@@ -312,6 +313,23 @@ class TestFailedClosedForm:
                              "--format", "pretty")
         assert (code, err) == (1, "")
         assert out.startswith("[FAIL] power n=5 m=2 error: ") and error in out
+
+    @pytest.mark.parametrize("error", [ExactDivisionError, ValueError])
+    def test_batch_error_fails_every_exponent(self, capsys, monkeypatch, error):
+        # one batch computes every exponent, so its error is every exponent's
+        def broken(n, exponents):
+            raise error("digit out of range")
+
+        monkeypatch.setattr(spectral, "matrix_powers_closed_form", broken)
+        code, out, err = run(capsys, "verify", "--n", "5", "--check", "power")
+        assert (code, err) == (1, "")
+        assert json.loads(out) == [{"check": "power", "n": 5, "params": {"m": m}, "pass": False,
+                                    "error": "digit out of range"} for m in range(-3, 7)]
+        code, out, err = run(capsys, "verify", "--n", "5", "--check", "power", "--format",
+                             "pretty")
+        assert (code, err) == (1, "")
+        assert out == "".join(f"[FAIL] power n=5 m={m} error: digit out of range\n"
+                              for m in range(-3, 7))
 
     @pytest.mark.parametrize("entry", [(2, 4), (3, 3)])
     def test_power_exits_1(self, capsys, monkeypatch, entry):

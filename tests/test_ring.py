@@ -17,6 +17,7 @@ from rjpascal.ring import (
     IntPoly,
     RingElem,
     a_pow,
+    power,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -127,6 +128,23 @@ class TestRingLaws:
                 u, v, w = (random_elem(rng).specialize(x0) for _ in range(3))
                 assert u * (v * w) == (u * v) * w
                 assert u * (v + w) == u * v + u * w
+
+
+@pytest.mark.parametrize("e", [0, 1, 2, 3, 5, 8, 13, 255, 256, 1000])
+def test_power_starts_from_the_top_bit(e):
+    # bitlen(e) - 1 squarings and popcount(e) - 1 products by base, none by one
+    calls = []
+
+    def counted(p, q):
+        calls.append("square" if p == q else "product" if q == 3 else "other")
+        return p * q
+
+    one = object()
+    got = power(3, e, one, counted)
+    assert got is one if e == 0 else got == 3 ** e
+    assert calls.count("square") == max(e.bit_length() - 1, 0)
+    assert calls.count("product") == max(bin(e).count("1") - 1, 0)
+    assert "other" not in calls
 
 
 class TestAPow:

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rjpascal import spectral
-from rjpascal.pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, _norm, build_r, build_rx,
-                             build_u, build_w)
+from rjpascal.pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, _norm, _upper_square,
+                             build_r, build_rx, build_u, build_w)
 from rjpascal.ring import A, ONE, ExactDivisionError, IntPoly, RingElem, X, _times, a_pow
 from rjpascal.spectral import (
     DEFAULT_TOL,
@@ -528,6 +528,78 @@ class TestMatrixPower:
         for m in (-1, -3, -2):
             assert matrix_power_oracle(5, m) @ build_r(5) ** -m == IntMatrix.identity(5)
         assert calls == [5]
+
+
+class TestPowerBatch:
+    """matrix_powers_closed_form: every exponent in one packed product, and
+    one exact division per entry."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("exponents", [[], [2, -1, 2, 2], [300, -3, 0, -300, 6, 1]],
+                             ids=["empty", "duplicates", "mixed"])
+    def test_batch_is_each_exponent_alone(self, n, exponents):
+        got = spectral.matrix_powers_closed_form(n, exponents)
+        assert got == [matrix_power_closed_form(n, m) for m in exponents]
+
+    @staticmethod
+    def _edit_first_entry(monkeypatch, edit, n=4):
+        """The batch for exponents [2, 0] with entry (1, 1) of _upper_square's
+        pairs replaced by edit(c0, c1, slot, norm).  R^0 = I, so that entry's
+        c0 is norm (R^2_11 + slot), slot = 2^K the packing's slot."""
+        norm, r2, original = 5 ** (n - 1), matrix_power_oracle(n, 2).rows[0][0], _upper_square
+
+        def patched(packed, factors, x):
+            upper = original(packed, factors, x)
+            c0, c1 = upper[0][0]
+            slot = c0 // norm - r2
+            assert slot & slot - 1 == 0 and slot > norm
+            upper[0][0] = edit(c0, c1, slot, norm)
+            return upper
+
+        monkeypatch.setattr(spectral, "_upper_square", patched)
+        return spectral.matrix_powers_closed_form(n, [2, 0])
+
+    def test_unedited_entry_reads_back(self, monkeypatch):
+        got = self._edit_first_entry(monkeypatch, lambda c0, c1, slot, norm: (c0, c1))
+        assert got == [matrix_power_oracle(4, 2), IntMatrix.identity(4)]
+
+    def test_packed_int_divisible_while_a_slot_is_not(self, monkeypatch):
+        # slot 0 gains 1 and slot 1 gains c, with 1 + c 2^K a multiple of the norm
+        def edit(c0, c1, slot, norm):
+            return c0 + 1 + (-pow(slot, -1, norm) % norm) * slot, c1
+
+        with pytest.raises(ExactDivisionError, match="not divisible by 125 in every slot"):
+            self._edit_first_entry(monkeypatch, edit)
+
+    def test_slot_above_the_exponents(self, monkeypatch):
+        def edit(c0, c1, slot, norm):
+            return c0 + norm * slot ** 2, c1
+
+        with pytest.raises(ExactDivisionError, match="slot above the 2 exponents"):
+            self._edit_first_entry(monkeypatch, edit)
+
+    def test_divisible_a_component(self, monkeypatch):
+        def edit(c0, c1, slot, norm):
+            return c0, c1 + norm * slot
+
+        with pytest.raises(ValueError, match="nonzero a-component"):
+            self._edit_first_entry(monkeypatch, edit)
+
+    def test_slot_holds_a_sum_of_n_terms(self, monkeypatch):
+        # The slot bound 9 n |W|^2 max|f| needs its factor n.  With W_ij = b_j,
+        # b_i W_ij = b_j W_ji holds, and with f_j = F and the scale 1 entry
+        # (i, l) is b_l F 2^(n-1): at n = 64 that is 12 % above 9 |W|^2 F, and
+        # F puts 9 |W|^2 F just below a power of two.
+        n = 64
+        b = [math.comb(n - 1, j) for j in range(n)]
+        top = 9 * max(b) ** 2
+        f = ((1 << top.bit_length() + 20) - 1) // top
+        monkeypatch.setattr(spectral, "_checked_w",
+                            lambda n: ([(b, [0] * n, b)] * n, b, RingElem(1, 0, ONE_AT_1)))
+        monkeypatch.setattr(spectral, "_eigen_parts", lambda n, x_image, m: [(f, 0)] * n)
+        want = IntMatrix([[f * c << n - 1 for c in b]] * n)
+        assert max(want.rows[0]) > 1 << (top * f).bit_length()
+        assert spectral.matrix_powers_closed_form(n, [0, 1]) == [want, want]
 
 
 def test_float_x_does_not_poison_the_cache():
