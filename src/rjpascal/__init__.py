@@ -5,17 +5,19 @@ everything exact carries zero tolerance, numeric cross-checks round each
 entry once from its exact value and report relative residuals.
 
 The package exports the names of the README library tour; the rest of the
-API is imported from its submodule (ring, pascal, spectral, binomial).
+API is imported from its submodule (ring, pascal, spectral, comb, binomial).
 Each exported name resolves on first use (PEP 562), so importing the
 package loads no submodule and each CLI command loads only the modules it
-calls.
+calls: comb always, ring and pascal for the matrix commands (and spectral
+for eigen, verify and power), and the sweep engine binomial for identities.
 """
 
 __version__ = "0.1.0"
 
 #: The submodule that defines each exported name.
 _HOME = {name: module for module, names in (
-    ("binomial", ("Identity", "binom", "sweep_identity")),
+    ("binomial", ("sweep_identity",)),
+    ("comb", ("Identity", "binom")),
     ("pascal", ("build_r", "build_rx", "build_u", "build_w")),
     ("ring", ("A", "ONE", "X", "IntPoly", "a_pow")),
     ("spectral", ("eigenvalue", "verify_eigenpair", "verify_involution",

@@ -1,11 +1,10 @@
-"""Generalized binomial coefficients and brute-force identity sweeps.
+"""Brute-force sweeps of the six binomial identities.
 
-``binom`` accepts any integer upper parameter, positive or negative, and
-returns zero whenever the lower parameter is negative.  It is computed
-with ``math.comb``: directly for n >= 0, and through upper negation
-C(n, k) = (-1)^k C(k - n - 1, k) for n < 0.  The symmetry law
-C(n, k) = C(n, n - k) is deliberately never applied: it fails for
-negative n, and several checks below exist precisely to police that trap.
+``binom``, ``Identity`` and ``DEFAULT_BOXES`` live in ``comb``, which the
+matrix commands load without this engine, and are re-exported here, the
+same objects.  ``binom`` never applies the symmetry law
+C(n, k) = C(n, n - k): it fails for negative n, and several checks below
+exist precisely to police that trap.
 
 Each identity is evaluated over a finite summation range derived from
 where its terms vanish.  The alternating row sum has no finite support
@@ -50,7 +49,6 @@ already builds.
 """
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from collections.abc import Sequence
@@ -58,23 +56,11 @@ from functools import lru_cache
 from operator import eq, mul
 from typing import Callable, Mapping, NamedTuple
 
+from .comb import DEFAULT_BOXES, Identity, binom
+
 
 class InfiniteSupportError(ValueError):
     """The requested sum has no finite support under the given parameters."""
-
-
-def binom(n: int, k: int) -> int:
-    """C(n, k) for any integers n, k: zero if k < 0, else n(n-1)...(n-k+1)/k!.
-
-    Computed by ``math.comb`` for n >= 0 (zero when k > n) and by upper
-    negation, (-1)^k C(k - n - 1, k), for n < 0; symmetry is never used.
-    """
-    if k < 0:
-        return 0
-    if n >= 0:
-        return math.comb(n, k)
-    c = math.comb(k - n - 1, k)
-    return -c if k & 1 else c
 
 
 #: Most bytes of packed columns in one block of a plane (_Planes): a block
@@ -162,21 +148,6 @@ def double_delta_line(n: int, ls: range) -> tuple[list[int], list[int]]:
     return lhs, [1 if l == 0 else 0 for l in ls]
 
 
-class Identity(enum.Enum):
-    """The six verified identities, keyed by their CLI names."""
-
-    STAR = "star"
-    TRINOMIAL = "trinomial"
-    TRINOMIAL_COMPANION = "trinomial-companion"
-    VANDERMONDE = "vandermonde"
-    ALTERNATING_DELTA = "alternating"
-    DOUBLE_DELTA = "double-delta"
-
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(DEFAULT_BOXES[self])
-
-
 #: The line function of each identity evaluated a line at a time: both
 #: sides at every value of the last parameter in a range of step 1, for
 #: fixed values of the others.  Star and Vandermonde go a plane at a time.
@@ -212,21 +183,6 @@ def _skip_reason(identity: Identity, point: Sequence[int]) -> str:
         return COMPANION_DOMAIN_REASON
     return (f"convolution with both upper parameters negative "
             f"(M={point[0]}, N={point[1]}) is rejected")
-
-
-#: Sweep boxes used by default; chosen to include the negative-upper
-#: region where the symmetry trap bites while finishing in seconds.  Each
-#: box lists its parameters in the order of itertools.product: the first,
-#: middle and last parameter of a plane, or the arguments of a line
-#: function, whose last one is the range of a line.
-DEFAULT_BOXES: dict[Identity, dict[str, tuple[int, int]]] = {
-    Identity.STAR: {"N": (-6, 12), "J": (-6, 12), "K": (-6, 12)},
-    Identity.TRINOMIAL: {"I": (-6, 12), "J": (-6, 12), "K": (-6, 12)},
-    Identity.TRINOMIAL_COMPANION: {"I": (-6, 12), "J": (-6, 12), "K": (-6, 12)},
-    Identity.VANDERMONDE: {"M": (-6, 12), "N": (-6, 12), "L": (-6, 12)},
-    Identity.ALTERNATING_DELTA: {"N": (0, 40)},
-    Identity.DOUBLE_DELTA: {"N": (-8, 12), "L": (0, 12)},
-}
 
 
 class IdentityCase(NamedTuple):

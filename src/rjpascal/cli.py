@@ -31,7 +31,7 @@ import os
 import re
 import sys
 
-from .binomial import DEFAULT_BOXES, Identity, SkippedPoints, sweep_identity, validate_box
+from .comb import DEFAULT_BOXES, Identity
 
 
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
@@ -185,7 +185,9 @@ def _emit_json(obj) -> None:
     batches of _EMIT_BATCH pieces so the document is never held whole.
     Raises TypeError where json.dumps would, and for a dict key that is not
     a str.  A ``binomial.SkippedPoints`` inside obj is written as the list
-    of its points' SkippedCase.to_json() dicts.
+    of its points' SkippedCase.to_json() dicts.  Only a sweep makes one, so
+    the class is read from sys.modules: a matrix command never loads the
+    sweep engine.
 
     json's own indented encoder is pure Python (its C encoder runs only
     without indent) and yields through one generator per nesting level;
@@ -202,6 +204,7 @@ def _emit_json(obj) -> None:
     have gathered for its points."""
     write = sys.stdout.write
     parts = []
+    SkippedPoints = getattr(sys.modules.get(f"{__package__}.binomial"), "SkippedPoints", ())
 
     def walk(o, nl, head, append):
         """Append container o, indented at nl and preceded by head."""
@@ -431,6 +434,7 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_identities(args) -> int:
+    from .binomial import sweep_identity, validate_box
     idents = [Identity(args.only)] if args.only else list(Identity)
     boxes = {}
     for ident in idents:

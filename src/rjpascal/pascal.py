@@ -35,7 +35,7 @@ from functools import lru_cache
 from operator import add, matmul, mul
 from typing import Iterable, Sequence
 
-from .binomial import binom
+from .comb import binom
 from .ring import A, ONE, ZERO, IntPoly, RingElem, X, _times, check_same_ring, power
 
 #: Dimensions kept by each builder's cache.

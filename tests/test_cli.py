@@ -507,7 +507,7 @@ class TestIdentities:
             case = IdentityCase(ident, {"N": 0}, 1, 0)
             return IdentityReport(ident, dict(box), 1, [case], SkippedPoints(ident, [range(0)]))
 
-        monkeypatch.setattr(cli, "sweep_identity", fake_sweep)
+        monkeypatch.setattr(binomial, "sweep_identity", fake_sweep)
         code, out, _ = run(capsys, "identities", "--only", "alternating")
         assert code == 1
         assert json.loads(out)[0]["failures"]
@@ -595,7 +595,7 @@ class TestSweepBudget:
         def no_sweep(ident, box):
             raise AssertionError(f"{ident.value} swept")
 
-        monkeypatch.setattr(cli, "sweep_identity", no_sweep)
+        monkeypatch.setattr(binomial, "sweep_identity", no_sweep)
         code, out, err = run(capsys, "identities", "--L", "0..100000")
         assert (code, out) == (2, "")
         assert err.startswith("rjpascal: error: vandermonde sweep would evaluate ")
@@ -794,21 +794,35 @@ def test_cli_import_skips_dataclasses():
 
 def test_commands_import_only_the_modules_they_call():
     # each command runs in a fresh process, where compiling a module it never
-    # calls costs a few ms
+    # calls costs a few ms; a sweep loads the engine, no matrix command does
     src = Path(__file__).resolve().parent.parent / "src"
-    code = """if True:
+    prelude = """if True:
         import contextlib, io, sys
         from rjpascal.cli import main
         def loaded(*argv):
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main(list(argv)) == 0
-            return sorted(m for m in ("rjpascal.ring", "rjpascal.pascal", "rjpascal.spectral")
-                          if m in sys.modules)
+            if argv:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(list(argv)) == 0
+            return sorted(m for m in ("rjpascal.binomial", "rjpascal.ring", "rjpascal.pascal",
+                                      "rjpascal.spectral") if m in sys.modules)
+    """
+    sweep = """
         print(loaded("identities", "--only", "alternating"))
+    """
+    matrix = """
+        print(loaded())
+        from rjpascal import binom
+        print(loaded())
         print(loaded("show-r", "--n", "1"))
+        for cmd in ("show-r", "show-u", "show-w"):
+            print(loaded(cmd, "--n", "3", "--x", "symbolic"))
+        print(loaded("eigen", "--n", "3"))
+        print(loaded("power", "--n", "3", "--m", "-2"))
+        print(loaded("verify", "--n", "3", "--check", "all"))
+        print(loaded("verify", "--n", "3", "--check", "all", "--x", "symbolic"))
         import rjpascal
         from rjpascal import *
-        homes = {"binomial": "Identity binom sweep_identity",
+        homes = {"binomial": "sweep_identity", "comb": "Identity binom",
                  "pascal": "build_r build_rx build_u build_w",
                  "ring": "A ONE X IntPoly a_pow",
                  "spectral": "eigenvalue verify_eigenpair verify_involution "
@@ -817,15 +831,22 @@ def test_commands_import_only_the_modules_they_call():
                  for home, names in homes.items() for name in names.split()}
         print(sorted(bound) == sorted(rjpascal.__all__),
               all(globals()[name] is obj for name, obj in bound.items()))
-        from rjpascal import spectral
-        print(spectral is sys.modules["rjpascal.spectral"])
+        from rjpascal import binomial, comb, spectral
+        print(spectral is sys.modules["rjpascal.spectral"],
+              all(vars(binomial)[name] is vars(comb)[name]
+                  for name in ("binom", "Identity", "DEFAULT_BOXES")))
     """
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "[]", "['rjpascal.pascal', 'rjpascal.ring']", "True True", "True"]
+    out = []
+    for code in (prelude + sweep, prelude + matrix):
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        out += proc.stdout.splitlines()
+    builders = "['rjpascal.pascal', 'rjpascal.ring']"
+    checks = "['rjpascal.pascal', 'rjpascal.ring', 'rjpascal.spectral']"
+    assert out == ["['rjpascal.binomial']", "[]", "[]", *[builders] * 4, *[checks] * 4,
+                   "True True", "True True"]
 
 
 def test_closed_pipe_exits_quietly():
