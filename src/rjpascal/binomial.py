@@ -56,7 +56,7 @@ from functools import lru_cache
 from operator import eq, mul
 from typing import Callable, Mapping, NamedTuple
 
-from .comb import DEFAULT_BOXES, Identity, binom
+from .comb import DEFAULT_BOXES, Identity, binom, pack, unpack
 
 
 class InfiniteSupportError(ValueError):
@@ -404,41 +404,19 @@ class _Planes:
         # (s+1)·2^(bits_col+bits_row) < 2^(bits_col+bits_row+len(s+1)) <=
         # 2^(B-2), and a closed digit is below 2^bits_closed <= 2^(B-2).
         # Both sides' digits thus lie, with a bit to spare, in
-        # [-2^(B-1), 2^(B-1)), where a base-2^B expansion is unique: two
-        # packed ints are equal exactly when their digits are.
-        need = max(self.bits_col + self.bits_row + max(s + 1, 0).bit_length(),
-                   self.bits_closed) + 2
-        self.width = -(-need // 8) * 8  # whole bytes, for to_bytes
-        self.bias = 1 << self.width - 1  # makes a digit a field in [0, 2^B)
+        # [-2^(B-1), 2^(B-1)), where a base-2^B expansion is unique
+        # (comb.pack): two packed ints are equal exactly when their digits are.
+        self.width = max(self.bits_col + self.bits_row + max(s + 1, 0).bit_length(),
+                         self.bits_closed) + 2
         # a digit of the block takes s + 1 columns of B bits
         size = min(ROW_CACHE_SIZE, max(1, 8 * BLOCK_BYTES // (max(s + 1, 1) * self.width)))
         halves = [range(middles.start, min(middles.stop, 0)), range(max(middles.start, 0), middles.stop)]
         self.blocks = [h[i:i + size][::self.sign] for h in ([middles] if self.star else halves)
                        for i in range(0, len(h), size)]
-        self._offsets = {n: int.from_bytes(self.bias.to_bytes(self.width // 8, "little") * n, "little")
-                         for n in map(len, self.blocks)}  # the bias in each of n digits
 
     def _row_of(self, x: int, s: int) -> int:
         """The upper parameter of the row that the sum at (x, s) reads."""
         return s - x - 1 if self.star else x
-
-    def _pack(self, digits: list[int]) -> int:
-        """sum_q digits[q]·2^(B·q): each digit plus the bias is one field of
-        B/8 bytes (to_bytes raises if it does not fit), read as one int.
-        One digit is its own packing."""
-        if len(digits) == 1:
-            return digits[0]
-        n = self.width // 8
-        raw = b"".join([(d + self.bias).to_bytes(n, "little") for d in digits])
-        return int.from_bytes(raw, "little") - self._offsets[len(digits)]
-
-    def unpack(self, packed: int, count: int) -> list[int]:
-        """The ``count`` balanced digits of ``packed``, digit 0 first."""
-        if count == 1:
-            return [packed]
-        n = self.width // 8
-        raw = (packed + self._offsets[count]).to_bytes(n * count, "little")
-        return [int.from_bytes(raw[i:i + n], "little") - self.bias for i in range(0, n * count, n)]
 
     def __call__(self, x: int, block: range) -> list[tuple[int, int]]:
         """(lhs, rhs) at x over ``block``, packed, for each last value."""
@@ -448,7 +426,7 @@ class _Planes:
             if self.width and n:
                 _fit(rows, self.bits_col)
             self._block, self._closed = block, None
-            self._cols = [self._pack(col) for col in zip(*rows)]
+            self._cols = [pack(col, self.width) for col in zip(*rows)]
         sums, rest = _empty_sums(self.lasts)
         sums += [sum(map(mul, self._cols, self._weights(x, s))) for s in rest]
         closed = self._slide(x, block)
@@ -482,7 +460,7 @@ class _Planes:
                 digits = [binom(d + q, s) for q in range(top + 1)]
                 if width:
                     _fit([digits], self.bits_closed)
-                packed.append(self._pack(digits))
+                packed.append(pack(digits, width))
         self._closed = x, packed
         return packed
 
@@ -501,8 +479,9 @@ def _sweep_planes(identity: Identity, ranges: list[range],
             if skipped.covers((x, block[0])):  # a block lies on one side of 0
                 continue
             for s, (lhs, rhs) in zip(ranges[-1], planes(x, block)):
-                if lhs != rhs:
-                    digits = zip(block, planes.unpack(lhs, len(block)), planes.unpack(rhs, len(block)))
+                if lhs != rhs:  # a block of one value is its own packing, at width 0
+                    sides = [unpack(v, planes.width) if planes.width else [v] for v in (lhs, rhs)]
+                    digits = itertools.zip_longest(block, *sides, fillvalue=0)
                     failures += [IdentityCase(identity, dict(zip(names, (x, m, s))), l, r)
                                  for m, l, r in digits if l != r]
     # blocks come one after another, and a star block runs down J

@@ -1,10 +1,13 @@
-"""The generalized binomial coefficient and the table of identities.
+"""The generalized binomial coefficient, the table of identities, and the
+balanced-digit format of every Kronecker-packed int.
 
 ``binom`` accepts any integer upper parameter, positive or negative, and
 returns zero whenever the lower parameter is negative.  The matrix
 builders need only ``binom`` and the CLI's parser only ``Identity`` and
 ``DEFAULT_BOXES``, so these live here, apart from the sweep engine
-(``binomial``), which re-exports them.
+(``binomial``), which re-exports them.  ``pack`` and ``unpack`` are the
+one place that writes values as the digits of an int at 2^k and reads
+them back, for the matrix kernels and the plane sweeps alike.
 """
 from __future__ import annotations
 
@@ -54,3 +57,28 @@ DEFAULT_BOXES: dict[Identity, dict[str, tuple[int, int]]] = {
     Identity.ALTERNATING_DELTA: {"N": (0, 40)},
     Identity.DOUBLE_DELTA: {"N": (-8, 12), "L": (0, 12)},
 }
+
+
+def pack(values, k: int) -> int:
+    """sum_j values[j] 2^(k j), neighbours joined a level at a time (a trailing 0
+    pairs with an odd last value), so each bit is shifted about log2(n) times.
+    Values in [-2^(k-1), 2^(k-1)) are the balanced base-2^k digits of the
+    result, and those are unique: values[0] is the one residue of the int mod
+    2^k in that range, and so on up.  So equal ints mean equal values (padded
+    with zeros), and unpack reads them back."""
+    while len(values) > 1:
+        pairs = iter([*values, 0])
+        values, k = [p + (q << k) for p, q in zip(pairs, pairs)], 2 * k
+    return values[0]
+
+
+def unpack(v: int, k: int) -> list[int]:
+    """The balanced base-2^k digits of v (pack), digit 0 first and the last
+    nonzero, [] for 0.  k >= 2: the digits {-1, 0} of k = 1 make no v > 0."""
+    mask, half = (1 << k) - 1, 1 << k - 1
+    out = []
+    while v:
+        d = ((v + half) & mask) - half
+        out.append(d)
+        v = (v - d) >> k
+    return out

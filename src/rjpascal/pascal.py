@@ -35,7 +35,7 @@ from functools import lru_cache
 from operator import add, matmul, mul
 from typing import Iterable, Sequence
 
-from .comb import binom
+from .comb import binom, unpack
 from .ring import A, ONE, ZERO, IntPoly, RingElem, X, _times, check_same_ring, power
 
 #: Dimensions kept by each builder's cache.
@@ -222,18 +222,6 @@ def _norm(vectors) -> int:
                for v in vectors for e in v)
 
 
-def _digits(v: int, k: int) -> IntPoly:
-    """The polynomial whose value at x = 2^k is v and whose coefficients,
-    the balanced base-2^k digits of v, all lie in [-2^(k-1), 2^(k-1))."""
-    mask, half = (1 << k) - 1, 1 << (k - 1)
-    out = []
-    while v:
-        d = ((v + half) & mask) - half
-        out.append(d)
-        v = (v - d) >> k
-    return IntPoly(out)
-
-
 def _packing(x_image: IntPoly, bound):
     """(x, unwrap, wrap) for ring products on bare int coefficients in the
     ring where x maps to ``x_image``.
@@ -245,7 +233,7 @@ def _packing(x_image: IntPoly, bound):
     bound every coefficient of every result in absolute value, because a
     polynomial whose coefficients all lie below 2^(k-1) in absolute value
     is the balanced base-2^k digit expansion of its value at 2^k.  The
-    floor of 2 keeps a digit step of _digits shrinking v when bound() is 0.
+    floor of 2 keeps a digit step of comb.unpack shrinking v when bound() is 0.
     """
     # Every kernel's bound is a product of _norm, by one lemma.  With |c| the
     # l1 norm, N(c0 + c1 a) = |c0| + 2|c1| bounds every coefficient of c0 and
@@ -264,7 +252,7 @@ def _packing(x_image: IntPoly, bound):
         raise ValueError(f"products need x to map to X or to an integer, not {x_image}")
     k = max(2, bound().bit_length() + 1)
     x = 1 << k
-    return x, (lambda c: c(x)), (lambda v: _digits(v, k))
+    return x, (lambda c: c(x)), (lambda v: IntPoly(unpack(v, k)))
 
 
 def _scaled(packed, factors, x: int) -> list[tuple]:

@@ -15,8 +15,10 @@ units: a wrong entry fails the check, but faults in two or more entries
 of one row can cancel there.
 
 W = -S(F) and U = S(E) with F = E diag(a, -1), and S is multiplicative
-(pascal), so W is U with columns scaled by units: the exact involution
-check W^2 = (1+a^2)^(n-1) I also proves U invertible at every x.  It reads
+(pascal), so W is U with columns scaled by units.  The exact involution
+check W^2 = (1+a^2)^(n-1) I proves the W it reads invertible at every x;
+it says nothing of the U that the eigen check reads until a check ties
+that U to W.  It reads
 build_w's W at an integer x, and over Z[x] runs its recurrence at x = +/-2^h,
 h fixed beforehand at half the Kronecker width as x -> -x, a -> -a grades
 the ring.  F = L D U' with l = x - a, so W W is two Pascal passes with the
@@ -53,9 +55,10 @@ from functools import lru_cache
 from operator import mul, sub
 from typing import NamedTuple, Sequence
 
-from .pascal import (BUILD_CACHE_SIZE, IntMatrix, _coefficients, _digits, _lower_pascal,
-                     _norm, _packing, _scaled, _upper_square, _w_at, _w_times, build_r,
-                     build_rx, build_u, build_w)
+from .comb import pack, unpack
+from .pascal import (BUILD_CACHE_SIZE, IntMatrix, _coefficients, _lower_pascal, _norm,
+                     _packing, _scaled, _upper_square, _w_at, _w_times, build_r, build_rx,
+                     build_u, build_w)
 from .ring import X, ExactDivisionError, IntPoly, RingElem, _times, a_pow
 
 #: Default tolerance on a relative residual: 64 u, u = 2^-53.  An entry of
@@ -162,16 +165,15 @@ def _eigen_failures(n: int, x: int | None) -> frozenset[int]:
     # slot of a difference of packed rows lies below 2^(width-1), and the rows
     # are equal iff the ints are.  The c0s of a row pack as the value at
     # 2^width of the polynomial with them as coefficients, and so do its c1s;
-    # the balanced digits of a difference (pascal._digits) are its slots,
+    # the balanced digits of a difference (comb.unpack) are its slots,
     # slot k in column k + 1.
     width = ((abs(t) + 1) ** (n - 1) * max(abs(c) for p0, p1, _ in packed for c in p0 + p1)
              + max(abs(c) for r0, r1, _ in rhs for c in r0 + r1)).bit_length() + 1
     for part in (0, 1):
-        lhs = _lower_pascal([_pack(p[part], width) for p in reversed(packed)], t)
+        lhs = _lower_pascal([pack(p[part], width) for p in reversed(packed)], t)
         for left, r in zip(lhs, rhs):
-            if left != (right := _pack(r[part], width)):
-                failures.update(k + 1 for k, d in enumerate(_digits(left - right, width).coeffs)
-                                if d)
+            if left != (right := pack(r[part], width)):
+                failures.update(k + 1 for k, d in enumerate(unpack(left - right, width)) if d)
     return frozenset(failures)
 
 
@@ -235,20 +237,11 @@ def _squares_to(w: list[list[tuple[int, int]]], s: tuple[int, int], x: int) -> b
     # W W - s I below n (|x| + 2) |W|^2 + |s|, half the product's slot 2^k.
     n, top = len(w), max(abs(c) for row in w for e in row for c in e)
     k = ((3 * max(abs(x), 1)) ** (n - 1) + top).bit_length() + 1
-    rows = lambda k: [tuple(_pack(part, k) for part in zip(*row)) for row in w]
+    rows = lambda k: [tuple(pack(part, k) for part in zip(*row)) for row in w]
     if _w_times([(1 << k * j, 0) for j in range(n)], x) != rows(k):
         return False
     k = (n * (abs(x) + 2) * top ** 2 + max(map(abs, s))).bit_length() + 1
     return _w_times(rows(k), x) == [(s[0] << k * i, s[1] << k * i) for i in range(n)]
-
-
-def _pack(values, k: int) -> int:
-    """sum_j values[j] 2^(k j), neighbours joined a level at a time (a trailing 0
-    pairs with an odd last value), so each bit is shifted about log2(n) times."""
-    while len(values) > 1:
-        pairs = iter([*values, 0])
-        values, k = [p + (q << k) for p, q in zip(pairs, pairs)], 2 * k
-    return values[0]
 
 
 @lru_cache(maxsize=BUILD_CACHE_SIZE)
@@ -330,7 +323,7 @@ def matrix_powers_closed_form(n: int, exponents: Sequence[int]) -> list[IntMatri
     # part of W diag(F) W at (i, l) is sum_s e_s 2^(K s), e_s that part of
     # W diag(f^(s)) W.  With |p| = max(|p0|, |p1|), |p q| <= 3 |p| |q| at x = 1,
     # so |e_s| <= 9 n |W|^2 max|f| < 2^(K-1): the e_s are the part's balanced
-    # base-2^K digits (pascal._digits), and balanced digits are unique.  So
+    # base-2^K digits (comb.unpack), and balanced digits are unique.  So
     # c1 = 0 iff every slot's c1 is (as_int).  c0 = norm Q (divide_exact); if
     # Q is sum_s q_s 2^(K s) over the S = len(exponents) slots alone, in
     # balanced digits with |q_s| norm < 2^(K-1), then the norm q_s are balanced
@@ -339,20 +332,19 @@ def matrix_powers_closed_form(n: int, exponents: Sequence[int]) -> list[IntMatri
     # is not, and without the count a slot above the last would be dropped.
     top = max(abs(c) for p0, p1, _ in packed for c in p0 + p1)
     k = (9 * n * top ** 2 * max(abs(c) for f in fs for pair in f for c in pair)).bit_length() + 1
-    factors = [tuple(_pack(part, k) for part in zip(*col)) for col in zip(*fs)]
-    mask, half, limit = (1 << k) - 1, 1 << k - 1, ((1 << k - 1) - 1) // norm
+    factors = [tuple(pack(part, k) for part in zip(*col)) for col in zip(*fs)]
+    limit = ((1 << k - 1) - 1) // norm
     powers = [[[0] * n for _ in range(n)] for _ in fs]
     for i, upper in enumerate(_upper_square(packed, factors, 1)):
         for l, (c0, c1) in enumerate(upper, i):
-            v = RingElem(c0, c1, x_image).divide_exact(norm).as_int()
-            for m, rows in zip(exponents, powers):
-                rows[i][l] = q = ((v + half) & mask) - half
+            digits = unpack(RingElem(c0, c1, x_image).divide_exact(norm).as_int(), k)
+            for m, rows, q in zip(exponents, powers, digits):  # slots past the digits stay 0
+                rows[i][l] = q
                 if abs(q) > limit:
                     raise ExactDivisionError(
                         f"entry ({i + 1}, {l + 1}) of W diag(f) W is not divisible by {norm} "
                         f"in every slot: quotient digit {q} at m = {m}")
-                v = (v - q) >> k
-            if v:
+            if len(digits) > len(exponents):
                 raise ExactDivisionError(f"entry ({i + 1}, {l + 1}) of W diag(f) W has "
                                          f"a slot above the {len(fs)} exponents")
     for rows in powers:

@@ -18,6 +18,7 @@ from rjpascal.binomial import (
     binom,
     sweep_identity,
 )
+from rjpascal.comb import unpack
 
 
 def point_of(line):
@@ -604,7 +605,8 @@ def sweep_values(identity, box):
         for x in ranges[0]:
             if not skipped.covers((x, block[0])):
                 for s, (lhs, rhs) in zip(ranges[2], planes(x, block)):
-                    digits = zip(block, planes.unpack(lhs, len(block)), planes.unpack(rhs, len(block)))
+                    sides = [unpack(v, planes.width) if planes.width else [v] for v in (lhs, rhs)]
+                    digits = itertools.zip_longest(block, *sides, fillvalue=0)
                     values.update({(x, m, s): (l, r) for m, l, r in digits})
     return values
 
@@ -714,7 +716,6 @@ class TestRowTables:
             terms = max(box[identity.param_names[-1]][1] + 1, 0)
             assert terms << planes.bits_col + planes.bits_row < 1 << planes.width - 2
             assert 1 << planes.bits_closed <= 1 << planes.width - 2
-            assert planes.width % 8 == 0
 
     def test_an_oversize_row_entry_raises(self, monkeypatch):
         # Row K-N-1 = -3 with its entries moved by whole packed columns,

@@ -31,7 +31,6 @@ ALLOWLIST = {
     "ring.RingElem.__bool__": "without it every zero element would be truthy",
     "ring.RingElem.__eq__": "value equality; tests and library callers compare elements",
     "binomial.IdentityCase.to_json": "runs only when an identity fails",
-    "binomial._Planes.unpack": "runs only when an identity fails",
     "binomial.SkippedPoints.__eq__": "value equality; tests and library callers compare "
                                      "a report's skipped points with a list",
     "binomial.SkippedPoints.__repr__": "debugging display",

@@ -15,7 +15,6 @@ from rjpascal.spectral import (
     _half_width,
     _homogeneous,
     _inverse_r,
-    _pack,
     eigen_distinctness,
     eigenvalue,
     eigenvalues,
@@ -427,14 +426,6 @@ def scalar(n, c):
     """c times the n x n identity, in c's ring."""
     zero = c * 0
     return RingMatrix([[c if i == j else zero for j in range(n)] for i in range(n)])
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(*[st.integers(-2 ** 70, 2 ** 70)] * 2), min_size=1, max_size=9),
-       st.integers(2, 80))
-def test_pack_is_the_value_at_two_to_the_k(row, k):
-    for part in zip(*row):
-        assert _pack(part, k) == IntPoly(part)(2 ** k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 40, 64])
