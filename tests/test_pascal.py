@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rjpascal import pascal
 from rjpascal.binomial import _row_table
+from rjpascal.comb import unpack
 from rjpascal.pascal import (_D, _E, _F, _Q, IntMatrix, RingMatrix, _coefficients, _l_step,
                              _lower_pascal, _norm, _packing, _scaled, _symmetric_power,
                              _upper_square, _w_at, _w_times, build_r, build_rx, build_u,
@@ -593,6 +594,15 @@ class TestPascalRecurrence:
                 want = [l ** (i - j) * math.comb(i, j) if i >= j else l * 0 for i in range(n)]
                 got = _lower_pascal([(int(k == j), 0) for k in range(n)], _l_step(x))
                 assert got == [(e.c0.constant_value(), e.c1.constant_value()) for e in want], (n, j)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 80).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.integers(-2 ** (k - 1), 2 ** (k - 1) - 1), min_size=1,
+                             max_size=11))))
+    def test_value_at_two_to_the_k_inverts_digits(self, case):
+        # how the eigen check packs a row and reads a differing one back
+        k, values = case
+        assert IntPoly(unpack(IntPoly(values)(1 << k), k)) == IntPoly(values)
 
 
 def det_by_cofactor_expansion(rows):

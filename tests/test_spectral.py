@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rjpascal import spectral
+from rjpascal.comb import pack
 from rjpascal.pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, _norm, _upper_square,
                              build_r, build_rx, build_u, build_w)
 from rjpascal.ring import A, ONE, ExactDivisionError, IntPoly, RingElem, X, _times, a_pow
@@ -426,6 +427,14 @@ def scalar(n, c):
     """c times the n x n identity, in c's ring."""
     zero = c * 0
     return RingMatrix([[c if i == j else zero for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-2 ** 70, 2 ** 70)] * 2), min_size=1, max_size=9),
+       st.integers(2, 80))
+def test_pack_is_the_value_at_two_to_the_k(row, k):
+    for part in zip(*row):
+        assert pack(part, k) == IntPoly(part)(2 ** k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 40, 64])
