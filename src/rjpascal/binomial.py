@@ -168,7 +168,9 @@ def _skipped_box(identity: Identity, ranges: list[range]) -> list[range]:
     """The points of the box ``ranges`` outside the identity's checked
     domain, as a box: the companion's I < 0, Vandermonde's M < 0 and N < 0,
     and for the other identities an empty box.  Both rules read only the
-    signs of the first two parameters."""
+    signs of the first two parameters.  So the one rule of a line sweep,
+    the companion's, spans the rest of the sweep past I: a line sweep
+    drops the first values in the box and walks every other line."""
     negative = [range(r.start, min(r.stop, 0)) for r in ranges[:2]]
     if identity is Identity.TRINOMIAL_COMPANION:
         return [negative[0], *ranges[1:]]
@@ -220,11 +222,10 @@ class SkippedPoints(Sequence):
         self.box = box  # one range per parameter
 
     def covers(self, outer: tuple[int, ...]) -> bool:
-        """Whether the line or block that starts with ``outer`` is skipped:
-        past the parameters its rule reads, which ``outer`` always holds,
-        the box spans the whole sweep.  An empty box covers nothing, not
-        even alternating's empty ``outer``."""
-        return bool(self) and all(v in r for v, r in zip(outer, self.box))
+        """Whether the plane block that starts with ``outer``, a first and a
+        middle value, is skipped: past the two parameters its rule reads,
+        the box spans the whole sweep."""
+        return all(v in r for v, r in zip(outer, self.box))
 
     def __len__(self) -> int:
         return math.prod(map(len, self.box))
@@ -374,22 +375,16 @@ class _Planes:
     ``binom`` on top).  Vandermonde's middle range is split at 0, so that
     its skipped N < 0 block is never evaluated.  A block spans as many
     values as fit in BLOCK_BYTES of columns, at least one and at most
-    ROW_CACHE_SIZE, and only the block being called keeps its columns.  A
-    middle range of one value packs nothing: each int is its value and
-    ``width`` is 0.
+    ROW_CACHE_SIZE, and only the block being called keeps its columns.
     """
 
     def __init__(self, identity: Identity, ranges: list[range]):
         self.star = identity is Identity.STAR
         self.sign = -1 if self.star else 1  # the closed side is C(x + sign·m, s)
         firsts, middles, self.lasts = ranges
-        self.blocks = [middles]
-        self.width = 0
         self._block: range | None = None  # the block whose columns are kept
         self._cols: list[int] = []
         self._closed: tuple[int, list[int]] | None = None  # its last x and closed side
-        if len(middles) == 1:
-            return
         s = self.lasts[-1]  # the longest sum runs over [0, s]
         xs, ms = (firsts[0], firsts[-1]), (middles[0], middles[-1])
         rows = [self._row_of(x, t) for x in xs for t in (max(self.lasts[0], 0), s)]
@@ -423,7 +418,7 @@ class _Planes:
         if block != self._block:
             n = max(self.lasts[-1] + 1, 0)
             rows = [_row(m, n)[:n] for m in block]
-            if self.width and n:
+            if n:
                 _fit(rows, self.bits_col)
             self._block, self._closed = block, None
             self._cols = [pack(col, self.width) for col in zip(*rows)]
@@ -437,8 +432,7 @@ class _Planes:
     def _weights(self, x: int, s: int) -> list[int]:
         """The row read at (x, s) over [0, s], reversed, each entry checked."""
         row = _row(self._row_of(x, s), s + 1)[s::-1]
-        if self.width:
-            _fit([row], self.bits_row)
+        _fit([row], self.bits_row)
         return row
 
     def _slide(self, x: int, block: range) -> list[int]:
@@ -450,16 +444,14 @@ class _Planes:
         if last == x - 1:
             outs = [binom(d - 1, s) for s in self.lasts]
             ins = [binom(d + top, s) for s in self.lasts]
-            if width:
-                _fit([ins], self.bits_closed)
+            _fit([ins], self.bits_closed)
             packed = [(c - out >> width) + (new << width * top)
                       for c, out, new in zip(packed, outs, ins)]
         else:
             packed = []
             for s in self.lasts:  # one value's digits at a time
                 digits = [binom(d + q, s) for q in range(top + 1)]
-                if width:
-                    _fit([digits], self.bits_closed)
+                _fit([digits], self.bits_closed)
                 packed.append(pack(digits, width))
         self._closed = x, packed
         return packed
@@ -479,8 +471,8 @@ def _sweep_planes(identity: Identity, ranges: list[range],
             if skipped.covers((x, block[0])):  # a block lies on one side of 0
                 continue
             for s, (lhs, rhs) in zip(ranges[-1], planes(x, block)):
-                if lhs != rhs:  # a block of one value is its own packing, at width 0
-                    sides = [unpack(v, planes.width) if planes.width else [v] for v in (lhs, rhs)]
+                if lhs != rhs:
+                    sides = [unpack(v, planes.width) for v in (lhs, rhs)]
                     digits = itertools.zip_longest(block, *sides, fillvalue=0)
                     failures += [IdentityCase(identity, dict(zip(names, (x, m, s))), l, r)
                                  for m, l, r in digits if l != r]
@@ -510,10 +502,9 @@ def sweep_identity(
         failures = _sweep_planes(identity, ranges, skipped)
     else:
         failures = []
-        if outer_ranges and skipped and skipped.box[1:] == ranges[1:]:
-            # every point of a first value in the box is skipped: walk none of its lines
+        if outer_ranges:  # the box spans the rest of the sweep (_skipped_box)
             outer_ranges[0] = [v for v in outer_ranges[0] if v not in skipped.box[0]]
-        for outer in itertools.filterfalse(skipped.covers, itertools.product(*outer_ranges)):
+        for outer in itertools.product(*outer_ranges):
             lhs, rhs = line(*outer, inner)
             if lhs != rhs:  # params dicts are built only for the points that fail
                 fixed = dict(zip(names, outer))

@@ -391,16 +391,16 @@ def _w_at(n: int, x: int) -> list[list[tuple[int, int]]]:
 
 def _w_times(v: Sequence[tuple[int, int]], x: int) -> list[tuple[int, int]]:
     """W v = S(L) (-S(D)) J S(L) J v at the int x (_D) for v a vector of pairs,
-    entries or rows packed whole: two passes of _lower_pascal at l (_l_step)."""
+    entries or rows packed whole: two passes of _lower_pascal at l (_l_step), S(D) by _dot."""
     a, b = [(e.c0(x), e.c1(x)) for e in _D]
     pa, pb = [(-1, 0)], [(1, 0)]  # -a^k and (x - 2a)^k
     for _ in range(len(v) - 1):
         pa.append(_times(pa[-1], a, x))
         pb.append(_times(pb[-1], b, x))
-    d = [_times(p, q, x) for p, q in zip(reversed(pa), pb)]
+    d = [([c0], [c1], [c0 + c1]) for c0, c1 in (_times(p, q, x) for p, q in zip(reversed(pa), pb))]
     step = _l_step(x)
     u = _lower_pascal(v[::-1], step)[::-1]
-    return _lower_pascal([_times(p, f, x) for p, f in zip(u, d)], step)
+    return _lower_pascal([_dot(([p0], [p1], [p0 + p1]), f, x) for (p0, p1), f in zip(u, d)], step)
 
 
 @lru_cache(maxsize=BUILD_CACHE_SIZE)

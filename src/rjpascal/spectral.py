@@ -16,9 +16,10 @@ of one row can cancel there.
 
 W = -S(F) and U = S(E) with F = E diag(a, -1), and S is multiplicative
 (pascal), so W is U with columns scaled by units.  The exact involution
-check W^2 = (1+a^2)^(n-1) I proves the W it reads invertible at every x;
-it says nothing of the U that the eigen check reads until a check ties
-that U to W.  It reads
+check W^2 = (1+a^2)^(n-1) I proves the W it reads invertible at every x.
+At an integer x the eigen check ties U to that W, W = U diag((-1)^j a^(n-j)),
+and fails a column that differs, so U is proved invertible too; over Z[x]
+nothing ties them yet.  The involution check reads
 build_w's W at an integer x, and over Z[x] runs its recurrence at x = +/-2^h,
 h fixed beforehand at half the Kronecker width as x -> -x, a -> -a grades
 the ring.  F = L D U' with l = x - a, so W W is two Pascal passes with the
@@ -140,7 +141,7 @@ def _eigen_failures(n: int, x: int | None) -> frozenset[int]:
     values into another, so a step is one product by t and one sum on a
     whole part, and row i is compared with the packed row i of U Lambda.
     Every eigenpair fails unless build_rx's R(x) maps u_1 as L(x) J does
-    (_rx_maps_u1)."""
+    (_rx_maps_u1), and at an integer x column j unless it is tied to W's."""
     # R(x) = L(x) J, J the reversal: (L J)_ij = L_i,n+1-j = C(i-1, n-j) x^(i+j-n-1).
     u = build_u(n, x)
     if not _rx_maps_u1(n, x, [row[0] for row in u.rows]):
@@ -160,6 +161,12 @@ def _eigen_failures(n: int, x: int | None) -> frozenset[int]:
                     or not all(_homogeneous(row[j], i % 2) for i, row in enumerate(u.rows))}
         t = 1 << _half_width(((1 << n - 1) + _norm((lams,))) * _norm(u.rows))
     packed = _coefficients(u.rows, lambda c: c(t))
+    if x is not None:  # the tie W = U diag((-1)^j a^(n-j)) (pascal.build_w)
+        f = [a_pow(n - j, u.x_image) * (-1) ** j for j in range(1, n + 1)]
+        tied = _scaled(packed, [(e.c0(x), e.c1(x)) for e in f], x)
+        w = _coefficients(build_w(n, x).rows, IntPoly.constant_value)
+        failures.update(j + 1 for r, s in zip(tied, w) for j in range(n)
+                        if (r[0][j], r[1][j]) != (s[0][j], s[1][j]))
     rhs = _scaled(packed, [(f.c0(t), f.c1(t)) for f in lams], t)
     # Slot width: entry i of L(t) v is at most (|t| + 1)^(i-1) max|v|, so each
     # slot of a difference of packed rows lies below 2^(width-1), and the rows

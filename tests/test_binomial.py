@@ -251,39 +251,20 @@ class TestSweep:
         assert all(s.params["I"] < 0 for s in rep.skipped)
 
     def test_companion_walks_no_skipped_line(self, monkeypatch):
-        # the box spans J, so an I < 0 skips its lines whole: no (I, J) of
-        # the skipped box is tested, and only the lines outside it are run
-        calls, lines, covers = [], [], binomial.SkippedPoints.covers
+        # the box spans J, so an I < 0 skips its lines whole: only the lines
+        # outside it are run
+        lines = []
         line = binomial._LINES[Identity.TRINOMIAL_COMPANION]
-
-        def counted(self, outer):
-            calls.append(outer)
-            return covers(self, outer)
 
         def run(i, j, ks):
             lines.append((i, j))
             return line(i, j, ks)
 
-        monkeypatch.setattr(binomial.SkippedPoints, "covers", counted)
         monkeypatch.setitem(binomial._LINES, Identity.TRINOMIAL_COMPANION, run)
         rep = sweep_identity(Identity.TRINOMIAL_COMPANION,
                              {"I": (-50, 3), "J": (-100, -1), "K": (0, 2)})
         assert rep.ok and len(rep.skipped) == 50 * 100 * 3
-        assert calls == lines == [(i, j) for i in range(4) for j in range(-100, 0)]
-
-    def test_first_value_is_walked_where_the_box_does_not_span_the_rest(self, monkeypatch):
-        # with a skipped box narrower than the sweep in J, an I in the box
-        # keeps its lines outside the box, and covers skips the others
-        box = [range(-2, 0), range(0, 2), range(0, 3)]
-        lines = []
-        monkeypatch.setattr(binomial, "_skipped_box", lambda identity, ranges: box)
-        monkeypatch.setitem(binomial._LINES, Identity.TRINOMIAL_COMPANION,
-                            lambda i, j, ks: lines.append((i, j)) or ([0] * len(ks),) * 2)
-        rep = sweep_identity(Identity.TRINOMIAL_COMPANION,
-                             {"I": (-2, 1), "J": (-1, 2), "K": (0, 2)})
-        assert rep.ok and len(rep.skipped) == 2 * 2 * 3
-        assert lines == [(i, j) for i in range(-2, 2) for j in range(-1, 3)
-                         if not (i < 0 and 0 <= j < 2)]
+        assert lines == [(i, j) for i in range(4) for j in range(-100, 0)]
 
     def test_alternating_negative_range_rejected(self):
         with pytest.raises(ValueError):
@@ -344,6 +325,24 @@ class TestSweep:
         params = dict(zip(identity.param_names, point))
         assert rep.failures == [IdentityCase(identity, params, lhs, rhs)]
         assert rep.skipped == per_point_skipped(identity, box)
+
+    @pytest.mark.parametrize("identity", [Identity.STAR, Identity.VANDERMONDE],
+                             ids=lambda i: i.value)
+    @pytest.mark.parametrize("middle", [-2, 0, 3])
+    def test_one_middle_value(self, identity, middle, monkeypatch):
+        # a middle range of one value is a block of one digit at the lemma's
+        # width: its ints are the per-point sides, over a last range that
+        # dips below 0, and a moved closed value comes back at its point
+        box = dict(zip(identity.param_names, [(-3, 4), (middle, middle), (-2, 5)]))
+        rep = sweep_identity(identity, box)
+        assert (rep.cases_checked, rep.failures, rep.skipped) == reference_report(identity, box)
+        assert sweep_values(identity, box) == reference_values(identity, box)
+        point = (2, middle, 3)
+        move_closed(monkeypatch, identity, {point: 1})
+        lhs, rhs = LINE_REFERENCES[identity](*point)
+        lhs, rhs = (lhs + 1, rhs) if identity is Identity.STAR else (lhs, rhs + 1)
+        assert sweep_identity(identity, box).failures == [
+            IdentityCase(identity, dict(zip(identity.param_names, point)), lhs, rhs)]
 
     def test_failures_in_product_order(self, monkeypatch):
         # mismatches at both ends of a packed int, at two middle values of
@@ -605,7 +604,7 @@ def sweep_values(identity, box):
         for x in ranges[0]:
             if not skipped.covers((x, block[0])):
                 for s, (lhs, rhs) in zip(ranges[2], planes(x, block)):
-                    sides = [unpack(v, planes.width) if planes.width else [v] for v in (lhs, rhs)]
+                    sides = [unpack(v, planes.width) for v in (lhs, rhs)]
                     digits = itertools.zip_longest(block, *sides, fillvalue=0)
                     values.update({(x, m, s): (l, r) for m, l, r in digits})
     return values
@@ -708,14 +707,13 @@ class TestRowTables:
             assert sweep_values(identity, box) == reference_values(identity, box)
         # the width lemma, on the factors written out with binom
         planes = binomial._Planes(identity, [range(lo, hi + 1) for lo, hi in box.values()])
-        if planes.width:
-            cols, rows, closed = packed_factors(identity, box)
-            assert bits(cols) <= planes.bits_col
-            assert bits(rows) <= planes.bits_row
-            assert bits(closed) <= planes.bits_closed
-            terms = max(box[identity.param_names[-1]][1] + 1, 0)
-            assert terms << planes.bits_col + planes.bits_row < 1 << planes.width - 2
-            assert 1 << planes.bits_closed <= 1 << planes.width - 2
+        cols, rows, closed = packed_factors(identity, box)
+        assert bits(cols) <= planes.bits_col
+        assert bits(rows) <= planes.bits_row
+        assert bits(closed) <= planes.bits_closed
+        terms = max(box[identity.param_names[-1]][1] + 1, 0)
+        assert terms << planes.bits_col + planes.bits_row < 1 << planes.width - 2
+        assert 1 << planes.bits_closed <= 1 << planes.width - 2
 
     def test_an_oversize_row_entry_raises(self, monkeypatch):
         # Row K-N-1 = -3 with its entries moved by whole packed columns,

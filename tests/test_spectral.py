@@ -1,4 +1,5 @@
 """Unit tests for eigen verification, involution, and exact powers."""
+import json
 import math
 from functools import lru_cache
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rjpascal import spectral
+from rjpascal import cli, pascal, spectral
 from rjpascal.comb import pack
 from rjpascal.pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, _norm, _upper_square,
                              build_r, build_rx, build_u, build_w)
@@ -321,6 +322,40 @@ class TestEigenFaults:
         monkeypatch.setattr(spectral, "build_rx",
                             lambda n_, x_: RingMatrix([[RingElem(IntPoly([-3, 1]))]]))
         assert spectral._eigen_failures.__wrapped__(1, None) == {1}
+
+
+class TestTieToW:
+    """At an integer x the eigen check ties U to W = U diag((-1)^j a^(n-j)).
+    With pascal._E times diag(c, 1), build_u returns U diag(c^(n-j)): still
+    eigenvectors, refused only by the tie, in the columns where c^(n-j) is
+    not 1.  At x = 0, a^2 = 1."""
+
+    @pytest.fixture
+    def fresh(self):
+        caches = (build_u, build_w, spectral._eigen_failures)
+        for cache in caches:
+            cache.cache_clear()
+        yield
+        for cache in caches:
+            cache.cache_clear()
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("c,x,failing", [
+        (A * A, 1, lambda n, p: p < n),
+        (A * A, -2, lambda n, p: p < n),
+        (A * A, 0, lambda n, p: False),
+        (A, 1, lambda n, p: p < n),
+        (A, -2, lambda n, p: p < n),
+        (A, 0, lambda n, p: (n - p) % 2 == 1),
+    ], ids=["a^2-x=1", "a^2-x=-2", "a^2-x=0", "a-x=1", "a-x=-2", "a-x=0"])
+    def test_scaled_eigenvectors(self, capsys, monkeypatch, fresh, n, c, x, failing):
+        (e11, e12), (e21, e22) = pascal._E
+        monkeypatch.setattr(pascal, "_E", ((e11 * c, e12), (e21 * c, e22)))
+        code = cli.main(["verify", "--n", str(n), "--check", "all", "--x", str(x)])
+        reports = json.loads(capsys.readouterr().out)
+        failed = [rep["params"].get("p") for rep in reports if not rep["pass"]]
+        assert failed == [p for p in range(1, n + 1) if failing(n, p)]
+        assert code == (1 if failed else 0)
 
 
 class TestVerifyInvolution:
