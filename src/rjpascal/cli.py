@@ -13,10 +13,10 @@ Common flags: --n <int>, --m <int>, --x {1|<int>|symbolic},
 --format {pretty|json|csv}, --tol <float>, --check {...}, --only <identity>,
 and per-parameter ranges such as --N -6..12.
 
-The eigen check of verify tests R(x) U = U Lambda with R(x) formed as
-L(x) J (README, "How the eigen check works"); the matrix that show-r
-prints is checked on U's first column only, which catches any one wrong
-entry in a row but not wrong entries that cancel on that column.
+The eigen check of verify ties U to W and tests R(x) U = U Lambda with
+R(x) formed as L(x) J, on one path for every x (README, "How the eigen
+check works"); the matrix that show-r prints is checked on the paper's
+u_1, which catches any one wrong entry in a row but not entries that cancel.
 
 Exit status: 0 when everything requested succeeded and every verification
 passed, 1 when some verification failed, 2 on usage errors, 141 (as if

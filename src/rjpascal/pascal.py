@@ -12,20 +12,18 @@ Matrices are immutable after construction and all public index
 contracts are 1-based to match the entry formulas.  The ring kernels
 here run on bare ints: each element is packed as the ints of its parts
 c0 and c1, and the one ring product (_times, from ring) reduces with
-a^2 = x a + 1.
-Products of ring matrices share one dot-product kernel (_dot): each entry
-is three sums of plain int products, p0 q0, p1 q1 and (p0 + p1)(q0 + q1)
-(Karatsuba), reduced once per entry rather than once per term.  Column
-scaling, M diag(f), is written once (_scaled).  ``_upper_square`` takes
-packed rows and factor pairs and returns the pairs (c0, c1) of the entries
-of M diag(f) M on and above the diagonal (closed-form powers at x = 1).
-``_lower_pascal`` applies the lower Pascal matrix L(t), R(x) = L(x) J, by
-its recurrence, n(n-1)/2 products by t and sums, to ints that may pack
-whole rows, or at t = x - a to pairs (_w_times: W = -S(L) S(D) S(U')).
-Over Z[x] the ints are the values at x = 2^k (Kronecker substitution,
-von zur Gathen & Gerhard, Modern Computer Algebra, 3rd ed., 2013,
-section 8.4), with k bounded by one norm N, the same for every kernel
-(_packing).
+a^2 = x a + 1.  Products of ring matrices share one dot-product kernel
+(_dot): each entry is three sums of plain int products, p0 q0, p1 q1 and
+(p0 + p1)(q0 + q1) (Karatsuba), reduced once per entry.  ``_upper_square``
+forms the entries of M diag(f) M on and above the diagonal (closed-form
+powers at x = 1).  ``_lower_pascal`` applies the lower Pascal matrix L(t),
+R(x) = L(x) J, by its recurrence, n(n-1)/2 products by t (shifts at 2^k,
+_affine) and sums, to ints that may pack whole rows, or at t = x - a to
+pairs (_w_times: W = -S(L) S(D) S(U')).  Over Z[x] the ints are the values
+at x = 2^k (Kronecker substitution, von zur Gathen & Gerhard, Modern
+Computer Algebra, 3rd ed., 2013, section 8.4), with k bounded by one norm
+N, the same for every kernel (_packing); the exact checks run the row
+recurrence of U and W on ints at x = +/-2^h themselves (_rows_at).
 One fraction-free Gauss-Jordan elimination, O(n^3), serves both the
 integer determinant and the unimodular inverse.
 """
@@ -295,7 +293,7 @@ def _lower_pascal(v: Sequence, t) -> list:
     Each of the n(n-1)/2 steps T_l <- t T_l + T_(l+1) is one product by t
     and one sum, on ints of any kind: single entries, or rows packed whole.
     t is an int, or the step (T, T') -> t T + T' itself (_l_step)."""
-    step = t if callable(t) else lambda p, q: t * p + q
+    step = t if callable(t) else _affine(t)
     v = list(v)
     out = v[:1]
     for s in range(len(v) - 1, 0, -1):
@@ -308,7 +306,13 @@ def _lower_pascal(v: Sequence, t) -> list:
 def _l_step(x: int):
     """The step T <- l T + T' of _lower_pascal on pairs (c0, c1) at the int
     x, l = x - a: (c0 + c1 a)(x - a) = (x c0 - c1) - c0 a as a^2 = x a + 1."""
-    return lambda p, q: (x * p[0] - p[1] + q[0], q[1] - p[0])
+    return lambda p, q, step=_affine(x): (step(p[0], q[0] - p[1]), q[1] - p[0])
+
+
+def _affine(t: int):
+    """(p, q) -> t p + q for the int t; at t = 2^k (Z[x]'s point) a shift, in linear time."""
+    k = t.bit_length() - 1
+    return (lambda p, q: (p << k) + q) if t > 0 and t == 1 << k else (lambda p, q: t * p + q)
 
 
 def _dot(p, q, x: int) -> tuple[int, int]:
@@ -384,9 +388,10 @@ def _power_rows(n: int, m, x: int, sign: int = 1) -> list[list[tuple[int, int]]]
     return rows
 
 
-def _w_at(n: int, x: int) -> list[list[tuple[int, int]]]:
-    """W = -S(F) as rows of pairs at the int x, F's entries evaluated directly."""
-    return _power_rows(n, [[(e.c0(x), e.c1(x)) for e in row] for row in _F], x, -1)
+def _rows_at(n: int, m, x: int, sign: int = 1) -> list[list[tuple[int, int]]]:
+    """The rows of sign S(M) as pairs at the int x, M's entries evaluated directly:
+    how the checks over Z[x] read U = S(E) and W = -S(F) at +/-2^h (spectral._read)."""
+    return _power_rows(n, [[(e.c0(x), e.c1(x)) for e in row] for row in m], x, sign)
 
 
 def _w_times(v: Sequence[tuple[int, int]], x: int) -> list[tuple[int, int]]:

@@ -1,53 +1,34 @@
 """Eigenvalue verification, the involution identity, and exact matrix powers.
 
 The eigenvalue attached to column j of an n-dimensional family member is
-(-1)^(n+j) a^(2j-n-1), an exact unit of the coefficient ring.  The eigen
-check is one matrix identity per (n, x), R(x) U = U Lambda with
-Lambda = diag(lambda_1..lambda_n).  R(x) = L(x) J, L(x) the lower Pascal
-matrix and J the reversal, so R(x) U comes from the Pascal recurrence on
-the rows of J U, whose c0 parts and c1 parts are each packed into one
-int per row: n(n-1)/2 steps of one product by x (x = 2^h over Z[x], as
-for the involution) and one sum.  Row i is compared with row i of U Lambda
-as ints, and only a part that differs is unpacked, to name its failing
-columns.  build_rx's R(x) is
-checked against L(x) J on U's first column only, whose entries are
-units: a wrong entry fails the check, but faults in two or more entries
-of one row can cancel there.
+(-1)^(n+j) a^(2j-n-1), an exact unit of the coefficient ring.  W = -S(F)
+and U = S(E) with F = E diag(a, -1), and S is multiplicative (pascal),
+so W = U diag(f) with the units f_j = (-1)^j a^(n-j).  The exact checks
+read U, W, the eigenvalues and the involution scale as pairs of ints
+(c0, c1) at one int t (_read), on one path for every x: at t = x the
+matrices that build_u and build_w return, over Z[x] their row
+recurrences at t = +/-2^h, h fixed beforehand as x -> -x, a -> -a grades
+the ring, the values at -t testing parities.  The involution check
+W^2 = (1+a^2)^(n-1) I proves W invertible; W W is two Pascal passes with
+the step l = x - a on W's packed rows (pascal._w_times).  The eigen check
+fails a column of U not tied to W's, so U is invertible too, and checks
+R(x) W = W Lambda, Lambda = diag(lambda_1..lambda_n), whose column j is
+f_j times that of R(x) U = U Lambda.  R(x) = L(x) J, L(x) the lower
+Pascal matrix and J the reversal, so R(x) W is the Pascal recurrence on
+the packed rows of J W: n(n-1)/2 steps of one product by t (a shift at
+2^h) and one sum.  build_rx's R(x) is checked against L(x) J on U's
+first column, u_i1 = (-1)^(i-1) a^(1-i), all units: a wrong entry fails,
+but faults in two or more entries of one row can cancel there.
 
-W = -S(F) and U = S(E) with F = E diag(a, -1), and S is multiplicative
-(pascal), so W is U with columns scaled by units.  The exact involution
-check W^2 = (1+a^2)^(n-1) I proves the W it reads invertible at every x.
-At an integer x the eigen check ties U to that W, W = U diag((-1)^j a^(n-j)),
-and fails a column that differs, so U is proved invertible too; over Z[x]
-nothing ties them yet.  The involution check reads
-build_w's W at an integer x, and over Z[x] runs its recurrence at x = +/-2^h,
-h fixed beforehand at half the Kronecker width as x -> -x, a -> -a grades
-the ring.  F = L D U' with l = x - a, so W W is two Pascal passes with the
-step l on W's packed rows (pascal._w_times), checked first to apply W.  With
-b_i = C(n-1, i-1), b_i W_ij = b_j W_ji (_binomially_symmetric), so B W is
-symmetric, B = diag(b), and so is B W D W for every diagonal D.
-
-Because of the involution, integer powers of the Pascal matrix are
-W diag(lambda^m) W divided by (1+a^2)^(n-1).  W is checked and packed
-once per n (_checked_w).  The diagonal factors of every exponent asked
-for, with the conjugate of the divisor folded in, are packed across the
-exponents (Kronecker substitution) and scale the packed left operand of
-one pascal._upper_square.  Only the entries on and above the diagonal
-are formed, and each is divided once by the divisor's norm, an integer,
-and unpacked into one entry per exponent; any remainder, out-of-range
-digit or leftover a-component is a hard error, which makes the power
-routine a self-test of the whole formula chain.  The symmetry gives the
-entries below the diagonal by an exact integer division each (the proofs
-are in matrix_powers_closed_form).
-
+Integer powers of the Pascal matrix are W diag(lambda^m) W divided by
+(1+a^2)^(n-1), every exponent asked for in one packed product, a
+self-test of the whole formula chain (matrix_powers_closed_form).
 Matrices, eigenvalues and the involution scale are computed directly in
 the target ring: the builders take x itself, the scalars the image of x
-(X for Z[x], a constant for an integer x).
-
-Numeric checks round each entry once from its exact value and sum each
-product entry with ``math.fsum``; both residuals are judged relative to
-the product of absolute values (DEFAULT_TOL).  Exact checks carry zero
-tolerance.
+(X for Z[x], a constant for an integer x).  Numeric checks round each
+entry once from its exact value and sum each product entry with
+``math.fsum``; both residuals are judged relative to the product of
+absolute values (DEFAULT_TOL).  Exact checks carry zero tolerance.
 """
 from __future__ import annotations
 
@@ -56,10 +37,10 @@ from functools import lru_cache
 from operator import mul, sub
 from typing import NamedTuple, Sequence
 
+from . import pascal
 from .comb import pack, unpack
-from .pascal import (BUILD_CACHE_SIZE, IntMatrix, _coefficients, _lower_pascal, _norm,
-                     _packing, _scaled, _upper_square, _w_at, _w_times, build_r, build_rx,
-                     build_u, build_w)
+from .pascal import (BUILD_CACHE_SIZE, IntMatrix, _coefficients, _lower_pascal, _norm, _packing,
+                     _rows_at, _upper_square, _w_times, build_r, build_rx, build_u, build_w)
 from .ring import X, ExactDivisionError, IntPoly, RingElem, _times, a_pow
 
 #: Default tolerance on a relative residual: 64 u, u = 2^-53.  An entry of
@@ -118,82 +99,70 @@ def _integer_x(x: int | float | None) -> int | None:
 
 
 def verify_eigenpair(n: int, p: int, x: int | None = 1) -> bool:
-    """Exact check that the matrix maps column p of U to lambda_p times it.
-
-    ``x`` selects the coefficient ring: an integer x (default 1, the
-    golden-ratio case), or None for Z[x] coefficients.
-    Column p of R(x) U is compared with column p of U Lambda (_eigen_failures),
-    with R(x) U formed as L(x) J U.  The matrix build_rx returns is checked on
-    U's first column only: one wrong entry in a row fails every eigenpair,
-    but wrong entries that cancel on that column pass.
-    """
+    """Exact check that the matrix maps column p of U to lambda_p times it,
+    in the ring of ``x``: an integer (default 1, the golden-ratio case), or
+    None for Z[x].  Column p of R(x) U = U Lambda (_eigen_failures); the
+    matrix build_rx returns is checked on u_1 only, where wrong entries of
+    one row can cancel."""
     _check_index(n, p)
     return p not in _eigen_failures(n, _integer_x(x))
 
 
 @lru_cache(maxsize=BUILD_CACHE_SIZE)
 def _eigen_failures(n: int, x: int | None) -> frozenset[int]:
-    """The columns p (1-based) where R(x) U and U Lambda differ,
-    Lambda = diag(lambda_1..lambda_n), found once per (n, x) for all n
-    eigenpairs.  R(x) U is L(x) J U, formed by the Pascal recurrence on
-    the rows of J U (pascal._lower_pascal) at the int t: x, or 2^h over
-    Z[x].  A row's c0 values at t are packed into one int, and its c1
-    values into another, so a step is one product by t and one sum on a
-    whole part, and row i is compared with the packed row i of U Lambda.
-    Every eigenpair fails unless build_rx's R(x) maps u_1 as L(x) J does
-    (_rx_maps_u1), and at an integer x column j unless it is tied to W's."""
+    """The columns p (1-based) where R(x) U and U Lambda differ, found once
+    per (n, x) for all n eigenpairs on what _read gives at its int t: all
+    unless build_rx's R(x) maps u_1 as L(x) J does (_rx_maps_u1), else those
+    where U, W or lambda_j has the wrong parity, where U is not tied to W by
+    W = U diag(f), or where L(t) J W and W Lambda differ (module docstring)."""
     # R(x) = L(x) J, J the reversal: (L J)_ij = L_i,n+1-j = C(i-1, n-j) x^(i+j-n-1).
-    u = build_u(n, x)
-    if not _rx_maps_u1(n, x, [row[0] for row in u.rows]):
+    if not _rx_maps_u1(n, x):
         return frozenset(range(1, n + 1))
-    lams = eigenvalues(n, u.x_image)
-    failures, t = set(), x
-    if x is None:
-        # Under sigma (verify_involution) U_ij has parity i - 1 and lambda_j
-        # parity n + 1, checked per column, not assumed.  Then entry (i, j) of
-        # L(x) J U is sum_k C(i-1, k-1) x^(i-k) U_(n+1-k)j, each term of parity
-        # i - k + n - k = i + n (mod 2), as is U_ij lambda_j: the difference is
-        # homogeneous.  N(x) = 1 and sum_k C(i-1, k-1) = 2^(i-1), so its
-        # coefficients are at most 2^(n-1) N(U) + N(U) N(Lambda) (pascal._packing),
-        # and it is zero iff its value at 2^h is (_half_width).
-        failures = {j + 1 for j, lam in enumerate(lams)
-                    if not _homogeneous(lam, (n + 1) % 2)
-                    or not all(_homogeneous(row[j], i % 2) for i, row in enumerate(u.rows))}
-        t = 1 << _half_width(((1 << n - 1) + _norm((lams,))) * _norm(u.rows))
-    packed = _coefficients(u.rows, lambda c: c(t))
-    if x is not None:  # the tie W = U diag((-1)^j a^(n-j)) (pascal.build_w)
-        f = [a_pow(n - j, u.x_image) * (-1) ** j for j in range(1, n + 1)]
-        tied = _scaled(packed, [(e.c0(x), e.c1(x)) for e in f], x)
-        w = _coefficients(build_w(n, x).rows, IntPoly.constant_value)
-        failures.update(j + 1 for r, s in zip(tied, w) for j in range(n)
-                        if (r[0][j], r[1][j]) != (s[0][j], s[1][j]))
-    rhs = _scaled(packed, [(f.c0(t), f.c1(t)) for f in lams], t)
+    t, u, w, lams, _, odd, _ = _read(n, x)
+    failures = set(odd)
+    # Over Z[x], with the parities checked (_read), each entry of W - U diag(f)
+    # and of L(x) J W - W Lambda is homogeneous: U_ij f_j has parity
+    # (i - 1) + (n - j), as W_ij, and C(i-1, k-1) x^(i-k) W_(n+1-k)j parity
+    # (i - k) + (k + j - 2), as W_ij lambda_j.  By pascal._packing's N lemma
+    # their coefficients are at most _read's B = n 9^(n-1) + N(scale), with
+    # N(W) <= 3^(n-1) (verify_involution), N(U) <= 5^(n-1) (E's rows have N = 2
+    # and 5), N(lambda_j) <= 3^(n-1) as N(a) = 2 and N(a^-1) = N(a - x) = 3, and
+    # N(f_j) <= Fib(n+1), as N(a^k) = Fib(k+2) (a^k = F_k a + F_(k-1), Fibonacci
+    # polynomials of l1 norms Fib(k) and Fib(k-1)):
+    # - L J W - W Lambda: (2^(n-1) + 3^(n-1)) 3^(n-1) = 6^(n-1) + 9^(n-1),
+    #   at most 2 9^(n-1) <= B for n >= 2, and 2 = B at n = 1 (the scale is 1);
+    # - W - U diag(f): 5^(n-1) Fib(n+1) + 3^(n-1), where Fib(n+1) <= phi^n, so
+    #   5^(n-1) Fib(n+1) <= phi (5 phi)^(n-1) <= phi 9^(n-1), and 3^(n-1) <= 9^(n-1) / 3
+    #   for n >= 2; phi + 1/3 < 2, and at n = 1 it is 2 = B.
+    # So each is zero iff its value at 2^h is (_half_width): both run at +t only.
+    f = [_pair(a_pow(n - j, IntPoly.const(t)) * (-1) ** j, t) for j in range(1, n + 1)]
+    failures.update(j + 1 for ur, wr in zip(u, w) for j, (e, g, v) in enumerate(zip(ur, f, wr))
+                    if _times(e, g, t) != v)
+    rhs = [[_times(e, lam, t) for e, lam in zip(row, lams)] for row in w]
     # Slot width: entry i of L(t) v is at most (|t| + 1)^(i-1) max|v|, so each
-    # slot of a difference of packed rows lies below 2^(width-1), and the rows
-    # are equal iff the ints are.  The c0s of a row pack as the value at
-    # 2^width of the polynomial with them as coefficients, and so do its c1s;
-    # the balanced digits of a difference (comb.unpack) are its slots,
-    # slot k in column k + 1.
-    width = ((abs(t) + 1) ** (n - 1) * max(abs(c) for p0, p1, _ in packed for c in p0 + p1)
-             + max(abs(c) for r0, r1, _ in rhs for c in r0 + r1)).bit_length() + 1
+    # slot of a difference of packed rows (a row's c0s, or its c1s, as the value
+    # at 2^width of the polynomial with them as coefficients) lies below
+    # 2^(width-1): its balanced digits (comb.unpack) are the slots, k in column k + 1.
+    width = ((abs(t) + 1) ** (n - 1) * max(abs(c) for row in w for e in row for c in e)
+             + max(abs(c) for row in rhs for e in row for c in e)).bit_length() + 1
     for part in (0, 1):
-        lhs = _lower_pascal([pack(p[part], width) for p in reversed(packed)], t)
-        for left, r in zip(lhs, rhs):
-            if left != (right := pack(r[part], width)):
+        lhs = _lower_pascal([pack([e[part] for e in row], width) for row in reversed(w)], t)
+        for left, row in zip(lhs, rhs):
+            if left != (right := pack([e[part] for e in row], width)):
                 failures.update(k + 1 for k, d in enumerate(unpack(left - right, width)) if d)
     return frozenset(failures)
 
 
-def _rx_maps_u1(n: int, x: int | None, u1: list[RingElem]) -> bool:
-    """Whether build_rx(n, x) u_1 = L(x) J u_1, so that the eigen check
-    tests the matrix that show-r prints.  Entry i of U's column u_1 is
-    (-1)^(i-1) a^(1-i), a unit, so a fault in any one entry of a row of the
-    built R(x) changes that row's product; faults in two or more entries
-    of a row can cancel.  Both sides are compared at the Kronecker point
-    of their difference (pascal._packing), so no parity is needed: a fault
-    in U's column 1 fails that column alone."""
-    y = build_rx(n, x).mul_vector(u1)
-    t, unwrap, _ = _packing(u1[0].x_image, lambda: _norm((y,)) + (1 << n - 1) * _norm((u1,)))
+def _rx_maps_u1(n: int, x: int | None) -> bool:
+    """Whether build_rx(n, x) u_1 = L(x) J u_1, so that the eigen check tests
+    the matrix that show-r prints, for u_1 by the paper's formula: its units
+    u_i1 = (-1)^(i-1) a^(1-i) make a fault in any one entry of a row change
+    that row's product.  Both sides are compared at the Kronecker point of
+    their difference (pascal._packing)."""
+    rx = build_rx(n, x)
+    u1 = [a_pow(1 - i, rx.x_image) * (-1) ** (i - 1) for i in range(1, n + 1)]
+    y = rx.mul_vector(u1)
+    t, unwrap, _ = _packing(rx.x_image, lambda: _norm((y,)) + (1 << n - 1) * _norm((u1,)))
     (y0, y1, _), (v0, v1, _) = _coefficients((y, u1[::-1]), unwrap)
     return y0 == _lower_pascal(v0, t) and y1 == _lower_pascal(v1, t)
 
@@ -204,32 +173,63 @@ def involution_scale(n: int, x_image: IntPoly = X) -> RingElem:
     return (a_pow(2, x_image) + 1) ** (n - 1)
 
 
-def verify_involution(n: int, x: int | None = 1) -> bool:
-    """Exact check that W @ W = (1 + a^2)^(n-1) I: at the integer x on build_w(n, x),
-    or for x=None over Z[x] on build_w's recurrence run at x = +/-2^h (pascal._w_at),
-    h from the builder lemma; that build_w(n, None) is the same there is a test."""
-    x = _integer_x(x)
-    scale = involution_scale(n, X if x is None else IntPoly.const(x))
+def _pair(e: RingElem, t: int) -> tuple[int, int]:
+    """The parts (c0, c1) of e at the int t."""
+    return e.c0(t), e.c1(t)
+
+
+# One (n, x) serves both checks of a verify run; U and W at n = 64 over Z[x]
+# hold megabytes, so no more are kept.
+@lru_cache(maxsize=1)
+def _read(n: int, x: int | None) -> tuple:
+    """(t, U, W, lambdas, scale, odd, odd_w): the rows of U and W, lambda_1..
+    lambda_n and the involution scale as pairs (c0, c1) at the int t, the
+    columns (1-based) where U, W or lambda has the wrong parity, and whether
+    W or the scale has.  At an integer x, t = x on build_u(n, x) and
+    build_w(n, x); over Z[x], t = 2^h, h fixed before anything is built, on
+    U's and W's row recurrence (pascal._rows_at), also run at -t for parities."""
+    x_image = X if x is None else IntPoly.const(x)
+    scale, lams = involution_scale(n, x_image), eigenvalues(n, x_image)
     if x is not None:
-        w = [[(e.c0(x), e.c1(x)) for e in row] for row in build_w(n, x).rows]
-        return _squares_to(w, (scale.c0(x), scale.c1(x)), x)
+        u, w = ([[_pair(e, x) for e in row] for row in m.rows]
+                for m in (build_u(n, x), build_w(n, x)))
+        return x, u, w, [_pair(lam, x) for lam in lams], _pair(scale, x), frozenset(), False
     # sigma: x -> -x, a -> -a fixes a^2 - x a - 1, a ring automorphism.  Call
     # e homogeneous of parity p when sigma(e) = (-1)^p e; parities add in
     # products.  W_ij (1-based) has parity n - i + j - 1: row i of -S(F) is
     # -(a - t)^(n-i) (-1 - a t)^(i-1), of parity n - i when t counts as odd.
-    # So (W W)_il has parity i + l, the scale (2 + x a)^(n-1) parity 0, and
-    # each entry of D = W W - scale I is homogeneous.  N(W) <= 3^(n-1), as each
-    # row of F has N = 3 (pascal._symmetric_power), so by pascal._packing's
-    # lemma D's coefficients are at most n 9^(n-1) + N(scale) < 2^(2h - 1).
-    # A homogeneous c0 or c1 is x^p g(x^2), and g's coefficients are then the
-    # balanced base-4^h digits of g(4^h), so D = 0 iff D at 2^h is (_half_width).
-    # So are the even and the odd part of each c0 and c1 of W and the scale,
-    # so e has parity p iff c0(-t) = (-1)^p c0(t) and c1(-t) = -(-1)^p c1(t).
+    # U_ij has parity i - 1: row i of S(E) is (1 + t)^(n-i) (x - a + a t)^(i-1).
+    # lambda_j = +/-a^(2j-n-1) has parity n + 1, the scale (2 + x a)^(n-1) 0.
+    # A homogeneous difference with coefficients under B = n 9^(n-1) + N(scale)
+    # < 2^(2h - 1) is zero iff it is at 2^h (_half_width).  Below B the values
+    # at +/-2^h give the even and the odd part of each c0 and c1 apart, so an
+    # entry e has parity p iff c0(-t) = (-1)^p c0(t) and c1(-t) = -(-1)^p c1(t).
     t = 1 << _half_width(n * 9 ** (n - 1) + _norm([[scale]]))
-    (w, s), (w_neg, s_neg) = ((_w_at(n, v), (scale.c0(v), scale.c1(v))) for v in (t, -t))
-    return all(f == ((-1) ** p * e[0], -(-1) ** p * e[1]) for e, f, p in [(s, s_neg, 0), *(
-        (e, f, n - i + j - 1) for i, (row, row_neg) in enumerate(zip(w, w_neg))
-        for j, (e, f) in enumerate(zip(row, row_neg)))]) and _squares_to(w, s, t)
+    (u, w, ls, s), (u_, w_, ls_, s_) = (
+        (_rows_at(n, pascal._E, v), _rows_at(n, pascal._F, v, -1), [_pair(lam, v) for lam in lams],
+         _pair(scale, v)) for v in (t, -t))
+    odd_w = _odd_columns(w, w_, lambda i, j: n - i + j - 1)
+    odd = odd_w | _odd_columns(u, u_, lambda i, j: i) | _odd_columns([ls], [ls_], lambda *_: n + 1)
+    return t, u, w, ls, s, frozenset(odd), bool(odd_w or _odd_columns([[s]], [[s_]], lambda *_: 0))
+
+
+def _odd_columns(pos, neg, parity) -> set[int]:
+    """The columns j (1-based) where the rows of pairs ``pos`` at t and ``neg``
+    at -t have an entry (i, j), 0-based, not of parity(i, j) (_read)."""
+    return {j + 1 for i, (row, row_) in enumerate(zip(pos, neg))
+            for j, (e, f) in enumerate(zip(row, row_))
+            if f != ((-1) ** parity(i, j) * e[0], -(-1) ** parity(i, j) * e[1])}
+
+
+def verify_involution(n: int, x: int | None = 1) -> bool:
+    """Exact check that W @ W = (1 + a^2)^(n-1) I on the W that _read gives:
+    build_w(n, x) at an integer x, or over Z[x] build_w's recurrence at
+    x = +/-2^h; that build_w(n, None) is the same there is a test."""
+    # Over Z[x], D = W W - scale I has entries of parity i + l (_read), and as
+    # N(W) <= 3^(n-1), each row of F having N = 3 (pascal._symmetric_power),
+    # pascal._packing's lemma puts them under B: D = 0 iff D at 2^h is.
+    t, _, w, _, scale, _, odd_w = _read(n, _integer_x(x))
+    return not odd_w and _squares_to(w, scale, t)
 
 
 def _squares_to(w: list[list[tuple[int, int]]], s: tuple[int, int], x: int) -> bool:
@@ -261,12 +261,6 @@ def _checked_w(n: int) -> tuple[list, list[int], RingElem] | None:
     if b is None:
         return None
     return packed, b, involution_scale(n, w.x_image)
-
-
-def _homogeneous(e: RingElem, parity: int) -> bool:
-    """Whether c0 has only powers x^d with d = parity and c1 only powers
-    with d = parity + 1 (mod 2): sigma(e) = (-1)^parity e (verify_involution)."""
-    return not any(e.c0.coeffs[1 - parity::2]) and not any(e.c1.coeffs[parity::2])
 
 
 def _half_width(bound: int) -> int:

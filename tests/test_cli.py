@@ -167,12 +167,15 @@ class TestVerify:
             lams[2] = -lams[2]
             return lams
 
-        spectral._eigen_failures.cache_clear()
+        caches = (spectral._eigen_failures, spectral._read)
+        for cache in caches:
+            cache.cache_clear()
         monkeypatch.setattr(spectral, "eigenvalues", wrong_at_3)
         try:
             code, out, _ = run(capsys, "verify", "--n", "5", "--check", "eigen", "--x", x)
         finally:
-            spectral._eigen_failures.cache_clear()
+            for cache in caches:
+                cache.cache_clear()
         assert code == 1
         assert [(rep["params"]["p"], rep["pass"]) for rep in json.loads(out)] == [
             (p, p != 3) for p in range(1, 6)

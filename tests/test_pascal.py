@@ -12,11 +12,11 @@ from rjpascal import pascal
 from rjpascal.binomial import _row_table
 from rjpascal.comb import unpack
 from rjpascal.pascal import (_D, _E, _F, _Q, IntMatrix, RingMatrix, _coefficients, _l_step,
-                             _lower_pascal, _norm, _packing, _scaled, _symmetric_power,
-                             _upper_square, _w_at, _w_times, build_r, build_rx, build_u,
-                             build_w)
+                             _lower_pascal, _norm, _packing, _rows_at, _scaled,
+                             _symmetric_power, _upper_square, _w_times, build_r, build_rx,
+                             build_u, build_w)
 from rjpascal.ring import A, ONE, ZERO, IntPoly, RingElem, X, a_pow
-from rjpascal.spectral import _checked_w, _eigen_failures, _inverse_r, involution_scale
+from rjpascal.spectral import _checked_w, _eigen_failures, _inverse_r, _read, involution_scale
 
 ONE_AT_1 = IntPoly.const(1)
 
@@ -300,7 +300,7 @@ class TestFactorization:
     def test_w_times_is_w(self, x):
         # W built at x as pairs, and applied by the passes to each unit column
         for n in range(1, 9):
-            w = _w_at(n, x)
+            w = _rows_at(n, _F, x, -1)
             assert w == [[(e.c0(x), e.c1(x)) for e in row] for row in build_w(n).rows]
             for j in range(n):
                 assert _w_times([(int(k == j), 0) for k in range(n)], x) == [row[j] for row in w]
@@ -585,7 +585,7 @@ class TestPascalRecurrence:
                 e_j = [int(k == n - 1 - j) for k in range(n)]
                 assert _lower_pascal(e_j, x) == [row[j] for row in rows], (x, j + 1)
 
-    @pytest.mark.parametrize("x", [1, 0, -2, 3, 2 ** 10])
+    @pytest.mark.parametrize("x", [1, 0, -2, 3, 2, 2 ** 10, -2 ** 10])
     def test_pair_step_pass_is_lower_pascal_at_l(self, x):
         # S(L)_ij = C(i-1, j-1) l^(i-j), l = x - a, column by column on pairs
         l = RingElem(X, -1).specialize(x)
@@ -743,7 +743,7 @@ class TestSerialization:
 
 @pytest.mark.parametrize(
     "cached", [build_r, build_rx, build_u, build_w, a_pow, _inverse_r, _eigen_failures,
-               _checked_w, _row_table],
+               _read, _checked_w, _row_table],
     ids=lambda f: f.__name__,
 )
 def test_caches_are_bounded(cached):

@@ -15,7 +15,6 @@ from rjpascal.ring import A, ONE, ExactDivisionError, IntPoly, RingElem, X, _tim
 from rjpascal.spectral import (
     DEFAULT_TOL,
     _half_width,
-    _homogeneous,
     _inverse_r,
     eigen_distinctness,
     eigenvalue,
@@ -199,36 +198,35 @@ class TestVerifyEigenpair:
             verify_eigenpair(3, 4)
 
 
-def _patched(monkeypatch, name, n, x, edit):
-    """Make the eigen check read build_u or build_rx (``name``) at (n, x)
-    with ``edit(rows)`` applied to a copy of its rows (0-based)."""
-    rows = [list(row) for row in getattr(spectral, name)(n, x).rows]
+def _patched_rx(monkeypatch, n, x, edit):
+    """Make the eigen check read build_rx at (n, x) with ``edit(rows)``
+    applied to a copy of its rows (0-based)."""
+    rows = [list(row) for row in build_rx(n, x).rows]
     edit(rows)
-    monkeypatch.setattr(spectral, name, lambda n_, x_: RingMatrix(rows))
+    monkeypatch.setattr(spectral, "build_rx", lambda n_, x_: RingMatrix(rows))
 
 
-def _eigen_bound(n, rows, lams):
-    """2^(n-1) N(U) + N(U) N(Lambda), the bound whose half width the eigen
-    check packs at over Z[x]."""
-    return ((1 << n - 1) + _norm((lams,))) * _norm(rows)
+def _h(n):
+    """The h of the point 2^h that spectral._read fixes for n over Z[x]
+    before anything is built: the half width of n 9^(n-1) + N(scale)."""
+    return _half_width(n * 9 ** (n - 1) + _norm([[involution_scale(n)]]))
 
 
 class TestEigenFaults:
     """_eigen_failures reports exactly the columns where R(x) U and U Lambda
-    differ (its cache is bypassed through __wrapped__), and every column
-    when the built R(x) is not L(x) J."""
+    differ (its cache is bypassed through __wrapped__, and _read's by
+    _fresh_read), and every column when the built R(x) is not L(x) J."""
 
     @pytest.mark.parametrize("x", [1, None, -2], ids=["x=1", "symbolic", "x=-2"])
     def test_one_entry_of_u_off_fails_its_column(self, monkeypatch, x):
         # column j of R(x) U - U Lambda changes by (R(x) - lambda_j) e_i,
         # which is not zero: no e_i is an eigenvector of R(x) for x != 0
         n, failures = 4, spectral._eigen_failures.__wrapped__
+        _fresh_read(monkeypatch)
         assert failures(n, x) == frozenset()
         for i in range(n):
             for j in range(n):
-                rows = [list(row) for row in build_u(n, x).rows]
-                rows[i][j] = rows[i][j] + 1
-                monkeypatch.setattr(spectral, "build_u", lambda n_, x_: RingMatrix(rows))
+                _faulty_u(monkeypatch, _add(i + 1, j + 1, 1))
                 assert failures(n, x) == {j + 1}, (i + 1, j + 1)
 
     @staticmethod
@@ -241,7 +239,7 @@ class TestEigenFaults:
                         e = rows[i][j]
                         rows[i][j] = RingElem(e.c0 + (part == 0), e.c1 + (part == 1),
                                               e.x_image)
-                    _patched(m, "build_rx", n, x, edit)
+                    _patched_rx(m, n, x, edit)
                     assert failures(n, x) == set(range(1, n + 1)), (i + 1, j + 1)
 
     @pytest.mark.parametrize("x", [1, None, -2], ids=["x=1", "symbolic", "x=-2"])
@@ -259,6 +257,7 @@ class TestEigenFaults:
         # at n = 1, R(x) = U = (1): lambda_1 = 1 + c1 a, with c1 = x over Z[x]
         # (parity 0, as lambda_1 needs), makes R(x) U - U Lambda = -c1 a, c0 = 0
         c1 = X if x is None else IntPoly.const(1)
+        _fresh_read(monkeypatch)
         monkeypatch.setattr(spectral, "eigenvalues",
                             lambda n_, x_image: [RingElem(IntPoly.const(1), c1, x_image)])
         assert spectral._eigen_failures.__wrapped__(1, x) == {1}
@@ -266,54 +265,45 @@ class TestEigenFaults:
     @pytest.mark.parametrize("i", range(4))
     def test_monomial_of_the_wrong_parity_fails_its_column(self, monkeypatch, i):
         # U_ij has parity i - 1 (1-based), so x^i in c0 (0-based i) has the wrong one
-        def edit(rows):
-            rows[i][2] = rows[i][2] + IntPoly([0] * i + [1])
-
-        _patched(monkeypatch, "build_u", 4, None, edit)
+        _faulty_u(monkeypatch, _add(i + 1, 3, IntPoly([0] * i + [1])))
         assert spectral._eigen_failures.__wrapped__(4, None) == {3}
 
     @pytest.mark.parametrize("i", range(4))
     def test_homogeneous_fault_that_vanishes_at_one_fails_its_column(self, monkeypatch, i):
         # x^i (x^2 - 1) has U_i3's parity (0-based i) and is zero at x = 1:
         # over Z[x] the check must not compare values at a small x
-        def edit(rows):
-            rows[i][2] = rows[i][2] + IntPoly([0] * i + [-1, 0, 1])
-
-        _patched(monkeypatch, "build_u", 4, None, edit)
+        _faulty_u(monkeypatch, _add(i + 1, 3, IntPoly([0] * i + [-1, 0, 1])))
         assert spectral._eigen_failures.__wrapped__(4, None) == {3}
 
     @pytest.mark.parametrize("i", range(4))
     def test_mixed_parity_fault_that_vanishes_at_the_width_fails(self, monkeypatch, i):
-        """U_i3 + 2^h - x is zero at x = 2^h, with h the half width it gives
-        itself; only the parity check of U can see it."""
-        n, lams, u = 4, eigenvalues(4), build_u(4)
-        for h in range(2, 64):
-            rows = [list(row) for row in u.rows]
-            rows[i][2] = rows[i][2] + IntPoly([2 ** h, -1])
-            if _half_width(_eigen_bound(n, rows, lams)) == h:
-                break
-        else:
-            pytest.fail("no h is its own half width")
-        monkeypatch.setattr(spectral, "build_u", lambda n_, x_: RingMatrix(rows))
+        """U_i3 + 2^h - x is zero at x = 2^h, the point of the tie, with h
+        the half width _read fixes; only the parity check of U can see it."""
+        n = 4
+        _faulty_u(monkeypatch, _add(i + 1, 3, IntPoly([2 ** _h(n), -1])))
         assert spectral._eigen_failures.__wrapped__(n, None) == {3}
 
     def test_eigenvalue_of_mixed_parity_fails(self, monkeypatch):
         # at n = 1, lambda_1 = 5 - x gives h = 2, where it is 1 = R(x) = U
         lam = RingElem(IntPoly([5, -1]))
-        assert _half_width(_eigen_bound(1, build_u(1).rows, [lam])) == 2
+        assert _h(1) == 2
+        _fresh_read(monkeypatch)
         monkeypatch.setattr(spectral, "eigenvalues", lambda n_, x_image: [lam])
         assert spectral._eigen_failures.__wrapped__(1, None) == {1}
 
     def test_fault_invisible_at_the_narrow_width_fails(self, monkeypatch):
-        """At n = 1, U = R(x) = (1) and N(U) = 1, so the bound is tight: with
-        lambda_1 = 1 + 4^(h-1) - x^2, homogeneous of parity 0, the half width
-        is h, and the fault vanishes at x = 2^(h-1) but not at 2^h."""
-        for h in (2, 3, 10):
-            lam = RingElem(IntPoly([1 + 4 ** (h - 1), 0, -1]))
-            assert _half_width(_eigen_bound(1, build_u(1).rows, [lam])) == h
-            assert lam.c0(2 ** (h - 1)) == 1 != lam.c0(2 ** h)
-            monkeypatch.setattr(spectral, "eigenvalues", lambda n_, x_image: [lam])
-            assert spectral._eigen_failures.__wrapped__(1, None) == {1}, h
+        """At n = 1, W = (-1) and the bound n 9^(n-1) + N(scale) = 2 is tight
+        for L J W - W Lambda (_eigen_failures), so h = 2.  With
+        lambda_1 = 1 + 4^(h-1) - x^2, homogeneous of parity 0, the difference
+        W lambda_1 - W = 4^(h-1) - x^2 lies under 2^(2h - 1) and vanishes at
+        x = 2^(h-1) but not at 2^h."""
+        h = _h(1)
+        lam = RingElem(IntPoly([1 + 4 ** (h - 1), 0, -1]))
+        assert h == 2 and 4 ** (h - 1) < 2 ** (2 * h - 1)
+        assert lam.c0(2 ** (h - 1)) == 1 != lam.c0(2 ** h)
+        _fresh_read(monkeypatch)
+        monkeypatch.setattr(spectral, "eigenvalues", lambda n_, x_image: [lam])
+        assert spectral._eigen_failures.__wrapped__(1, None) == {1}
 
     def test_rx_fault_invisible_without_the_product_norm_fails(self, monkeypatch):
         """At n = 1, u_1 = (1), and R(x) = (x - 3) equals the true (1) only
@@ -323,16 +313,31 @@ class TestEigenFaults:
                             lambda n_, x_: RingMatrix([[RingElem(IntPoly([-3, 1]))]]))
         assert spectral._eigen_failures.__wrapped__(1, None) == {1}
 
+    @pytest.mark.parametrize("x", [None, 1, 0, -2])
+    def test_rx_is_checked_on_the_first_column_of_u(self, monkeypatch, x):
+        """The u_1 that build_rx's R(x) multiplies comes from the paper's
+        formula (-1)^(i-1) a^(1-i), and it is the first column of build_u."""
+        vectors, mul_vector = [], RingMatrix.mul_vector
+
+        def recorded(m, vec):
+            vectors.append(vec)
+            return mul_vector(m, vec)
+
+        monkeypatch.setattr(RingMatrix, "mul_vector", recorded)
+        for n in range(1, 9):
+            assert spectral._rx_maps_u1(n, x)
+            assert tuple(vectors.pop()) == column(build_u(n, x), 1), n
+
 
 class TestTieToW:
-    """At an integer x the eigen check ties U to W = U diag((-1)^j a^(n-j)).
+    """The eigen check ties U to W = U diag((-1)^j a^(n-j)) at every x.
     With pascal._E times diag(c, 1), build_u returns U diag(c^(n-j)): still
     eigenvectors, refused only by the tie, in the columns where c^(n-j) is
     not 1.  At x = 0, a^2 = 1."""
 
     @pytest.fixture
     def fresh(self):
-        caches = (build_u, build_w, spectral._eigen_failures)
+        caches = (build_u, build_w, spectral._eigen_failures, spectral._read)
         for cache in caches:
             cache.cache_clear()
         yield
@@ -344,10 +349,13 @@ class TestTieToW:
         (A * A, 1, lambda n, p: p < n),
         (A * A, -2, lambda n, p: p < n),
         (A * A, 0, lambda n, p: False),
+        (A * A, "symbolic", lambda n, p: p < n),
         (A, 1, lambda n, p: p < n),
         (A, -2, lambda n, p: p < n),
         (A, 0, lambda n, p: (n - p) % 2 == 1),
-    ], ids=["a^2-x=1", "a^2-x=-2", "a^2-x=0", "a-x=1", "a-x=-2", "a-x=0"])
+        (A, "symbolic", lambda n, p: p < n),
+    ], ids=["a^2-x=1", "a^2-x=-2", "a^2-x=0", "a^2-symbolic",
+            "a-x=1", "a-x=-2", "a-x=0", "a-symbolic"])
     def test_scaled_eigenvectors(self, capsys, monkeypatch, fresh, n, c, x, failing):
         (e11, e12), (e21, e22) = pascal._E
         monkeypatch.setattr(pascal, "_E", ((e11 * c, e12), (e21 * c, e22)))
@@ -392,6 +400,7 @@ class TestVerifyInvolution:
             scale = RingElem(IntPoly([1 + 4 ** (h - 1), 0, -1]))
             assert _half_width(1 * 9 ** 0 + _norm([[scale]])) == h
             assert scale.c0(2 ** (h - 1)) == 1 != scale.c0(2 ** h)
+            _fresh_read(monkeypatch)
             monkeypatch.setattr(spectral, "involution_scale", lambda n, x_image=X: scale)
             assert not verify_involution(1, x=None), h
 
@@ -424,6 +433,7 @@ class TestVerifyInvolution:
         x = -2^2 shows that it mixes parities."""
         scale = RingElem(IntPoly([-3, 1]))
         assert _half_width(1 + _norm([[scale]])) == 2 and scale.c0(4) == 1
+        _fresh_read(monkeypatch)
         monkeypatch.setattr(spectral, "involution_scale", lambda n, x_image=X: scale)
         assert not verify_involution(1, x=None)
 
@@ -472,23 +482,78 @@ def test_pack_is_the_value_at_two_to_the_k(row, k):
         assert pack(part, k) == IntPoly(part)(2 ** k)
 
 
+def _read_points(monkeypatch, m, n):
+    """The points x at which spectral._read runs pascal._rows_at on m
+    (pascal._E for U, _F for W) over Z[x] for n, in order, from a fresh read."""
+    xs, rows_at = [], spectral._rows_at
+
+    def recorded(n, m_, x, sign=1):
+        if m_ is m:
+            xs.append(x)
+        return rows_at(n, m_, x, sign)
+
+    monkeypatch.setattr(spectral, "_rows_at", recorded)
+    spectral._read.__wrapped__(n, None)
+    return xs
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 40, 64])
 def test_symbolic_involution_reads_build_w_at_its_points(monkeypatch, n):
-    """Over Z[x] the involution builds W at x = +/-2^h by the recurrence
-    (pascal._w_at), not from build_w(n, None): the two agree there."""
-    xs, w_at = [], spectral._w_at
-
-    def recorded(n, x):
-        xs.append(x)
-        return w_at(n, x)
-
-    monkeypatch.setattr(spectral, "_w_at", recorded)
-    monkeypatch.setattr(spectral, "_squares_to", lambda w, s, x: True)
-    assert verify_involution(n, x=None)
+    """Over Z[x] the checks build W at x = +/-2^h by the recurrence
+    (pascal._rows_at on F), not from build_w(n, None): the two agree there."""
+    w_at = lambda n, x: pascal._rows_at(n, pascal._F, x, -1)
+    xs = _read_points(monkeypatch, pascal._F, n)
     assert len(xs) == 2 and xs[0] == -xs[1] > 0
     rows = build_w(n).rows
     for x in xs:
         assert w_at(n, x) == [[_pair(e, x) for e in row] for row in rows]
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_symbolic_eigen_check_reads_build_u_at_its_points(monkeypatch, n):
+    """Over Z[x] the checks build U at x = +/-2^h by the recurrence
+    (pascal._rows_at on E), not from build_u(n, None): the two agree there
+    (the uncached build, so the 64 polynomial matrices are not all kept)."""
+    u_at = lambda n, x: pascal._rows_at(n, pascal._E, x)
+    xs = _read_points(monkeypatch, pascal._E, n)
+    assert xs == [2 ** _h(n), -2 ** _h(n)]
+    rows = build_u.__wrapped__(n, None).rows
+    for x in xs:
+        assert u_at(n, x) == [[_pair(e, x) for e in row] for row in rows]
+
+
+def _fib(k):
+    """The Fibonacci number Fib(k), Fib(1) = Fib(2) = 1."""
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+#: The bounds on N that spectral._eigen_failures proves, by n: of U, W,
+#: lambda_j and f_j = (-1)^j a^(n-j).
+N_BOUNDS = {"U": lambda n: 5 ** (n - 1), "W": lambda n: 3 ** (n - 1),
+            "lambda": lambda n: 3 ** (n - 1), "f": lambda n: _fib(n + 1)}
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_norm_bounds_hold(n):
+    f = [a_pow(n - j) * (-1) ** j for j in range(1, n + 1)]
+    norms = {"U": _norm(build_u(n).rows), "W": _norm(build_w(n).rows),
+             "lambda": _norm([eigenvalues(n)]), "f": _norm([f])}
+    assert all(norms[k] <= bound(n) for k, bound in N_BOUNDS.items()), norms
+    assert norms["f"] == _fib(n + 1)
+
+
+def test_residual_bounds_fit_the_half_width():
+    """The coefficients of L J W - W Lambda and of W - U diag(f) lie under
+    the involution's bound n 9^(n-1) + N(scale), so one h serves every
+    identity: checked in exact integers for n = 1..200."""
+    u, w, lam, f = (N_BOUNDS[k] for k in ("U", "W", "lambda", "f"))
+    for n in range(1, 201):
+        bound = n * 9 ** (n - 1) + _norm([[involution_scale(n)]])
+        assert (2 ** (n - 1) + lam(n)) * w(n) <= bound, n
+        assert u(n) * f(n) + w(n) <= bound, n
 
 
 class TestMatrixPower:
@@ -893,25 +958,6 @@ def test_builders_are_homogeneous(n):
 
 
 @st.composite
-def graded_elems(draw):
-    """(e, parity): an element over Z[x] of degree <= 5 with small
-    coefficients, and half the time with those of the wrong parity zeroed."""
-    parity = draw(st.integers(0, 1))
-    c0, c1 = (draw(st.lists(st.integers(-2, 2), max_size=6)) for _ in range(2))
-    if draw(st.booleans()):
-        c0 = [c if d % 2 == parity else 0 for d, c in enumerate(c0)]
-        c1 = [c if d % 2 != parity else 0 for d, c in enumerate(c1)]
-    return RingElem(IntPoly(c0), IntPoly(c1)), parity
-
-
-@settings(max_examples=200, deadline=None)
-@given(graded_elems())
-def test_homogeneous_is_sigma_parity(case):
-    e, parity = case
-    assert _homogeneous(e, parity) == (sigma(e) == (-e if parity else e))
-
-
-@st.composite
 def under_a_bound(draw):
     """(bound, p): p has only powers x^d with d of one parity, and
     coefficients at most bound in absolute value, often exactly +/-bound."""
@@ -943,9 +989,9 @@ def test_half_width_witnesses(h):
     assert _half_width(bound) == h
     narrower = IntPoly([bound, 0, -1])
     assert narrower(2 ** (h - 1)) == 0 and narrower(2 ** h) != 0
-    mixed = IntPoly([2 ** h, -1])
-    assert mixed(2 ** h) == 0
-    assert not _homogeneous(RingElem(mixed), 0) and not _homogeneous(RingElem(mixed), 1)
+    mixed = RingElem(IntPoly([2 ** h, -1]))
+    assert mixed.c0(2 ** h) == 0
+    assert sigma(mixed) not in (mixed, -mixed)
 
 
 def _pair(e, x):
@@ -953,23 +999,45 @@ def _pair(e, x):
     return e.c0(x), e.c1(x)
 
 
-def _faulty_w(monkeypatch, edit):
-    """Make the checks read W with ``edit(rows, n)`` applied to a copy of
-    its rows over Z[x] (0-based), evaluated at the checks' x.
+def _fresh_read(monkeypatch):
+    """Give spectral._read a fresh cache for the test: no reading from
+    before a patch answers for the checks, and none from during it
+    outlives it."""
+    monkeypatch.setattr(spectral, "_read", lru_cache(maxsize=1)(spectral._read.__wrapped__))
 
-    Over Z[x] the involution builds W as pairs at its own points
-    (spectral._w_at), so there it reads the edited W at them.  The power check
-    keeps W per n (spectral._checked_w), so it gets a fresh cache for the
-    test: no W from before the patch answers for it, and none from during
-    it outlives it."""
+
+def _faulty(monkeypatch, name, edit):
+    """Make the checks read U or W (``name``, "u" or "w") with
+    ``edit(rows, n)`` applied to a copy of its rows over Z[x] (0-based),
+    evaluated at the checks' x: build_u or build_w at an integer x, and over
+    Z[x] pascal._rows_at on E or F, run at spectral._read's points."""
+    build, m = getattr(pascal, f"build_{name}"), {"u": pascal._E, "w": pascal._F}[name]
+    rows_at = spectral._rows_at
+
     def faulty(n, x):
-        rows = [list(row) for row in build_w(n, None).rows]
+        rows = [list(row) for row in build(n, None).rows]
         edit(rows, n)
         return RingMatrix([[e if x is None else e.specialize(x) for e in row] for row in rows])
 
-    monkeypatch.setattr(spectral, "build_w", faulty)
-    monkeypatch.setattr(spectral, "_w_at", lambda n, x: [[_pair(e, x) for e in row]
-                                                          for row in faulty(n, None).rows])
+    def faulty_rows(n, m_, x, sign=1):
+        if m_ is not m:
+            return rows_at(n, m_, x, sign)
+        return [[_pair(e, x) for e in row] for row in faulty(n, None).rows]
+
+    monkeypatch.setattr(spectral, f"build_{name}", faulty)
+    monkeypatch.setattr(spectral, "_rows_at", faulty_rows)
+    _fresh_read(monkeypatch)
+
+
+def _faulty_u(monkeypatch, edit):
+    """The eigen check reads U with ``edit`` applied (_faulty)."""
+    _faulty(monkeypatch, "u", edit)
+
+
+def _faulty_w(monkeypatch, edit):
+    """The checks read W with ``edit`` applied (_faulty).  The power check
+    keeps W per n (spectral._checked_w), so it gets a fresh cache too."""
+    _faulty(monkeypatch, "w", edit)
     monkeypatch.setattr(spectral, "_checked_w", lru_cache(maxsize=BUILD_CACHE_SIZE)(
         spectral._checked_w.__wrapped__))
 
@@ -1054,6 +1122,7 @@ class TestInvolutionFaults:
     @pytest.mark.parametrize("x", [1, -2, 3])
     def test_reads_the_built_w_at_an_integer_x(self, monkeypatch, x):
         # the W that build_w returns and show-w prints, not a build of its own
+        _fresh_read(monkeypatch)
         monkeypatch.setattr(spectral, "build_w", lambda n, x: build_w(n, x) if n != 5 else
                             RingMatrix([[e * 2 for e in row] for row in build_w(n, x).rows]))
         assert not verify_involution(5, x=x)
@@ -1165,6 +1234,7 @@ class TestPowerFaults:
 
         monkeypatch.setattr(spectral, "_checked_w", lru_cache(maxsize=BUILD_CACHE_SIZE)(
             spectral._checked_w.__wrapped__))
+        _fresh_read(monkeypatch)
         monkeypatch.setattr(spectral, "_binomially_symmetric", counted)
         assert verify_involution(5, x=1)
         for m in (-3, 0, 6):
