@@ -342,19 +342,21 @@ _D = (A, RingElem(X, -2))
 def _symmetric_power(n: int, m, x: int | None = None, sign: int = 1) -> RingMatrix:
     """sign S(M), sign = 1 or -1, for m = ((M11, M12), (M21, M22)) with M12 =
     +/-1, at the int x, or over Z[x] when x is None (_packing, _power_rows)."""
-    # _packing's bound: N (see _packing), summed over the coefficients in t,
-    # is subadditive and submultiplicative too, so max(N(A), N(B))^(n-1)
-    # bounds row i, the coefficients of A^(n-i) B^(i-1).
     _check_dimension(n)
     if x is not None:
         if type(x) is not int:
             raise ValueError(f"x must be an int, or None for Z[x], got {x!r}")
         m = [[e.specialize(x) for e in row] for row in m]
     x_image = m[0][0].x_image
-    x, unwrap, wrap = _packing(
-        x_image, lambda: max(sum(_norm([[e]]) for e in row) for row in m) ** (n - 1))
+    x, unwrap, wrap = _packing(x_image, lambda: _power_norm(n, m))
     rows = _power_rows(n, [[(unwrap(e.c0), unwrap(e.c1)) for e in r] for r in m], x, sign)
     return RingMatrix([[RingElem(wrap(c0), wrap(c1), x_image) for c0, c1 in r] for r in rows])
+
+
+def _power_norm(n: int, m) -> int:
+    """max(N(A), N(B))^(n-1) >= N(S(M)) (_power_rows): N (_packing), summed over t,
+    is subadditive and submultiplicative, and row i is A^(n-i) B^(i-1)."""
+    return max(sum(_norm([[e]]) for e in row) for row in m) ** (n - 1)
 
 
 def _power_rows(n: int, m, x: int, sign: int = 1) -> list[list[tuple[int, int]]]:
@@ -389,8 +391,7 @@ def _power_rows(n: int, m, x: int, sign: int = 1) -> list[list[tuple[int, int]]]
 
 
 def _rows_at(n: int, m, x: int, sign: int = 1) -> list[list[tuple[int, int]]]:
-    """The rows of sign S(M) as pairs at the int x, M's entries evaluated directly:
-    how the checks over Z[x] read U = S(E) and W = -S(F) at +/-2^h (spectral._read)."""
+    """_power_rows with M's entries evaluated at the int x directly (spectral._rows)."""
     return _power_rows(n, [[(e.c0(x), e.c1(x)) for e in row] for row in m], x, sign)
 
 

@@ -1,34 +1,28 @@
 """Eigenvalue verification, the involution identity, and exact matrix powers.
 
 The eigenvalue attached to column j of an n-dimensional family member is
-(-1)^(n+j) a^(2j-n-1), an exact unit of the coefficient ring.  W = -S(F)
-and U = S(E) with F = E diag(a, -1), and S is multiplicative (pascal),
-so W = U diag(f) with the units f_j = (-1)^j a^(n-j).  The exact checks
-read U, W, the eigenvalues and the involution scale as pairs of ints
-(c0, c1) at one int t (_read), on one path for every x: at t = x the
-matrices that build_u and build_w return, over Z[x] their row
-recurrences at t = +/-2^h, h fixed beforehand as x -> -x, a -> -a grades
-the ring, the values at -t testing parities.  The involution check
-W^2 = (1+a^2)^(n-1) I proves W invertible; W W is two Pascal passes with
-the step l = x - a on W's packed rows (pascal._w_times).  The eigen check
-fails a column of U not tied to W's, so U is invertible too, and checks
-R(x) W = W Lambda, Lambda = diag(lambda_1..lambda_n), whose column j is
-f_j times that of R(x) U = U Lambda.  R(x) = L(x) J, L(x) the lower
-Pascal matrix and J the reversal, so R(x) W is the Pascal recurrence on
-the packed rows of J W: n(n-1)/2 steps of one product by t (a shift at
-2^h) and one sum.  build_rx's R(x) is checked against L(x) J on U's
-first column, u_i1 = (-1)^(i-1) a^(1-i), all units: a wrong entry fails,
-but faults in two or more entries of one row can cancel there.
+(-1)^(n+j) a^(2j-n-1), an exact unit of the coefficient ring.  U = S(E)
+and W = -S(F), F = E diag(a, -1), and S is multiplicative (pascal), so
+W = U diag(f), f_j = (-1)^j a^(n-j).  The exact checks read U, W, the
+eigenvalues and the involution scale as pairs of ints (c0, c1) at one int
+t, on one path for every x (_read, _rows): t = x on build_u and build_w,
+over Z[x] t = 2^h on their row recurrences, also run at -t to test the
+parities by which x -> -x, a -> -a grades the ring.  W^2 = (1+a^2)^(n-1) I,
+two Pascal passes with the step x - a (pascal._w_times), proves W
+invertible, and the tie W = U diag(f) proves U so.  R(x) = L(x) J, L(x)
+the lower Pascal matrix and J the reversal, so R(x) W = W Lambda, column j
+f_j times that of R(x) U = U Lambda, is the Pascal recurrence on the
+packed rows of J W, a shift and a sum per step at 2^h.  build_rx's R(x)
+is checked against L(x) J on U's first column, whose entries are units:
+faults in two or more entries of one row can cancel there.
 
 Integer powers of the Pascal matrix are W diag(lambda^m) W divided by
-(1+a^2)^(n-1), every exponent asked for in one packed product, a
-self-test of the whole formula chain (matrix_powers_closed_form).
-Matrices, eigenvalues and the involution scale are computed directly in
-the target ring: the builders take x itself, the scalars the image of x
-(X for Z[x], a constant for an integer x).  Numeric checks round each
-entry once from its exact value and sum each product entry with
-``math.fsum``; both residuals are judged relative to the product of
-absolute values (DEFAULT_TOL).  Exact checks carry zero tolerance.
+(1+a^2)^(n-1), every exponent in one packed product, a self-test of the
+formula chain (matrix_powers_closed_form).  Matrices and scalars are
+computed directly in the target ring, Z[x] or an integer x.  Numeric
+checks round each entry once from its exact value and sum each product
+entry with ``math.fsum``, judged relative to the product of absolute
+values (DEFAULT_TOL).  Exact checks carry zero tolerance.
 """
 from __future__ import annotations
 
@@ -110,39 +104,24 @@ def verify_eigenpair(n: int, p: int, x: int | None = 1) -> bool:
 
 @lru_cache(maxsize=BUILD_CACHE_SIZE)
 def _eigen_failures(n: int, x: int | None) -> frozenset[int]:
-    """The columns p (1-based) where R(x) U and U Lambda differ, found once
-    per (n, x) for all n eigenpairs on what _read gives at its int t: all
-    unless build_rx's R(x) maps u_1 as L(x) J does (_rx_maps_u1), else those
-    where U, W or lambda_j has the wrong parity, where U is not tied to W by
-    W = U diag(f), or where L(t) J W and W Lambda differ (module docstring)."""
+    """The columns p (1-based) where R(x) U and U Lambda differ, once per (n, x): all
+    unless build_rx's R(x) maps u_1 as L(x) J (_rx_maps_u1), else where U, W or lambda_j
+    has the wrong parity, U is not tied to W, or L(t) J W and W Lambda differ at t."""
     # R(x) = L(x) J, J the reversal: (L J)_ij = L_i,n+1-j = C(i-1, n-j) x^(i+j-n-1).
     if not _rx_maps_u1(n, x):
         return frozenset(range(1, n + 1))
-    t, u, w, lams, _, odd, _ = _read(n, x)
-    failures = set(odd)
-    # Over Z[x], with the parities checked (_read), each entry of W - U diag(f)
-    # and of L(x) J W - W Lambda is homogeneous: U_ij f_j has parity
-    # (i - 1) + (n - j), as W_ij, and C(i-1, k-1) x^(i-k) W_(n+1-k)j parity
-    # (i - k) + (k + j - 2), as W_ij lambda_j.  By pascal._packing's N lemma
-    # their coefficients are at most _read's B = n 9^(n-1) + N(scale), with
-    # N(W) <= 3^(n-1) (verify_involution), N(U) <= 5^(n-1) (E's rows have N = 2
-    # and 5), N(lambda_j) <= 3^(n-1) as N(a) = 2 and N(a^-1) = N(a - x) = 3, and
-    # N(f_j) <= Fib(n+1), as N(a^k) = Fib(k+2) (a^k = F_k a + F_(k-1), Fibonacci
-    # polynomials of l1 norms Fib(k) and Fib(k-1)):
-    # - L J W - W Lambda: (2^(n-1) + 3^(n-1)) 3^(n-1) = 6^(n-1) + 9^(n-1),
-    #   at most 2 9^(n-1) <= B for n >= 2, and 2 = B at n = 1 (the scale is 1);
-    # - W - U diag(f): 5^(n-1) Fib(n+1) + 3^(n-1), where Fib(n+1) <= phi^n, so
-    #   5^(n-1) Fib(n+1) <= phi (5 phi)^(n-1) <= phi 9^(n-1), and 3^(n-1) <= 9^(n-1) / 3
-    #   for n >= 2; phi + 1/3 < 2, and at n = 1 it is 2 = B.
-    # So each is zero iff its value at 2^h is (_half_width): both run at +t only.
+    r, (u, odd_u), (w, odd_w) = _read(n, x), _rows(n, x, "u"), _rows(n, x, "w")
+    failures, t = set(r.odd | odd_u | odd_w), r.t
+    # Over Z[x], with the parities checked, W - U diag(f) and L(x) J W - W Lambda
+    # are homogeneous (U_ij f_j and W_ij of parity i + n - j - 1, C(i-1, k-1)
+    # x^(i-k) W_(n+1-k)j and W_ij lambda_j i + j) under _bound: both run at +t only.
     f = [_pair(a_pow(n - j, IntPoly.const(t)) * (-1) ** j, t) for j in range(1, n + 1)]
     failures.update(j + 1 for ur, wr in zip(u, w) for j, (e, g, v) in enumerate(zip(ur, f, wr))
                     if _times(e, g, t) != v)
-    rhs = [[_times(e, lam, t) for e, lam in zip(row, lams)] for row in w]
-    # Slot width: entry i of L(t) v is at most (|t| + 1)^(i-1) max|v|, so each
-    # slot of a difference of packed rows (a row's c0s, or its c1s, as the value
-    # at 2^width of the polynomial with them as coefficients) lies below
-    # 2^(width-1): its balanced digits (comb.unpack) are the slots, k in column k + 1.
+    rhs = [[_times(e, lam, t) for e, lam in zip(row, r.lams)] for row in w]
+    # Slot width: entry i of L(t) v is at most (|t| + 1)^(i-1) max|v|, so each slot
+    # of a difference of packed rows (a row's c0s or c1s, as digits at 2^width) lies
+    # below 2^(width-1): its balanced digits (comb.unpack) are the slots, k in column k + 1.
     width = ((abs(t) + 1) ** (n - 1) * max(abs(c) for row in w for e in row for c in e)
              + max(abs(c) for row in rhs for e in row for c in e)).bit_length() + 1
     for part in (0, 1):
@@ -154,11 +133,10 @@ def _eigen_failures(n: int, x: int | None) -> frozenset[int]:
 
 
 def _rx_maps_u1(n: int, x: int | None) -> bool:
-    """Whether build_rx(n, x) u_1 = L(x) J u_1, so that the eigen check tests
-    the matrix that show-r prints, for u_1 by the paper's formula: its units
-    u_i1 = (-1)^(i-1) a^(1-i) make a fault in any one entry of a row change
-    that row's product.  Both sides are compared at the Kronecker point of
-    their difference (pascal._packing)."""
+    """Whether build_rx(n, x) u_1 = L(x) J u_1, so that the eigen check tests the
+    matrix show-r prints.  u_1 is the paper's, u_i1 = (-1)^(i-1) a^(1-i): its units
+    make a fault in any one entry of a row change that row's product.  Both sides
+    are compared at the Kronecker point of their difference (pascal._packing)."""
     rx = build_rx(n, x)
     u1 = [a_pow(1 - i, rx.x_image) * (-1) ** (i - 1) for i in range(1, n + 1)]
     y = rx.mul_vector(u1)
@@ -178,58 +156,79 @@ def _pair(e: RingElem, t: int) -> tuple[int, int]:
     return e.c0(t), e.c1(t)
 
 
-# One (n, x) serves both checks of a verify run; U and W at n = 64 over Z[x]
-# hold megabytes, so no more are kept.
+class _Reading(NamedTuple):
+    """_read's t, the lambdas and scale as pairs at t, and their wrong parities."""
+
+    t: int
+    lams: list[tuple[int, int]]
+    scale: tuple[int, int]
+    odd: frozenset[int]  # the columns (1-based) where lambda has the wrong parity
+    odd_scale: bool
+
+
 @lru_cache(maxsize=1)
-def _read(n: int, x: int | None) -> tuple:
-    """(t, U, W, lambdas, scale, odd, odd_w): the rows of U and W, lambda_1..
-    lambda_n and the involution scale as pairs (c0, c1) at the int t, the
-    columns (1-based) where U, W or lambda has the wrong parity, and whether
-    W or the scale has.  At an integer x, t = x on build_u(n, x) and
-    build_w(n, x); over Z[x], t = 2^h, h fixed before anything is built, on
-    U's and W's row recurrence (pascal._rows_at), also run at -t for parities."""
+def _read(n: int, x: int | None) -> _Reading:
+    """The scalars of the exact checks at their int t: t = x at an integer x,
+    over Z[x] t = 2^h, h = _half_width(_bound), fixed before U or W is built."""
     x_image = X if x is None else IntPoly.const(x)
     scale, lams = involution_scale(n, x_image), eigenvalues(n, x_image)
     if x is not None:
-        u, w = ([[_pair(e, x) for e in row] for row in m.rows]
-                for m in (build_u(n, x), build_w(n, x)))
-        return x, u, w, [_pair(lam, x) for lam in lams], _pair(scale, x), frozenset(), False
-    # sigma: x -> -x, a -> -a fixes a^2 - x a - 1, a ring automorphism.  Call
-    # e homogeneous of parity p when sigma(e) = (-1)^p e; parities add in
-    # products.  W_ij (1-based) has parity n - i + j - 1: row i of -S(F) is
-    # -(a - t)^(n-i) (-1 - a t)^(i-1), of parity n - i when t counts as odd.
-    # U_ij has parity i - 1: row i of S(E) is (1 + t)^(n-i) (x - a + a t)^(i-1).
-    # lambda_j = +/-a^(2j-n-1) has parity n + 1, the scale (2 + x a)^(n-1) 0.
-    # A homogeneous difference with coefficients under B = n 9^(n-1) + N(scale)
-    # < 2^(2h - 1) is zero iff it is at 2^h (_half_width).  Below B the values
-    # at +/-2^h give the even and the odd part of each c0 and c1 apart, so an
-    # entry e has parity p iff c0(-t) = (-1)^p c0(t) and c1(-t) = -(-1)^p c1(t).
-    t = 1 << _half_width(n * 9 ** (n - 1) + _norm([[scale]]))
-    (u, w, ls, s), (u_, w_, ls_, s_) = (
-        (_rows_at(n, pascal._E, v), _rows_at(n, pascal._F, v, -1), [_pair(lam, v) for lam in lams],
-         _pair(scale, v)) for v in (t, -t))
-    odd_w = _odd_columns(w, w_, lambda i, j: n - i + j - 1)
-    odd = odd_w | _odd_columns(u, u_, lambda i, j: i) | _odd_columns([ls], [ls_], lambda *_: n + 1)
-    return t, u, w, ls, s, frozenset(odd), bool(odd_w or _odd_columns([[s]], [[s_]], lambda *_: 0))
+        return _Reading(x, [_pair(lam, x) for lam in lams], _pair(scale, x), frozenset(), False)
+    t = 1 << _half_width(_bound(n, lams, scale))
+    (ls, s), (ls_, s_) = (([_pair(lam, v) for lam in lams], _pair(scale, v)) for v in (t, -t))
+    return _Reading(t, ls, s, frozenset(_odd_columns([ls], [ls_], lambda *_: n + 1)),
+                    s_ != (s[0], -s[1]))
+
+
+def _bound(n: int, lams: list[RingElem], scale: RingElem) -> int:
+    """B over Z[x]: above every coefficient the checks read at +/-2^h or compare (_read)."""
+    # sigma: x -> -x, a -> -a fixes a^2 - x a - 1; e has parity p if sigma(e) = (-1)^p e,
+    # and parities add in products.  Rows i of -S(F) and S(E) are -(a - t)^(n-i)
+    # (-1 - a t)^(i-1) and (1 + t)^(n-i) (x - a + a t)^(i-1): with t odd, W_ij has parity
+    # n - i + j - 1 and U_ij i - 1; lambda_j = +/-a^(2j-n-1) has n + 1, the scale
+    # (2 + x a)^(n-1) 0.  A homogeneous e with coefficients under B < 2^(2h - 1) is zero
+    # iff it is at 2^h (_half_width), and of parity p iff c0(-t) = (-1)^p c0(t) and
+    # c1(-t) = -(-1)^p c1(t).  By pascal._packing's N lemma, N(U) <= u and N(W) <= w
+    # (pascal._power_norm), the terms bound W W - scale I, L J W - W Lambda and
+    # W - U diag(f), each above the N of what it reads.  E's rows have N = 2 and 5, F's 3,
+    # N(lambda_j) <= 3^(n-1) as N(a^-1) = 3, and N(f) = Fib(n+1) as N(a^k) = Fib(k+2)
+    # (a^k = F_k a + F_(k-1), Fibonacci polynomials): so the first term is the largest
+    # and h the involution's own (tested for n = 1..200), as all are 2 at n = 1 and
+    # - (2^(n-1) + 3^(n-1)) 3^(n-1) <= 2 9^(n-1) for n >= 2;
+    # - 5^(n-1) Fib(n+1) + 3^(n-1) <= (phi + 1/3) 9^(n-1): Fib(n+1) <= phi^n, 5 phi < 9.
+    u, w = (pascal._power_norm(n, m) for m in (pascal._E, pascal._F))
+    f = _norm([[a_pow(k) for k in range(n)]])
+    return max(n * w * w + _norm([[scale]]), ((1 << n - 1) + _norm([lams])) * w, u * f + w)
+
+
+@lru_cache(maxsize=2)  # U and W at n = 64 over Z[x] hold megabytes
+def _rows(n: int, x: int | None, name: str) -> tuple[list[list[tuple[int, int]]], frozenset[int]]:
+    """U (``name`` "u") or W ("w") as rows of pairs at _read's t, and the
+    columns (1-based) with an entry of the wrong parity: build_u or build_w at
+    an integer x, over Z[x] S(E) or -S(F) by pascal._rows_at at t and -t."""
+    if x is not None:
+        m = (build_u if name == "u" else build_w)(n, x)
+        return [[_pair(e, x) for e in row] for row in m.rows], frozenset()
+    m, sign, parity = ((pascal._E, 1, lambda i, j: i) if name == "u"
+                       else (pascal._F, -1, lambda i, j: n - i + j - 1))
+    pos, neg = (_rows_at(n, m, v, sign) for v in (_read(n, x).t, -_read(n, x).t))
+    return pos, frozenset(_odd_columns(pos, neg, parity))
 
 
 def _odd_columns(pos, neg, parity) -> set[int]:
-    """The columns j (1-based) where the rows of pairs ``pos`` at t and ``neg``
-    at -t have an entry (i, j), 0-based, not of parity(i, j) (_read)."""
+    """The columns j (1-based) where rows ``pos`` at t and ``neg`` at -t have an
+    entry (i, j), 0-based, not of parity(i, j) (_bound)."""
     return {j + 1 for i, (row, row_) in enumerate(zip(pos, neg))
             for j, (e, f) in enumerate(zip(row, row_))
             if f != ((-1) ** parity(i, j) * e[0], -(-1) ** parity(i, j) * e[1])}
 
 
 def verify_involution(n: int, x: int | None = 1) -> bool:
-    """Exact check that W @ W = (1 + a^2)^(n-1) I on the W that _read gives:
-    build_w(n, x) at an integer x, or over Z[x] build_w's recurrence at
-    x = +/-2^h; that build_w(n, None) is the same there is a test."""
-    # Over Z[x], D = W W - scale I has entries of parity i + l (_read), and as
-    # N(W) <= 3^(n-1), each row of F having N = 3 (pascal._symmetric_power),
-    # pascal._packing's lemma puts them under B: D = 0 iff D at 2^h is.
-    t, _, w, _, scale, _, odd_w = _read(n, _integer_x(x))
-    return not odd_w and _squares_to(w, scale, t)
+    """Exact check that W @ W = (1 + a^2)^(n-1) I on the W that _rows gives: over
+    Z[x] at x = 2^h, where W W - scale I, of parity i + l, is zero iff it is."""
+    x = _integer_x(x)
+    r, (w, odd_w) = _read(n, x), _rows(n, x, "w")
+    return not (odd_w or r.odd_scale) and _squares_to(w, r.scale, r.t)
 
 
 def _squares_to(w: list[list[tuple[int, int]]], s: tuple[int, int], x: int) -> bool:
@@ -238,7 +237,7 @@ def _squares_to(w: list[list[tuple[int, int]]], s: tuple[int, int], x: int) -> b
     column v_T = (1, T, ..., T^(n-1)), whose entry i packs row i at T."""
     # |p| = max(|p0|, |p1|).  G is -S(F) at x, as S is multiplicative: its
     # entries are values of polynomials of degree below n and N <= 3^(n-1)
-    # (verify_involution), below g = (3 max(|x|, 1))^(n-1).  T = 2^k is above
+    # (_bound), below g = (3 max(|x|, 1))^(n-1).  T = 2^k is above
     # twice g + |W|, so the balanced base-T digits of (G v_T - W v_T)_i are row
     # i of G - W.  Once G = W, |p q| <= (|x| + 2) |p| |q| puts each entry of
     # W W - s I below n (|x| + 2) |W|^2 + |s|, half the product's slot 2^k.

@@ -167,7 +167,7 @@ class TestVerify:
             lams[2] = -lams[2]
             return lams
 
-        caches = (spectral._eigen_failures, spectral._read)
+        caches = (spectral._eigen_failures, spectral._read, spectral._rows)
         for cache in caches:
             cache.cache_clear()
         monkeypatch.setattr(spectral, "eigenvalues", wrong_at_3)

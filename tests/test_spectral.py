@@ -208,14 +208,15 @@ def _patched_rx(monkeypatch, n, x, edit):
 
 def _h(n):
     """The h of the point 2^h that spectral._read fixes for n over Z[x]
-    before anything is built: the half width of n 9^(n-1) + N(scale)."""
+    before anything is built, for the true E, F and eigenvalues: the half
+    width of n 9^(n-1) + N(scale) (spectral._bound)."""
     return _half_width(n * 9 ** (n - 1) + _norm([[involution_scale(n)]]))
 
 
 class TestEigenFaults:
     """_eigen_failures reports exactly the columns where R(x) U and U Lambda
-    differ (its cache is bypassed through __wrapped__, and _read's by
-    _fresh_read), and every column when the built R(x) is not L(x) J."""
+    differ (its cache is bypassed through __wrapped__, and _read's and
+    _rows' by _fresh_read), and every column when the built R(x) is not L(x) J."""
 
     @pytest.mark.parametrize("x", [1, None, -2], ids=["x=1", "symbolic", "x=-2"])
     def test_one_entry_of_u_off_fails_its_column(self, monkeypatch, x):
@@ -286,24 +287,24 @@ class TestEigenFaults:
     def test_eigenvalue_of_mixed_parity_fails(self, monkeypatch):
         # at n = 1, lambda_1 = 5 - x gives h = 2, where it is 1 = R(x) = U
         lam = RingElem(IntPoly([5, -1]))
-        assert _h(1) == 2
+        assert _half_width(spectral._bound(1, [lam], involution_scale(1))) == 2
         _fresh_read(monkeypatch)
         monkeypatch.setattr(spectral, "eigenvalues", lambda n_, x_image: [lam])
         assert spectral._eigen_failures.__wrapped__(1, None) == {1}
 
     def test_fault_invisible_at_the_narrow_width_fails(self, monkeypatch):
-        """At n = 1, W = (-1) and the bound n 9^(n-1) + N(scale) = 2 is tight
-        for L J W - W Lambda (_eigen_failures), so h = 2.  With
-        lambda_1 = 1 + 4^(h-1) - x^2, homogeneous of parity 0, the difference
-        W lambda_1 - W = 4^(h-1) - x^2 lies under 2^(2h - 1) and vanishes at
-        x = 2^(h-1) but not at 2^h."""
-        h = _h(1)
-        lam = RingElem(IntPoly([1 + 4 ** (h - 1), 0, -1]))
-        assert h == 2 and 4 ** (h - 1) < 2 ** (2 * h - 1)
-        assert lam.c0(2 ** (h - 1)) == 1 != lam.c0(2 ** h)
-        _fresh_read(monkeypatch)
-        monkeypatch.setattr(spectral, "eigenvalues", lambda n_, x_image: [lam])
-        assert spectral._eigen_failures.__wrapped__(1, None) == {1}
+        """At n = 1, W = (-1), and with lambda_1 = 1 + 4^(h-1) - x^2,
+        homogeneous of parity 0, the bound (2^(n-1) + N(Lambda)) N(W) =
+        4^(h-1) + 3 of L J W - W Lambda (spectral._bound) has half width h:
+        the difference W lambda_1 - W = 4^(h-1) - x^2 vanishes at x = 2^(h-1)
+        but not at 2^h."""
+        for h in (2, 3, 10):
+            lam = RingElem(IntPoly([1 + 4 ** (h - 1), 0, -1]))
+            assert _half_width(spectral._bound(1, [lam], involution_scale(1))) == h
+            assert lam.c0(2 ** (h - 1)) == 1 != lam.c0(2 ** h)
+            _fresh_read(monkeypatch)
+            monkeypatch.setattr(spectral, "eigenvalues", lambda n_, x_image: [lam])
+            assert spectral._eigen_failures.__wrapped__(1, None) == {1}, h
 
     def test_rx_fault_invisible_without_the_product_norm_fails(self, monkeypatch):
         """At n = 1, u_1 = (1), and R(x) = (x - 3) equals the true (1) only
@@ -337,7 +338,7 @@ class TestTieToW:
 
     @pytest.fixture
     def fresh(self):
-        caches = (build_u, build_w, spectral._eigen_failures, spectral._read)
+        caches = (build_u, build_w, spectral._eigen_failures, spectral._read, spectral._rows)
         for cache in caches:
             cache.cache_clear()
         yield
@@ -483,7 +484,7 @@ def test_pack_is_the_value_at_two_to_the_k(row, k):
 
 
 def _read_points(monkeypatch, m, n):
-    """The points x at which spectral._read runs pascal._rows_at on m
+    """The points x at which spectral._rows runs pascal._rows_at on m
     (pascal._E for U, _F for W) over Z[x] for n, in order, from a fresh read."""
     xs, rows_at = [], spectral._rows_at
 
@@ -493,7 +494,7 @@ def _read_points(monkeypatch, m, n):
         return rows_at(n, m_, x, sign)
 
     monkeypatch.setattr(spectral, "_rows_at", recorded)
-    spectral._read.__wrapped__(n, None)
+    spectral._rows.__wrapped__(n, None, "u" if m is pascal._E else "w")
     return xs
 
 
@@ -509,11 +510,11 @@ def test_symbolic_involution_reads_build_w_at_its_points(monkeypatch, n):
         assert w_at(n, x) == [[_pair(e, x) for e in row] for row in rows]
 
 
-@pytest.mark.parametrize("n", range(1, 65))
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 40, 64])
 def test_symbolic_eigen_check_reads_build_u_at_its_points(monkeypatch, n):
     """Over Z[x] the checks build U at x = +/-2^h by the recurrence
     (pascal._rows_at on E), not from build_u(n, None): the two agree there
-    (the uncached build, so the 64 polynomial matrices are not all kept)."""
+    (the uncached build, so the polynomial matrices are not kept)."""
     u_at = lambda n, x: pascal._rows_at(n, pascal._E, x)
     xs = _read_points(monkeypatch, pascal._E, n)
     assert xs == [2 ** _h(n), -2 ** _h(n)]
@@ -545,15 +546,40 @@ def test_norm_bounds_hold(n):
     assert norms["f"] == _fib(n + 1)
 
 
+def test_bound_measures_its_premises(monkeypatch):
+    """spectral._bound takes N(U) from E's rows and N(W) from F's by the
+    builder lemma (pascal._power_norm), and N(Lambda) from the eigenvalues
+    themselves: each raised past the involution's term sets B."""
+    n, scale, big = 5, involution_scale(5), 10 ** 6
+    lams = eigenvalues(n)
+    lams[0] = lams[0] * big
+    w, f = 3 ** (n - 1), _fib(n + 1)
+    assert spectral._bound(n, lams, scale) == (2 ** (n - 1) + _norm([lams])) * w
+    (e11, e12), e2 = pascal._E
+    monkeypatch.setattr(pascal, "_E", ((e11 * big, e12), e2))
+    u = (big + 1) ** (n - 1)
+    assert u == pascal._power_norm(n, pascal._E)
+    assert spectral._bound(n, eigenvalues(n), scale) == u * f + w
+    (f11, f12), f2 = pascal._F
+    monkeypatch.setattr(pascal, "_F", ((f11 * big, f12), f2))
+    w = (2 * big + 1) ** (n - 1)
+    assert spectral._bound(n, eigenvalues(n), scale) == n * w * w + _norm([[scale]])
+
+
 def test_residual_bounds_fit_the_half_width():
     """The coefficients of L J W - W Lambda and of W - U diag(f) lie under
     the involution's bound n 9^(n-1) + N(scale), so one h serves every
-    identity: checked in exact integers for n = 1..200."""
+    identity: checked in exact integers for n = 1..200.  So spectral._bound,
+    which measures its premises, is that bound for the true E, F and
+    eigenvalues, checked for every n that verify takes."""
     u, w, lam, f = (N_BOUNDS[k] for k in ("U", "W", "lambda", "f"))
     for n in range(1, 201):
         bound = n * 9 ** (n - 1) + _norm([[involution_scale(n)]])
         assert (2 ** (n - 1) + lam(n)) * w(n) <= bound, n
         assert u(n) * f(n) + w(n) <= bound, n
+    for n in range(1, 65):
+        scale = involution_scale(n)
+        assert spectral._bound(n, eigenvalues(n), scale) == n * 9 ** (n - 1) + _norm([[scale]])
 
 
 class TestMatrixPower:
@@ -1000,10 +1026,13 @@ def _pair(e, x):
 
 
 def _fresh_read(monkeypatch):
-    """Give spectral._read a fresh cache for the test: no reading from
-    before a patch answers for the checks, and none from during it
-    outlives it."""
-    monkeypatch.setattr(spectral, "_read", lru_cache(maxsize=1)(spectral._read.__wrapped__))
+    """Give spectral._read and spectral._rows fresh caches for the test: no
+    reading from before a patch answers for the checks, and none from
+    during it outlives it."""
+    for name in ("_read", "_rows"):
+        cached = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name, lru_cache(maxsize=cached.cache_info().maxsize)(
+            cached.__wrapped__))
 
 
 def _faulty(monkeypatch, name, edit):
