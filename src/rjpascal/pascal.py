@@ -34,7 +34,7 @@ from operator import add, matmul, mul
 from typing import Iterable, Sequence
 
 from .comb import binom, unpack
-from .ring import A, ONE, ZERO, IntPoly, RingElem, X, _times, check_same_ring, power
+from .ring import A, ONE, ZERO, IntPoly, RingElem, X, _powers, _times, check_same_ring, power
 
 #: Dimensions kept by each builder's cache.
 BUILD_CACHE_SIZE = 64
@@ -373,9 +373,7 @@ def _power_rows(n: int, m, x: int, sign: int = 1) -> list[list[tuple[int, int]]]
     if s1 or s not in (1, -1):
         raise ValueError("the row recurrence needs M12 = 1 or -1")
 
-    powers = [(1, 0)]  # [t^j] A^(n-1) = C(n-1, j) M11^(n-1-j) M12^j
-    for _ in range(n - 1):
-        powers.append(_times(powers[-1], a, x))
+    powers = _powers((1, 0), a, n, x)  # [t^j] A^(n-1) = C(n-1, j) M11^(n-1-j) M12^j
     cs = [sign * binom(n - 1, j) * s ** j for j in range(n)]
     rows = [[(c * p0, c * p1) for c, (p0, p1) in zip(cs, reversed(powers))]]
     for _ in range(n - 1):
@@ -399,10 +397,7 @@ def _w_times(v: Sequence[tuple[int, int]], x: int) -> list[tuple[int, int]]:
     """W v = S(L) (-S(D)) J S(L) J v at the int x (_D) for v a vector of pairs,
     entries or rows packed whole: two passes of _lower_pascal at l (_l_step), S(D) by _dot."""
     a, b = [(e.c0(x), e.c1(x)) for e in _D]
-    pa, pb = [(-1, 0)], [(1, 0)]  # -a^k and (x - 2a)^k
-    for _ in range(len(v) - 1):
-        pa.append(_times(pa[-1], a, x))
-        pb.append(_times(pb[-1], b, x))
+    pa, pb = _powers((-1, 0), a, len(v), x), _powers((1, 0), b, len(v), x)  # -a^k, (x - 2a)^k
     d = [([c0], [c1], [c0 + c1]) for c0, c1 in (_times(p, q, x) for p, q in zip(reversed(pa), pb))]
     step = _l_step(x)
     u = _lower_pascal(v[::-1], step)[::-1]

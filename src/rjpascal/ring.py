@@ -47,6 +47,29 @@ def _times(p, q, x):
     return p0 * q0 + t, p0 * q1 + p1 * q0 + x * t
 
 
+def _powers(first, ratio, count: int, x) -> list:
+    """first ratio^k for k < count, on pairs as _times takes them: each term
+    one product by ratio, so a run of powers costs count - 1 products."""
+    out = []
+    for _ in range(count):
+        out.append(_times(out[-1], ratio, x) if out else first)
+    return out
+
+
+def _float(pair, x: int) -> float:
+    """The value of c0 + c1 a, the int pair (c0, c1), at the positive root a
+    for the int x, within 2^-64 relative of correctly rounded: c0 + c1 a =
+    (2 c0 + c1 x + c1 r)/2 with r = sqrt(x^2 + 4) = isqrt((x^2 + 4) 4^p) 2^-p,
+    exact at x = 0, else off by under 2^-p.  For x != 0 the norm is a nonzero
+    integer, so |c0 + c1 a| >= 1 / (|c0| + |c1| (|x| + 1)); p spans both bit
+    lengths and 64 guard bits before the one correctly rounded int/int division.
+    """
+    c0, c1 = pair
+    p = c1.bit_length() + (abs(c0) + abs(c1) * (abs(x) + 1)).bit_length() + 64
+    root = math.isqrt((x * x + 4) << 2 * p)
+    return (((2 * c0 + c1 * x) << p) + c1 * root) / (1 << p + 1)
+
+
 def check_same_ring(x_image: IntPoly, other: IntPoly) -> None:
     """ValueError unless two operands map x to the same image."""
     if other != x_image:
@@ -295,18 +318,9 @@ class RingElem:
         )
 
     def __float__(self) -> float:
-        """The value of a specialized element at the positive root a, within
-        2^-64 relative of correctly rounded: c0 + c1 a = (2 c0 + c1 x + c1 r)/2
-        with r = sqrt(x^2 + 4) = isqrt((x^2 + 4) 4^p) 2^-p, exact at x = 0,
-        else off by under 2^-p.  For x != 0 the norm is a nonzero integer, so
-        |c0 + c1 a| >= 1 / (|c0| + |c1| (|x| + 1)); p spans both bit lengths
-        and 64 guard bits before the one correctly rounded int/int division.
-        """
+        """The value of a specialized element at the positive root a (_float)."""
         x = self.x_image.constant_value()
-        c0, c1 = self.c0.constant_value(), self.c1.constant_value()
-        p = c1.bit_length() + (abs(c0) + abs(c1) * (abs(x) + 1)).bit_length() + 64
-        root = math.isqrt((x * x + 4) << 2 * p)
-        return (((2 * c0 + c1 * x) << p) + c1 * root) / (1 << p + 1)
+        return _float((self.c0.constant_value(), self.c1.constant_value()), x)
 
     def as_int(self) -> int:
         """The element as a plain integer; ValueError if it is not one."""

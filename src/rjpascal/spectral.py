@@ -3,7 +3,7 @@
 The eigenvalue attached to column j of an n-dimensional family member is
 (-1)^(n+j) a^(2j-n-1), an exact unit of the coefficient ring.  U = S(E)
 and W = -S(F), F = E diag(a, -1), and S is multiplicative (pascal), so
-W = U diag(f), f_j = (-1)^j a^(n-j).  The exact checks read U, W, the
+W = U diag(f), f_j = (-1)^j a^(n-j).  All four checks read U, W, the
 eigenvalues and the involution scale as pairs of ints (c0, c1) at one int
 t, on one path for every x (_read, _rows): t = x on build_u and build_w,
 over Z[x] t = 2^h on their row recurrences, also run at -t to test the
@@ -17,25 +17,28 @@ is checked against L(x) J on U's first column, whose entries are units:
 faults in two or more entries of one row can cancel there.
 
 Integer powers of the Pascal matrix are W diag(lambda^m) W divided by
-(1+a^2)^(n-1), every exponent in one packed product, a self-test of the
-formula chain (matrix_powers_closed_form).  Matrices and scalars are
-computed directly in the target ring, Z[x] or an integer x.  Numeric
-checks round each entry once from its exact value and sum each product
-entry with ``math.fsum``, judged relative to the product of absolute
-values (DEFAULT_TOL).  Exact checks carry zero tolerance.
+(1+a^2)^(n-1), on the W and scale of that reading at x = 1, every exponent
+in one packed product, a self-test of the formula chain
+(matrix_powers_closed_form).  Matrices and scalars are computed directly
+in the target ring, Z[x] or an integer x, and each run of powers (u_1, the
+f_j, the eigenvalues) by one chain of products (ring._powers).  The numeric
+check rounds the same pairs, and R(x), once each from their exact values
+(ring._float) and sums each product entry with ``math.fsum``, judged
+relative to the product of absolute values (DEFAULT_TOL).  Exact checks
+carry zero tolerance.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import NamedTuple, Sequence
 
 from . import pascal
 from .comb import pack, unpack
 from .pascal import (BUILD_CACHE_SIZE, IntMatrix, _coefficients, _lower_pascal, _norm, _packing,
                      _rows_at, _upper_square, _w_times, build_r, build_rx, build_u, build_w)
-from .ring import X, ExactDivisionError, IntPoly, RingElem, _times, a_pow
+from .ring import X, ZERO, ExactDivisionError, IntPoly, RingElem, _float, _powers, _times, a_pow
 
 #: Default tolerance on a relative residual: 64 u, u = 2^-53.  An entry of
 #: V is within 3.5u of exact, of R or lambda within u, and an fsum dot
@@ -65,20 +68,15 @@ def eigenvalues(n: int, x_image: IntPoly = X, m: int = 1) -> list[RingElem]:
 
 def _eigen_parts(n: int, x_image: IntPoly, m: int) -> list[tuple]:
     """lambda_1^m..lambda_n^m as pairs (c0, c1): ints at an integer x, IntPoly
-    over Z[x].  lambda_(j+1) = -a^2 lambda_j, so each is (-a^2)^m times the one
-    before, one ring._times per eigenvalue.  At n = 1 no step is formed: a^(2m)
-    is not needed there, and for a huge |m| it could not be computed."""
+    over Z[x].  lambda_(j+1) = -a^2 lambda_j, so they are one run of powers of
+    the step (-a^2)^m (ring._powers).  At n = 1 no step is formed: a^(2m) is
+    not needed there, and for a huge |m| it could not be computed."""
     x, part = ((x_image.constant_value(), IntPoly.constant_value) if x_image.degree() < 1
                else (x_image, lambda p: p))
     lam = eigenvalue(n, 1, x_image, m)
-    out = [(part(lam.c0), part(lam.c1))]
-    if n > 1:
-        step = a_pow(2 * m, x_image)
-        step = -step if m % 2 else step
-        step = (part(step.c0), part(step.c1))
-        for _ in range(n - 1):
-            out.append(_times(out[-1], step, x))
-    return out
+    step = a_pow(2 * m, x_image) if n > 1 else ZERO
+    step = -step if m % 2 else step
+    return _powers((part(lam.c0), part(lam.c1)), (part(step.c0), part(step.c1)), n, x)
 
 
 def _integer_x(x: int | float | None) -> int | None:
@@ -115,7 +113,8 @@ def _eigen_failures(n: int, x: int | None) -> frozenset[int]:
     # Over Z[x], with the parities checked, W - U diag(f) and L(x) J W - W Lambda
     # are homogeneous (U_ij f_j and W_ij of parity i + n - j - 1, C(i-1, k-1)
     # x^(i-k) W_(n+1-k)j and W_ij lambda_j i + j) under _bound: both run at +t only.
-    f = [_pair(a_pow(n - j, IntPoly.const(t)) * (-1) ** j, t) for j in range(1, n + 1)]
+    # f_j = (-1)^j a^(n-j): f_n = (-1)^n and f_j = -a f_(j+1).
+    f = _powers(((-1) ** n, 0), (0, -1), n, t)[::-1]
     failures.update(j + 1 for ur, wr in zip(u, w) for j, (e, g, v) in enumerate(zip(ur, f, wr))
                     if _times(e, g, t) != v)
     rhs = [[_times(e, lam, t) for e, lam in zip(row, r.lams)] for row in w]
@@ -135,10 +134,12 @@ def _eigen_failures(n: int, x: int | None) -> frozenset[int]:
 def _rx_maps_u1(n: int, x: int | None) -> bool:
     """Whether build_rx(n, x) u_1 = L(x) J u_1, so that the eigen check tests the
     matrix show-r prints.  u_1 is the paper's, u_i1 = (-1)^(i-1) a^(1-i): its units
-    make a fault in any one entry of a row change that row's product.  Both sides
-    are compared at the Kronecker point of their difference (pascal._packing)."""
+    make a fault in any one entry of a row change that row's product, and as
+    -a^-1 = x - a, u_(i+1)1 = (x - a) u_i1.  Both sides are compared at the
+    Kronecker point of their difference (pascal._packing)."""
     rx = build_rx(n, x)
-    u1 = [a_pow(1 - i, rx.x_image) * (-1) ** (i - 1) for i in range(1, n + 1)]
+    u1 = [RingElem(c0, c1, rx.x_image)
+          for c0, c1 in _powers((1, 0), (rx.x_image, -1), n, rx.x_image)]
     y = rx.mul_vector(u1)
     t, unwrap, _ = _packing(rx.x_image, lambda: _norm((y,)) + (1 << n - 1) * _norm((u1,)))
     (y0, y1, _), (v0, v1, _) = _coefficients((y, u1[::-1]), unwrap)
@@ -197,7 +198,7 @@ def _bound(n: int, lams: list[RingElem], scale: RingElem) -> int:
     # - (2^(n-1) + 3^(n-1)) 3^(n-1) <= 2 9^(n-1) for n >= 2;
     # - 5^(n-1) Fib(n+1) + 3^(n-1) <= (phi + 1/3) 9^(n-1): Fib(n+1) <= phi^n, 5 phi < 9.
     u, w = (pascal._power_norm(n, m) for m in (pascal._E, pascal._F))
-    f = _norm([[a_pow(k) for k in range(n)]])
+    f = _norm([[RingElem(c0, c1) for c0, c1 in _powers((1, 0), (0, 1), n, X)]])  # a^k, k < n
     return max(n * w * w + _norm([[scale]]), ((1 << n - 1) + _norm([lams])) * w, u * f + w)
 
 
@@ -250,18 +251,6 @@ def _squares_to(w: list[list[tuple[int, int]]], s: tuple[int, int], x: int) -> b
     return _w_times(rows(k), x) == [(s[0] << k * i, s[1] << k * i) for i in range(n)]
 
 
-@lru_cache(maxsize=BUILD_CACHE_SIZE)
-def _checked_w(n: int) -> tuple[list, list[int], RingElem] | None:
-    """(packed, b, scale) at x = 1 for every exponent of the closed form: W packed,
-    b_i = C(n-1, i-1) and (1 + a^2)^(n-1); None if W is not binomially symmetric."""
-    w = build_w(n, 1)
-    packed = _coefficients(w.rows, IntPoly.constant_value)
-    b = _binomially_symmetric(packed)
-    if b is None:
-        return None
-    return packed, b, involution_scale(n, w.x_image)
-
-
 def _half_width(bound: int) -> int:
     """The least h with bound < 2^(2h - 1): h = ceil(k / 2) for Kronecker's
     k = bitlen(bound) + 1.  If g's coefficients lie below 2^(2h - 1) in
@@ -270,15 +259,15 @@ def _half_width(bound: int) -> int:
     return bound.bit_length() // 2 + 1
 
 
-def _binomially_symmetric(packed) -> list[int] | None:
-    """b, b_i = C(n-1, i-1), if b_i W_ij = b_j W_ji for i < j on W's ints at x = 1
-    (pascal._coefficients), else None.  B W = diag(b) W is symmetric for every n:
+def _binomially_symmetric(w: list[list[tuple[int, int]]]) -> list[int] | None:
+    """b, b_i = C(n-1, i-1), if b_i W_ij = b_j W_ji for i < j on W's rows of
+    pairs at x = 1 (_rows), else None.  B W = diag(b) W is symmetric for every n:
       sum_ij b_i W_ij s^(i-1) t^(j-1) = -(F11 + F12 t + F21 s + F22 s t)^(n-1)
     over the rows of S(F) = -W, symmetric in s and t as F12 = F21."""
-    n = len(packed)
+    n = len(w)
     b = [math.comb(n - 1, i) for i in range(n)]
-    return b if all(b[i] * p[part][j] == b[j] * packed[j][part][i]
-                    for i, p in enumerate(packed) for j in range(i + 1, n)
+    return b if all(b[i] * row[j][part] == b[j] * w[j][i][part]
+                    for i, row in enumerate(w) for j in range(i + 1, n)
                     for part in (0, 1)) else None
 
 
@@ -293,7 +282,8 @@ def matrix_powers_closed_form(n: int, exponents: Sequence[int]) -> list[IntMatri
     via the spectral identity, all in one product.
 
     For each m, R^m is W diag(lambda_j^m) W at x = 1 divided by
-    (1 + a^2)^(n-1): it multiplies by the conjugate of that scale and
+    (1 + a^2)^(n-1), W and the scale as the exact checks read them (_rows,
+    _read): it multiplies by the conjugate of that scale and
     divides by its norm, the integer (x^2 + 4)^(n-1) = 5^(n-1).  The
     conjugate is a scalar, so it folds into the diagonal factors f.  Each
     f_j is packed across the exponents at slot 2^K, and the packed factors
@@ -309,12 +299,13 @@ def matrix_powers_closed_form(n: int, exponents: Sequence[int]) -> list[IntMatri
     # P^T B = W^T D (B W) = (B W) D W = B P, as diagonal matrices commute:
     # b_l P_li = b_i P_il.  R^m = P / norm for D = diag(lambda^m) conj, so
     # below the diagonal R^m_il = b_l R^m_li / b_i, an exact division.
-    checked = _checked_w(n)
-    if checked is None:
+    w, x_image = _rows(n, 1, "w")[0], IntPoly.const(1)
+    b = _binomially_symmetric(w)
+    if b is None:
         raise ValueError(f"W at n = {n} fails b_i W_ij = b_j W_ji, "
                          "so its lower triangle cannot be mirrored")
-    packed, b, scale = checked
-    conj, norm, x_image = scale.conjugate(), scale.norm().constant_value(), scale.x_image
+    scale = RingElem(*_read(n, 1).scale, x_image)
+    conj, norm = scale.conjugate(), scale.norm().constant_value()
     conj = (conj.c0.constant_value(), conj.c1.constant_value())
     fs = [[_times(lam, conj, 1) for lam in _eigen_parts(n, x_image, m)] for m in exponents]
     if not fs:
@@ -330,11 +321,12 @@ def matrix_powers_closed_form(n: int, exponents: Sequence[int]) -> list[IntMatri
     # digits of c0 too, so e_s = norm q_s: slot s is divisible, with quotient
     # q_s.  Without the digit bound a packed c0 can be divisible while a slot
     # is not, and without the count a slot above the last would be dropped.
-    top = max(abs(c) for p0, p1, _ in packed for c in p0 + p1)
+    top = max(abs(c) for row in w for e in row for c in e)
     k = (9 * n * top ** 2 * max(abs(c) for f in fs for pair in f for c in pair)).bit_length() + 1
     factors = [tuple(pack(part, k) for part in zip(*col)) for col in zip(*fs)]
     limit = ((1 << k - 1) - 1) // norm
     powers = [[[0] * n for _ in range(n)] for _ in fs]
+    packed = [(p0, p1, list(map(add, p0, p1))) for p0, p1 in (zip(*row) for row in w)]
     for i, upper in enumerate(_upper_square(packed, factors, 1)):
         for l, (c0, c1) in enumerate(upper, i):
             digits = unpack(RingElem(c0, c1, x_image).divide_exact(norm).as_int(), k)
@@ -372,12 +364,6 @@ def matrix_power_oracle(n: int, m: int) -> IntMatrix:
 def _inverse_r(n: int) -> IntMatrix:
     """build_r(n)^-1, computed once per n for every negative exponent."""
     return build_r(n).inverse_unimodular()
-
-
-def eigenvalues_numeric(n: int, x: int = 1) -> list[float]:
-    """All eigenvalues at the integer ``x``, each rounded once from its
-    exact value."""
-    return [float(lam) for lam in eigenvalues(n, IntPoly.const(x))]
 
 
 def eigen_distinctness(lams: list[RingElem]) -> float:
@@ -422,16 +408,18 @@ def verify_diagonalization_numeric(
 ) -> DiagonalizationReport:
     """Round V = W / (1+a^2)^((n-1)/2) and R(x) at the integer ``x`` and
     report the residuals of V@V - I and V@R@V - diag(lambda), judged on
-    one relative scale (see DiagonalizationReport and DEFAULT_TOL)."""
+    one relative scale (see DiagonalizationReport and DEFAULT_TOL).  W, the
+    scale and the lambdas are the exact checks' pairs (_rows, _read), each
+    rounded once (ring._float)."""
     x = _integer_x(x)
-    w = build_w(n, x)
-    root = math.sqrt(float(involution_scale(n, w.x_image)))
-    v = [[float(e) / root for e in row] for row in w.rows]
+    reading, (w, _) = _read(n, x), _rows(n, x, "w")
+    root = math.sqrt(_float(reading.scale, x))
+    v = [[_float(e, x) / root for e in row] for row in w]
     r = [[float(e) for e in row] for row in build_rx(n, x).rows]
     vv, vrv = _product(v, v), _product(_product(v, r), v)
-    for i, lam in enumerate(eigenvalues_numeric(n, x)):
+    for i, lam in enumerate(reading.lams):
         vv[i][i] -= 1.0
-        vrv[i][i] -= lam
+        vrv[i][i] -= _float(lam, x)
     av, ar = ([[abs(e) for e in row] for row in m] for m in (v, r))
     return DiagonalizationReport(n, x, tol, *(
         max(abs(e) for row in m for e in row)

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rjpascal import binomial, cli, pascal, spectral
+from rjpascal import binomial, cli, pascal, ring, spectral
 from rjpascal.binomial import Identity, sweep_identity
-from rjpascal.pascal import BUILD_CACHE_SIZE, RingMatrix, build_r, build_u, build_w
+from rjpascal.pascal import RingMatrix, build_r, build_u, build_w
 from rjpascal.ring import ExactDivisionError
 from rjpascal.spectral import matrix_power_oracle
 
@@ -227,14 +227,15 @@ class TestVerify:
         assert eigen["residual"] == rep.relative_diagonalization <= rep.tol
 
     def test_diag_swapped_eigenvalues_fail(self, capsys, monkeypatch):
-        true_lam = spectral.eigenvalues_numeric
+        read = spectral._read.__wrapped__
 
-        def swapped(n, x=1):
-            lam = true_lam(n, x)
-            lam[0], lam[-1] = lam[-1], lam[0]
-            return lam
+        def swapped(n, x):  # the reading the diag check rounds, lambda_1 and lambda_n swapped
+            reading = read(n, x)
+            lams = list(reading.lams)
+            lams[0], lams[-1] = lams[-1], lams[0]
+            return reading._replace(lams=lams)
 
-        monkeypatch.setattr(spectral, "eigenvalues_numeric", swapped)
+        monkeypatch.setattr(spectral, "_read", swapped)
         code, out, _ = run(capsys, "verify", "--n", "8", "--check", "diag",
                            "--x", "3", "--format", "pretty")
         assert code == 1
@@ -285,17 +286,47 @@ class TestVerify:
         assert json.loads(out)[0]["pass"] is False
 
 
+@pytest.mark.parametrize("x, sizes", [("symbolic", (8, 32)), ("1", (16, 32))])
+def test_a_pow_calls_do_not_grow_with_n(monkeypatch, x, sizes):
+    """verify --check all forms lambda_1, the lambda step and the scale's
+    a^2 by ring.a_pow, and every run of powers (u_1, the tie's f_j, the
+    eigenvalues, N(a^k)) by successive products, so the number of a_pow calls
+    is the same at every n: 3 over Z[x], and 2 more per exponent at x = 1."""
+    real, calls = ring.a_pow, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (ring, spectral):
+        monkeypatch.setattr(module, "a_pow", counted)
+    counts = []
+    for n in sizes:
+        _fresh_caches(monkeypatch, "_eigen_failures", "_read", "_rows")  # so every check runs
+        calls.clear()
+        assert cli.main(["verify", "--n", str(n), "--check", "all", "--x", x]) == 0
+        counts.append(len(calls))
+    assert counts == [3 if x == "symbolic" else 3 + 2 * len(cli.DEFAULT_POWER_RANGE)] * 2
+
+
+def _fresh_caches(monkeypatch, *names):
+    """Give the spectral functions ``names`` fresh caches of their size for the test."""
+    for name in names:
+        cached = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name, lru_cache(maxsize=cached.cache_info().maxsize)(
+            cached.__wrapped__))
+
+
 def _w_with_one_entry_off(monkeypatch, i, j):
-    """spectral.build_w with entry (i, j), 1-based, off by one, and a fresh
-    cache for the checked W per (n, x)."""
+    """spectral.build_w with entry (i, j), 1-based, off by one, and fresh
+    caches for the reading of W and the scale (spectral._rows, _read)."""
     def faulty(n, x):
         rows = [list(row) for row in build_w(n, x).rows]
         rows[i - 1][j - 1] = rows[i - 1][j - 1] + 1
         return RingMatrix(rows)
 
     monkeypatch.setattr(spectral, "build_w", faulty)
-    monkeypatch.setattr(spectral, "_checked_w", lru_cache(maxsize=BUILD_CACHE_SIZE)(
-        spectral._checked_w.__wrapped__))
+    _fresh_caches(monkeypatch, "_read", "_rows")
 
 
 class TestFailedClosedForm:

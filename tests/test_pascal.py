@@ -16,7 +16,7 @@ from rjpascal.pascal import (_D, _E, _F, _Q, IntMatrix, RingMatrix, _coefficient
                              _symmetric_power, _upper_square, _w_times, build_r, build_rx,
                              build_u, build_w)
 from rjpascal.ring import A, ONE, ZERO, IntPoly, RingElem, X, a_pow
-from rjpascal.spectral import _checked_w, _eigen_failures, _inverse_r, _read, _rows, involution_scale
+from rjpascal.spectral import _eigen_failures, _inverse_r, _read, _rows, involution_scale
 
 ONE_AT_1 = IntPoly.const(1)
 
@@ -743,7 +743,7 @@ class TestSerialization:
 
 @pytest.mark.parametrize(
     "cached", [build_r, build_rx, build_u, build_w, a_pow, _inverse_r, _eigen_failures,
-               _read, _rows, _checked_w, _row_table],
+               _read, _rows, _row_table],
     ids=lambda f: f.__name__,
 )
 def test_caches_are_bounded(cached):

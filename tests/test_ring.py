@@ -16,6 +16,7 @@ from rjpascal.ring import (
     ExactDivisionError,
     IntPoly,
     RingElem,
+    _powers,
     a_pow,
     power,
 )
@@ -167,6 +168,25 @@ class TestAPow:
         for e in range(-10, 11):
             for f in range(-10, 11):
                 assert a_pow(e) * a_pow(f) == a_pow(e + f)
+
+
+@pytest.mark.parametrize("x", [X, 1, 0, -2, 2 ** 10], ids=str)
+def test_powers_are_the_a_pow_run(x):
+    """_powers(first, ratio, count, x) is first ratio^k for k < count, on
+    IntPoly parts over Z[x] and int parts at an integer x, for several
+    first terms and ratios, signs among them (the eigenvalue step, the tie's
+    -a, u_1's x - a = -a^-1)."""
+    x_image = x if isinstance(x, IntPoly) else IntPoly.const(x)
+    part = (lambda p: p) if x is X else IntPoly.constant_value
+
+    def pair(e):
+        return part(e.c0), part(e.c1)
+
+    for s, r, sign in [(0, 1, 1), (0, 1, -1), (0, -1, -1), (5, -2, -1), (-3, 2, 1)]:
+        first, ratio = pair(a_pow(s, x_image)), pair(a_pow(r, x_image) * sign)
+        for count in range(1, 41):
+            want = [pair(a_pow(s + r * k, x_image) * sign ** k) for k in range(count)]
+            assert _powers(first, ratio, count, x) == want, (s, r, count)
 
 
 class TestSpecialize:

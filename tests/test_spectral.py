@@ -11,7 +11,7 @@ from rjpascal import cli, pascal, spectral
 from rjpascal.comb import pack
 from rjpascal.pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, _norm, _upper_square,
                              build_r, build_rx, build_u, build_w)
-from rjpascal.ring import A, ONE, ExactDivisionError, IntPoly, RingElem, X, _times, a_pow
+from rjpascal.ring import A, ONE, ExactDivisionError, IntPoly, RingElem, X, _float, _times, a_pow
 from rjpascal.spectral import (
     DEFAULT_TOL,
     _half_width,
@@ -19,7 +19,6 @@ from rjpascal.spectral import (
     eigen_distinctness,
     eigenvalue,
     eigenvalues,
-    eigenvalues_numeric,
     involution_scale,
     matrix_power_closed_form,
     matrix_power_oracle,
@@ -44,6 +43,12 @@ def column(m, j):
 def passed(rep):
     """The CLI's verdict on a diag report: both relative residuals within tol."""
     return max(rep.relative_involution, rep.relative_diagonalization) <= rep.tol
+
+
+def numeric_eigenvalues(n, x):
+    """The eigenvalues the diag check subtracts: spectral._read's pairs at the
+    integer x, each rounded once (ring._float)."""
+    return [_float(lam, x) for lam in spectral._read(n, x).lams]
 
 
 class TestEigenvalue:
@@ -498,29 +503,25 @@ def _read_points(monkeypatch, m, n):
     return xs
 
 
+def _reads_the_build_at_its_points(monkeypatch, m, sign, build, n):
+    """Over Z[x] the checks build sign S(M) at x = 2^h and -2^h by the
+    recurrence (pascal._rows_at on m), not from build(n, None): the two agree
+    there (the uncached build, so the polynomial matrices are not kept)."""
+    xs = _read_points(monkeypatch, m, n)
+    assert xs == [2 ** _h(n), -2 ** _h(n)]
+    rows = build.__wrapped__(n, None).rows
+    for x in xs:
+        assert pascal._rows_at(n, m, x, sign) == [[_pair(e, x) for e in row] for row in rows]
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 40, 64])
 def test_symbolic_involution_reads_build_w_at_its_points(monkeypatch, n):
-    """Over Z[x] the checks build W at x = +/-2^h by the recurrence
-    (pascal._rows_at on F), not from build_w(n, None): the two agree there."""
-    w_at = lambda n, x: pascal._rows_at(n, pascal._F, x, -1)
-    xs = _read_points(monkeypatch, pascal._F, n)
-    assert len(xs) == 2 and xs[0] == -xs[1] > 0
-    rows = build_w(n).rows
-    for x in xs:
-        assert w_at(n, x) == [[_pair(e, x) for e in row] for row in rows]
+    _reads_the_build_at_its_points(monkeypatch, pascal._F, -1, build_w, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 40, 64])
 def test_symbolic_eigen_check_reads_build_u_at_its_points(monkeypatch, n):
-    """Over Z[x] the checks build U at x = +/-2^h by the recurrence
-    (pascal._rows_at on E), not from build_u(n, None): the two agree there
-    (the uncached build, so the polynomial matrices are not kept)."""
-    u_at = lambda n, x: pascal._rows_at(n, pascal._E, x)
-    xs = _read_points(monkeypatch, pascal._E, n)
-    assert xs == [2 ** _h(n), -2 ** _h(n)]
-    rows = build_u.__wrapped__(n, None).rows
-    for x in xs:
-        assert u_at(n, x) == [[_pair(e, x) for e in row] for row in rows]
+    _reads_the_build_at_its_points(monkeypatch, pascal._E, 1, build_u, n)
 
 
 def _fib(k):
@@ -720,8 +721,10 @@ class TestPowerBatch:
         b = [math.comb(n - 1, j) for j in range(n)]
         top = 9 * max(b) ** 2
         f = ((1 << top.bit_length() + 20) - 1) // top
-        monkeypatch.setattr(spectral, "_checked_w",
-                            lambda n: ([(b, [0] * n, b)] * n, b, RingElem(1, 0, ONE_AT_1)))
+        monkeypatch.setattr(spectral, "_rows", lambda n, x, name: ([[(c, 0) for c in b]] * n,
+                                                                  frozenset()))
+        monkeypatch.setattr(spectral, "_read", lambda n, x: spectral._Reading(
+            1, [], (1, 0), frozenset(), False))
         monkeypatch.setattr(spectral, "_eigen_parts", lambda n, x_image, m: [(f, 0)] * n)
         want = IntMatrix([[f * c << n - 1 for c in b]] * n)
         assert max(want.rows[0]) > 1 << (top * f).bit_length()
@@ -827,7 +830,7 @@ class TestNumericChecks:
         assert rep.relative_diagonalization == (
             rep.residual_diagonalization / rep.magnitude_diagonalization)
         # |lambda_j| = |(V R V)_jj| <= (|V||R||V|)_jj
-        assert rep.magnitude_diagonalization >= max(map(abs, eigenvalues_numeric(n, x)))
+        assert rep.magnitude_diagonalization >= max(map(abs, numeric_eigenvalues(n, x)))
         assert rep.relative_diagonalization <= rep.tol
         assert rep.relative_involution <= rep.tol
         assert passed(rep)
@@ -842,14 +845,15 @@ class TestNumericChecks:
 
     @pytest.mark.parametrize("n, x", [(12, -2), (10, -7), (6, 1), (16, 3)])
     def test_diag_wrong_eigenvalue_order_fails(self, monkeypatch, n, x):
-        true_lam = eigenvalues_numeric(n, x)
+        read = spectral._read.__wrapped__
 
-        def swapped(n_, x_=1):
-            lam = list(true_lam)
-            lam[0], lam[-1] = lam[-1], lam[0]
-            return lam
+        def swapped(n_, x_):  # the reading the diag check rounds, lambda_1 and lambda_n swapped
+            reading = read(n_, x_)
+            lams = list(reading.lams)
+            lams[0], lams[-1] = lams[-1], lams[0]
+            return reading._replace(lams=lams)
 
-        monkeypatch.setattr(spectral, "eigenvalues_numeric", swapped)
+        monkeypatch.setattr(spectral, "_read", swapped)
         rep = verify_diagonalization_numeric(n, x)
         assert rep.relative_involution <= rep.tol
         assert rep.relative_diagonalization > rep.tol
@@ -857,16 +861,16 @@ class TestNumericChecks:
 
     @pytest.mark.parametrize("n, x", [(16, 1), (20, -2), (30, -7), (8, 3)])
     def test_diag_perturbed_w_entry_fails(self, monkeypatch, n, x):
+        _fresh_read(monkeypatch)
         assert passed(verify_diagonalization_numeric(n, x))
-        w = build_w(n, x)
-        target = max((e for row in w.rows for e in row), key=lambda e: abs(float(e)))
-        exact_float = RingElem.__float__
+        w, _ = spectral._rows(n, x, "w")  # the pairs the check rounds, from its cache
+        target = max((e for row in w for e in row), key=lambda e: abs(_float(e, x)))
 
-        def perturbed(e):
-            f = exact_float(e)
-            return f * (1 + 1e-10) if e is target else f
+        def perturbed(pair, x_):
+            f = _float(pair, x_)
+            return f * (1 + 1e-10) if pair is target else f
 
-        monkeypatch.setattr(RingElem, "__float__", perturbed)
+        monkeypatch.setattr(spectral, "_float", perturbed)
         rep = verify_diagonalization_numeric(n, x)
         assert rep.relative_involution > rep.tol
         assert rep.relative_diagonalization > rep.tol
@@ -876,7 +880,7 @@ class TestNumericChecks:
         # (|V||V|)_ii >= |(V V)_ii| = 1 and (|V||R||V|)_jj >= |lambda_j|,
         # which is 1 for every j at x = 0
         rep = verify_diagonalization_numeric(5, 0)
-        assert eigenvalues_numeric(5, 0) == [1.0, -1.0, 1.0, -1.0, 1.0]
+        assert numeric_eigenvalues(5, 0) == [1.0, -1.0, 1.0, -1.0, 1.0]
         assert rep.magnitude_involution >= 1.0
         assert rep.magnitude_diagonalization >= 1.0
         assert passed(rep)
@@ -895,14 +899,15 @@ class TestNumericChecks:
     @pytest.mark.parametrize("x", range(-3, 4))
     def test_distinctness_is_the_all_pairs_minimum(self, x):
         for n in range(1, 41):
-            lams = eigenvalues_numeric(n, x)
+            lams = numeric_eigenvalues(n, x)
             want = min((abs(lams[i] - lams[j]) for i in range(n) for j in range(i + 1, n)),
                        default=math.inf)
             assert eigen_distinctness(eigenvalues(n, IntPoly.const(x))) == want
 
     def test_eigenvalues_numeric_match_exact(self):
         for n in range(1, 9):
-            nums = eigenvalues_numeric(n, 1)
+            nums = numeric_eigenvalues(n, 1)
+            assert nums == [float(lam) for lam in eigenvalues(n, ONE_AT_1)]
             for j in range(1, n + 1):
                 want = (-1) ** (n + j) * GOLDEN ** (2 * j - n - 1)
                 assert nums[j - 1] == pytest.approx(want, rel=1e-14)
@@ -1064,11 +1069,9 @@ def _faulty_u(monkeypatch, edit):
 
 
 def _faulty_w(monkeypatch, edit):
-    """The checks read W with ``edit`` applied (_faulty).  The power check
-    keeps W per n (spectral._checked_w), so it gets a fresh cache too."""
+    """The checks read W with ``edit`` applied (_faulty): the exact checks,
+    the closed form and the diag check all read it through spectral._rows."""
     _faulty(monkeypatch, "w", edit)
-    monkeypatch.setattr(spectral, "_checked_w", lru_cache(maxsize=BUILD_CACHE_SIZE)(
-        spectral._checked_w.__wrapped__))
 
 
 def _left_factor(monkeypatch, rows):
@@ -1252,22 +1255,22 @@ class TestPowerFaults:
             matrix_power_closed_form(5, 2)
 
     def test_w_is_checked_once_for_involution_and_powers(self, monkeypatch):
-        # verify --check all at x = 1 builds W once, and reads one checked, packed W
+        # verify --check all at x = 1 builds W once, the involution and the
+        # power check share its reading, and one batch checks its symmetry once
         calls, check = [], spectral._binomially_symmetric
         builds = lru_cache(maxsize=BUILD_CACHE_SIZE)(build_w.__wrapped__)
         monkeypatch.setattr(spectral, "build_w", builds)
 
-        def counted(packed):
-            calls.append(len(packed))
-            return check(packed)
+        def counted(w):
+            calls.append(len(w))
+            return check(w)
 
-        monkeypatch.setattr(spectral, "_checked_w", lru_cache(maxsize=BUILD_CACHE_SIZE)(
-            spectral._checked_w.__wrapped__))
         _fresh_read(monkeypatch)
         monkeypatch.setattr(spectral, "_binomially_symmetric", counted)
         assert verify_involution(5, x=1)
-        for m in (-3, 0, 6):
-            assert matrix_power_closed_form(5, m) == matrix_power_oracle(5, m)
+        exponents = [-3, 0, 6]
+        got = spectral.matrix_powers_closed_form(5, exponents)
+        assert got == [matrix_power_oracle(5, m) for m in exponents]
         assert calls == [5] and builds.cache_info().misses == 1
 
     def test_patch_leaves_no_faulty_w_behind(self, monkeypatch):
