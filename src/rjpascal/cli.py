@@ -171,120 +171,69 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-#: Pieces of output that _emit_json gathers before a write, checked as each
-#: list or dict closes and after each skipped line: writes of about 34 KB on
-#: the identity reports.
-_EMIT_BATCH = 1024
-
-_encode_str = json.encoder.encode_basestring_ascii
-_int_repr = int.__repr__
+#: Characters of output that _emit_json gathers before a write: writes of
+#: about 32 KB, and at least 16 of them for a report of 1 MB.
+_EMIT_BATCH = 1 << 15
 
 
 def _emit_json(obj) -> None:
-    """Print ``json.dumps(obj, indent=2)`` in one pass over obj, written in
-    batches of _EMIT_BATCH pieces so the document is never held whole.
-    Raises TypeError where json.dumps would, and for a dict key that is not
-    a str.  A ``binomial.SkippedPoints`` inside obj is written as the list
-    of its points' SkippedCase.to_json() dicts.  Only a sweep makes one, so
-    the class is read from sys.modules: a matrix command never loads the
-    sweep engine.
-
-    json's own indented encoder is pure Python (its C encoder runs only
-    without indent) and yields through one generator per nesting level;
-    this walker appends each piece, indentation included, to one list.
-    It encodes str and int values, nearly all of the identity reports,
-    itself, walks dicts, lists and tuples (subclasses too, as json.dumps
-    does), and writes every other value with json.dumps.
-
-    A SkippedPoints is written a line at a time.  The points of a skipped
-    line differ only in the last parameter's value, the last thing before
-    their params dict closes.  So the walker renders the line's first
-    point once, and each point of the line is that text with the value
-    changed.  A line counts in the batch as the pieces the walker would
-    have gathered for its points."""
-    write = sys.stdout.write
-    parts = []
+    """Print ``json.dumps(obj, indent=2)`` from json's own indented encoder,
+    in writes of about _EMIT_BATCH characters, so the document is never
+    held whole.  The encoder's default hook takes a ``binomial.SkippedPoints``
+    and answers ``[]``, and in place of that chunk go its points'
+    SkippedCase.to_json() dicts from _skipped_lines, at the indentation of
+    the last chunk that held a newline.  It raises TypeError on any other
+    value, as json.dumps does.  Only a sweep makes a SkippedPoints, so the
+    class is read from sys.modules: a matrix command never loads the sweep
+    engine."""
     SkippedPoints = getattr(sys.modules.get(f"{__package__}.binomial"), "SkippedPoints", ())
+    skipped = []
 
-    def walk(o, nl, head, append):
-        """Append container o, indented at nl and preceded by head."""
-        inner = nl + "  "
-        rest = "," + inner
-        if isinstance(o, dict):
-            if not o:
-                append(head + "{}")
-                return
-            sep = head + "{" + inner
-            for k, v in o.items():
-                key = sep + _encode_str(k) + ": "  # TypeError unless k is a str
-                t = type(v)
-                if t is str:
-                    append(key + _encode_str(v))
-                elif t is int:
-                    append(key + _int_repr(v))
-                elif isinstance(v, (dict, list, tuple)):
-                    walk(v, inner, key, append)
-                elif isinstance(v, SkippedPoints):
-                    skipped(v, inner, key, append)
-                else:
-                    append(key + json.dumps(v))
-                sep = rest
-            append(nl + "}")
-        else:
-            if not o:
-                append(head + "[]")
-                return
-            sep = head + "[" + inner
-            for v in o:
-                t = type(v)
-                if t is str:
-                    append(sep + _encode_str(v))
-                elif t is int:
-                    append(sep + _int_repr(v))
-                elif isinstance(v, (dict, list, tuple)):
-                    walk(v, inner, sep, append)
-                elif isinstance(v, SkippedPoints):
-                    skipped(v, inner, sep, append)
-                else:
-                    append(sep + json.dumps(v))
-                sep = rest
-            append(nl + "]")
-        if len(parts) >= _EMIT_BATCH:
+    def default(o):
+        if not isinstance(o, SkippedPoints):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if o:  # an empty one is the "[]" itself
+            skipped.append(o)
+        return []
+
+    def pieces():
+        nl = "\n"  # the last chunk that held a newline; json escapes those in a str
+        for chunk in json.JSONEncoder(indent=2, default=default).iterencode(obj):
+            if skipped:  # chunk is the "[]" of default's answer
+                yield from _skipped_lines(skipped.pop(), nl[nl.rindex("\n"):])
+            else:
+                if "\n" in chunk:
+                    nl = chunk
+                yield chunk
+
+    write, parts, size = sys.stdout.write, [], 0
+    for piece in pieces():
+        parts.append(piece)
+        size += len(piece)
+        if size >= _EMIT_BATCH:
             write("".join(parts))
-            parts.clear()
+            parts, size = [], 0
+    write("".join(parts) + "\n")
 
-    def skipped(seq, nl, head, append):
-        """Append SkippedPoints seq, indented at nl and preceded by head."""
-        if not seq:
-            append(head + "[]")
-            return
-        inner = nl + "  "
-        rest = "," + inner
-        close = inner + "  }"  # where a point's params dict closes
-        values = [_int_repr(x) for x in seq.box[-1]]
-        sep = head + "[" + inner
-        weight = 0
-        for i in range(0, len(seq), len(values)):
-            point = []
-            walk(seq[i].to_json(), inner, "", point.append)
-            text = "".join(point)
-            cut = text.index(close)
-            pre, post = text[:cut - len(values[0])], text[cut:]
-            append(sep + pre + (post + rest + pre).join(values) + post)
-            sep = rest
-            weight += len(point) * len(values)
-            if weight >= _EMIT_BATCH:
-                write("".join(parts))
-                parts.clear()
-                weight = 0
-        append(nl + "]")
 
-    if isinstance(obj, (dict, list, tuple)):
-        walk(obj, "\n", "", parts.append)
-    else:
-        parts.append(json.dumps(obj))
-    parts.append("\n")
-    write("".join(parts))
+def _skipped_lines(seq, nl):
+    """json.dumps(indent=2) of the list of the non-empty SkippedPoints seq's
+    SkippedCase.to_json() dicts, opening after indentation nl: one piece per
+    skipped line, then the close.  The points of a line differ only in the
+    last parameter's value, so a line is its first point's text per value."""
+    i1, i2, i3 = (nl + "  " * k for k in (1, 2, 3))
+    values = [repr(v) for v in seq.box[-1]]
+    sep = "[" + i1
+    for k in range(0, len(seq), len(values)):
+        point = seq[k].to_json()
+        *fixed, (last, _) = point["params"].items()
+        head = ("{" + i2 + '"params": {' + "".join(f"{i3}{json.dumps(name)}: {v!r},"
+                                                    for name, v in fixed)
+                + i3 + json.dumps(last) + ": ")
+        tail = i2 + "}," + i2 + '"reason": ' + json.dumps(point["reason"]) + i1 + "}"
+        yield sep + head + (tail + "," + i1 + head).join(values) + tail
+        sep = "," + i1
+    yield nl + "]"
 
 
 def _x_label(x):

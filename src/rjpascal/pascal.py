@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 from .comb import binom, unpack
 from .ring import A, ONE, ZERO, IntPoly, RingElem, X, _powers, _times, check_same_ring, power
 
-#: Dimensions kept by each builder's cache.
+#: Dimensions kept by the caches of build_r and build_rx.
 BUILD_CACHE_SIZE = 64
 
 
@@ -418,14 +418,12 @@ def build_rx(n: int, x: int | None = None) -> RingMatrix:
     return _symmetric_power(n, _Q, x)
 
 
-@lru_cache(maxsize=BUILD_CACHE_SIZE, typed=True)
 def build_u(n: int, x: int | None = None) -> RingMatrix:
     """Eigenvector columns: u(i,j) = sum_{k=1..j} (-1)^(i-k) C(i-1,k-1) C(n-i,j-k) a^(2k-i-1),
     the binomial theorem on row i of S(E), a^(1-i) (1+t)^(n-i) (a^2 t - 1)^(i-1)."""
     return _symmetric_power(n, _E, x)
 
 
-@lru_cache(maxsize=BUILD_CACHE_SIZE, typed=True)
 def build_w(n: int, x: int | None = None) -> RingMatrix:
     """Column j of build_u(n, x) times (-1)^j a^(n-j), so W^2 = (1 + a^2)^(n-1) I: -S(F)."""
     return _symmetric_power(n, _F, x, -1)

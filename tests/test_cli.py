@@ -730,13 +730,45 @@ class TestEmitJson:
             cli._emit_json(obj)
         assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
 
-    @pytest.mark.parametrize("obj", [{1, 2}, [0, {"a": {3}}], {1: 2}, {"a": {(1, 2): 3}},
+    @pytest.mark.parametrize("obj", [{1, 2}, [0, {"a": {3}}], {"a": {(1, 2): 3}},
                                      [object()], [1j], [b"x"], {"a": decimal.Decimal(1)}],
-                             ids=["set", "nested-set", "int-key", "tuple-key", "object",
+                             ids=["set", "nested-set", "tuple-key", "object",
                                   "complex", "bytes", "decimal"])
     def test_rejects_what_dumps_rejects_and_non_str_keys(self, obj):
         with pytest.raises(TypeError):
             cli._emit_json(obj)
+
+    def test_writes_an_int_key_as_dumps_does(self, capsys):
+        cli._emit_json({1: 2})
+        assert capsys.readouterr().out == json.dumps({1: 2}, indent=2) + "\n" == '{\n  "1": 2\n}\n'
+
+    #: a sweep's skipped points for each rule (companion I < 0, Vandermonde
+    #: M, N < 0), and how many there are
+    SKIPPED = {
+        "companion": (Identity.TRINOMIAL_COMPANION, {"I": (-3, 2), "J": (-1, 2), "K": (0, 3)}, 48),
+        "companion-one-last-value": (Identity.TRINOMIAL_COMPANION,
+                                     {"I": (-2, 1), "J": (0, 2), "K": (4, 4)}, 6),
+        "vandermonde": (Identity.VANDERMONDE, {"M": (-3, 1), "N": (-2, 1), "L": (0, 3)}, 24),
+        "vandermonde-one-last-value": (Identity.VANDERMONDE,
+                                       {"M": (-2, 0), "N": (-1, 1), "L": (5, 5)}, 2),
+        "empty": (Identity.VANDERMONDE, {"M": (0, 2), "N": (-2, 1), "L": (0, 3)}, 0),
+    }
+    DEPTHS = {
+        "document": lambda seq: seq,
+        "list-item": lambda seq: [0, seq],
+        "dict-value": lambda seq: [{"report": {"skipped": seq, "n": 1}}],
+    }
+
+    @pytest.mark.parametrize("depth", DEPTHS.values(), ids=DEPTHS.keys())
+    @pytest.mark.parametrize("identity,box,points", SKIPPED.values(), ids=SKIPPED.keys())
+    def test_skipped_points_as_dumps_writes_their_dicts(self, capsys, identity, box, points,
+                                                        depth):
+        # the emitter writes these from cli._skipped_lines, not by json's encoder
+        skipped = sweep_identity(identity, box).skipped
+        assert isinstance(skipped, binomial.SkippedPoints) and len(skipped) == points
+        obj = depth(skipped)
+        cli._emit_json(obj)
+        assert capsys.readouterr().out == json.dumps(obj, indent=2, default=skipped_dicts) + "\n"
 
     def test_writes_per_batch_not_per_chunk(self, monkeypatch):
         class CountingStdout:

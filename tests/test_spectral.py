@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from rjpascal import cli, pascal, spectral
 from rjpascal.comb import pack
-from rjpascal.pascal import (BUILD_CACHE_SIZE, IntMatrix, RingMatrix, _norm, _upper_square,
-                             build_r, build_rx, build_u, build_w)
+from rjpascal.pascal import (IntMatrix, RingMatrix, _norm, _upper_square, build_r, build_rx,
+                             build_u, build_w)
 from rjpascal.ring import A, ONE, ExactDivisionError, IntPoly, RingElem, X, _float, _times, a_pow
 from rjpascal.spectral import (
     DEFAULT_TOL,
@@ -343,7 +343,7 @@ class TestTieToW:
 
     @pytest.fixture
     def fresh(self):
-        caches = (build_u, build_w, spectral._eigen_failures, spectral._read, spectral._rows)
+        caches = (spectral._eigen_failures, spectral._read, spectral._rows)
         for cache in caches:
             cache.cache_clear()
         yield
@@ -506,10 +506,10 @@ def _read_points(monkeypatch, m, n):
 def _reads_the_build_at_its_points(monkeypatch, m, sign, build, n):
     """Over Z[x] the checks build sign S(M) at x = 2^h and -2^h by the
     recurrence (pascal._rows_at on m), not from build(n, None): the two agree
-    there (the uncached build, so the polynomial matrices are not kept)."""
+    there."""
     xs = _read_points(monkeypatch, m, n)
     assert xs == [2 ** _h(n), -2 ** _h(n)]
-    rows = build.__wrapped__(n, None).rows
+    rows = build(n, None).rows
     for x in xs:
         assert pascal._rows_at(n, m, x, sign) == [[_pair(e, x) for e in row] for row in rows]
 
@@ -734,8 +734,7 @@ class TestPowerBatch:
 def test_float_x_does_not_poison_the_cache():
     # an integral float names the integer's ring, so it must not leave
     # float-coefficient matrices cached under the integer's key
-    for build in (build_rx, build_u, build_w):
-        build.cache_clear()
+    build_rx.cache_clear()
     assert verify_involution(3, x=1.0)
     assert verify_eigenpair(3, 2, x=2.0)
     got = matrix_power_closed_form(3, 2)
@@ -748,14 +747,14 @@ def test_float_x_does_not_poison_the_cache():
 
 @pytest.mark.parametrize("x", [1.0, 2.5, True, "1"], ids=repr)
 def test_builders_reject_non_integer_x(x):
-    # 1, 1.0 and True hash alike, so only an int may key a cached matrix;
-    # the check runs before any entry is stored
+    # 1, 1.0 and True hash alike, so only an int may key build_rx's cached
+    # matrix; the check runs before any entry is stored
+    build_rx(3, 1)
+    size = build_rx.cache_info().currsize
     for build in (build_rx, build_u, build_w):
-        build(3, 1)
-        size = build.cache_info().currsize
         with pytest.raises(ValueError, match="x must be an int"):
             build(3, x)
-        assert build.cache_info().currsize == size
+    assert build_rx.cache_info().currsize == size
 
 
 @pytest.mark.parametrize("check, args", [
@@ -1257,9 +1256,13 @@ class TestPowerFaults:
     def test_w_is_checked_once_for_involution_and_powers(self, monkeypatch):
         # verify --check all at x = 1 builds W once, the involution and the
         # power check share its reading, and one batch checks its symmetry once
-        calls, check = [], spectral._binomially_symmetric
-        builds = lru_cache(maxsize=BUILD_CACHE_SIZE)(build_w.__wrapped__)
-        monkeypatch.setattr(spectral, "build_w", builds)
+        calls, check, builds = [], spectral._binomially_symmetric, []
+
+        def build(n, x):
+            builds.append((n, x))
+            return build_w(n, x)
+
+        monkeypatch.setattr(spectral, "build_w", build)
 
         def counted(w):
             calls.append(len(w))
@@ -1271,7 +1274,7 @@ class TestPowerFaults:
         exponents = [-3, 0, 6]
         got = spectral.matrix_powers_closed_form(5, exponents)
         assert got == [matrix_power_oracle(5, m) for m in exponents]
-        assert calls == [5] and builds.cache_info().misses == 1
+        assert calls == [5] and builds == [(5, 1)]
 
     def test_patch_leaves_no_faulty_w_behind(self, monkeypatch):
         _faulty_w(monkeypatch, _doubled)
